@@ -49,14 +49,10 @@ pub struct Fig1Row {
 }
 
 /// Fig. 1: run the out-of-band PERA attestation (eq 3) once per signing
-/// backend and report the message/byte/check shape.
-pub fn exp_fig1() -> Vec<Fig1Row> {
-    exp_fig1_with(&Telemetry::off())
-}
-
-/// Like [`exp_fig1`], but appraisal verdicts and spans land in `tel`'s
-/// registry and audit log (the `--telemetry` harness path).
-pub fn exp_fig1_with(tel: &Telemetry) -> Vec<Fig1Row> {
+/// backend and report the message/byte/check shape. Appraisal verdicts
+/// and spans land in `tel`'s registry and audit log (pass
+/// [`Telemetry::off`] to record nothing).
+pub fn exp_fig1(tel: &Telemetry) -> Vec<Fig1Row> {
     SigScheme::ALL
         .iter()
         .map(|&scheme| {
@@ -394,15 +390,11 @@ fn pipeline_packets(count: usize) -> Vec<Vec<u8>> {
 }
 
 /// Fig. 3: packets/sec through the PISA pipeline alone vs PERA with
-/// different signing backends and sampling rates.
-pub fn exp_fig3(packets: usize) -> Vec<Fig3Row> {
-    exp_fig3_with(packets, &Telemetry::off())
-}
-
-/// Like [`exp_fig3`], with per-stage pipeline spans and PERA counters
-/// recorded into `tel`. The baseline pass runs traced too, so the
-/// `pipeline.*` latency histograms cover the no-RA case as well.
-pub fn exp_fig3_with(packets: usize, tel: &Telemetry) -> Vec<Fig3Row> {
+/// different signing backends and sampling rates. Per-stage pipeline
+/// spans and PERA counters are recorded into `tel`; the baseline pass
+/// runs traced too, so the `pipeline.*` latency histograms cover the
+/// no-RA case as well.
+pub fn exp_fig3(packets: usize, tel: &Telemetry) -> Vec<Fig3Row> {
     let pkts = pipeline_packets(packets);
     let mut rows: Vec<Fig3Row> = Vec::new();
 
@@ -1224,13 +1216,10 @@ fn e15_batch_run(
 /// `Registers::canonical_bytes` serializations per packet and an eager
 /// measurement of every detail level per record — so the speedup column
 /// in the harness is regenerable from this crate alone.
-pub fn exp_e15(packets: usize) -> Vec<E15Row> {
-    exp_e15_with(packets, &Telemetry::off())
-}
-
-/// Like [`exp_e15`], with the evidence hot path instrumented into `tel`
-/// (per-stage pipeline spans, `pera.attest` latency, cache audit trail).
-pub fn exp_e15_with(packets: usize, tel: &Telemetry) -> Vec<E15Row> {
+///
+/// The evidence hot path is instrumented into `tel` (per-stage pipeline
+/// spans, `pera.attest` latency, cache audit trail).
+pub fn exp_e15(packets: usize, tel: &Telemetry) -> Vec<E15Row> {
     let pkts = pipeline_packets(packets);
     vec![
         e15_run(
@@ -1427,13 +1416,9 @@ fn e16_run(loss: f64, retry: ControlRetryPolicy, fail_mode: FailMode, tel: &Tele
 /// appraisal completeness (the ≥99%-at-≤10%-loss acceptance bar lives
 /// here), goodput, and the enforcement false-drop rate: every drop in
 /// this sweep is a false one, since no forged traffic is injected.
-pub fn exp_e16() -> Vec<E16Row> {
-    exp_e16_with(&Telemetry::off())
-}
-
-/// Like [`exp_e16`], with netsim + enforcement telemetry (fault gauges,
-/// `pera.enforce.*` counters, enforcement audit records) in `tel`.
-pub fn exp_e16_with(tel: &Telemetry) -> Vec<E16Row> {
+/// Netsim and enforcement telemetry (fault gauges, `pera.enforce.*`
+/// counters, enforcement audit records) land in `tel`.
+pub fn exp_e16(tel: &Telemetry) -> Vec<E16Row> {
     let mut rows = Vec::new();
     for &loss in &[0.0, 0.05, 0.10, 0.20] {
         for retry in [ControlRetryPolicy::none(), ControlRetryPolicy::default()] {
@@ -1475,14 +1460,9 @@ pub struct E17Row {
 /// benign program passes **with zero hash-list maintenance** — the
 /// analyzer never saw a blacklist, only the program itself. Also
 /// reports per-program analysis latency (it runs off the hot path, at
-/// `LintVerdict` cache-fill time).
-pub fn exp_e17() -> Vec<E17Row> {
-    exp_e17_with(&Telemetry::off())
-}
-
-/// Like [`exp_e17`], with every appraisal verdict recorded in `tel`'s
-/// audit log and `ra.*` counters.
-pub fn exp_e17_with(tel: &Telemetry) -> Vec<E17Row> {
+/// `LintVerdict` cache-fill time). Every appraisal verdict is recorded
+/// in `tel`'s audit log and `ra.*` counters.
+pub fn exp_e17(tel: &Telemetry) -> Vec<E17Row> {
     use pda_analyze::{analyze_default, corpus, Severity};
     let env = Environment::new().with_telemetry(tel.clone());
     let policy = pda_ra::RequireLintClean::new(Severity::Warning);
@@ -1557,16 +1537,12 @@ pub struct E18Row {
 /// federation under full churn, and a 2-of-3 quorum with one appraiser
 /// deliberately corrupted (its dissent must stay visible while the
 /// quorum out-votes it).
-pub fn exp_e18() -> Vec<E18Row> {
-    exp_e18_with(&Telemetry::off())
-}
-
-/// [`exp_e18`] with a telemetry handle shared by the service *and*
-/// every epoch's fleet: one subscriber sees the whole evidence
-/// lifecycle (switch attest spans, channel send/retry events,
-/// per-appraiser and quorum spans), all joined by nonce-derived trace
-/// ids.
-pub fn exp_e18_with(tel: &Telemetry) -> Vec<E18Row> {
+///
+/// `tel` is shared by the service *and* every epoch's fleet: one
+/// subscriber sees the whole evidence lifecycle (switch attest spans,
+/// channel send/retry events, per-appraiser and quorum spans), all
+/// joined by nonce-derived trace ids.
+pub fn exp_e18(tel: &Telemetry) -> Vec<E18Row> {
     use pda_svc::{run_churn_with, AppraisalService, ChurnConfig, Quorum, SvcClient, SvcConfig};
     use std::sync::Arc;
 

@@ -226,7 +226,7 @@ fn main() {
             "{:<14} {:>9} {:>12} {:>8} {:>6}",
             "scheme", "messages", "bytes", "checks", "ok"
         );
-        for r in exp_fig1_with(&tel) {
+        for r in exp_fig1(&tel) {
             println!(
                 "{:<14} {:>9} {:>12} {:>8} {:>6}",
                 r.scheme.to_string(),
@@ -311,7 +311,7 @@ fn main() {
             "{:<28} {:>9} {:>12} {:>9} {:>9}",
             "config", "packets", "ns/packet", "records", "slowdown"
         );
-        for r in exp_fig3_with(10_000, &tel) {
+        for r in exp_fig3(10_000, &tel) {
             println!(
                 "{:<28} {:>9} {:>12.1} {:>9} {:>8.2}x",
                 r.config, r.packets, r.ns_per_packet, r.records, r.slowdown
@@ -440,7 +440,7 @@ fn main() {
             "{:<40} {:>5} {:>12} {:>8} {:>9} {:>9} {:>8}",
             "variant", "batch", "pkts/sec", "records", "measures", "hit-rate", "vs-seed"
         );
-        let rows = exp_e15_with(10_000, &tel);
+        let rows = exp_e15(10_000, &tel);
         let seed_pps = rows
             .iter()
             .find(|r| r.seed_emulation)
@@ -477,7 +477,7 @@ fn main() {
             "false-drop",
             "fail-open"
         );
-        for r in exp_e16_with(&tel) {
+        for r in exp_e16(&tel) {
             println!(
                 "{:<6} {:>6} {:<12} {:>12.1}% {:>11} {:>7.1}% {:>10.1}% {:>10}",
                 r.loss,
@@ -502,7 +502,7 @@ fn main() {
             "program", "rogue", "info", "warn", "error", "verdict", "analysis-ns"
         );
         let mut separated = true;
-        for r in exp_e17_with(&tel) {
+        for r in exp_e17(&tel) {
             separated &= r.lint_clean_ok != r.rogue;
             println!(
                 "{:<20} {:>6} {:>5} {:>5} {:>6} {:>10} {:>12}",
@@ -538,7 +538,7 @@ fn main() {
             "p50-us",
             "p99-us"
         );
-        let rows = exp_e18_with(&tel);
+        let rows = exp_e18(&tel);
         for r in &rows {
             println!(
                 "{:<22} {:<9} {:>7} {:>10} {:>8} {:>8} {:>4}/{:<3} {:>7} {:>12.0} {:>9.1} {:>9.1}",

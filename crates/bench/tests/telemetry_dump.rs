@@ -85,8 +85,8 @@ fn telemetry_dump_parses_with_stage_histograms_and_audit() {
     // `--telemetry`, at small scale. E15 is exercised only through the
     // on-disk check below: its Merkle height-12 keygen is prohibitive
     // in debug builds, and the CI harness run covers it in release.
-    let _ = bench::exp_fig1_with(&tel);
-    let _ = bench::exp_fig3_with(200, &tel);
+    let _ = bench::exp_fig1(&tel);
+    let _ = bench::exp_fig3(200, &tel);
     check_dump(&tel.dump_json().encode(), "in-memory run");
 
     // Appraisal verdicts from fig1 must be in the audit trail.

@@ -507,6 +507,9 @@ fn parse_packet_spec(spec: &str) -> Result<pda_netkat::Packet, String> {
 fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
     let backend = netkat_backend(args)?;
     let step = pda_netkat::parse_policy(first_positional(args)?).map_err(|e| e.to_string())?;
+    if step.has_dup() {
+        return Err("reachability works on the dup-free fragment".into());
+    }
     let from = parse_packet_spec(
         flag_value(args, "--from").ok_or("netkat reach wants --from 'sw=..,pt=..'")?,
     )?;

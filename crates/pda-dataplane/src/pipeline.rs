@@ -4,7 +4,7 @@
 //! (UC1: "RA protects against unvetted or unwanted dataplane programs").
 
 use crate::actions::{execute, Registers};
-use crate::parser::{deparse, ParseErr, Parsed, ParserDef};
+use crate::parser::{deparse, ParseErr, ParserDef};
 use crate::phv::{meta, Phv};
 use crate::tables::Table;
 use pda_crypto::digest::Digest;
@@ -150,108 +150,6 @@ impl DataplaneProgram {
             stages_executed,
         })
     }
-
-    /// Process `packets` **stage-major**: parse all, then run each
-    /// match-action stage across every still-alive packet, then deparse
-    /// the survivors. This is the DPDK-style batch/poll shape — each
-    /// stage's table stays hot in cache for the whole burst instead of
-    /// being re-walked per packet — and it gives the evidence engine a
-    /// natural batch boundary to amortize signing over.
-    ///
-    /// Per-packet results are identical to [`Self::process`] for
-    /// programs whose stages do not read registers written by other
-    /// packets of the same burst; register effects land in burst order
-    /// per stage rather than per packet, so cross-packet register
-    /// dataflow observes batch-boundary granularity.
-    pub fn process_batch<P: AsRef<[u8]>>(
-        &self,
-        packets: &[P],
-        ingress_port: u64,
-        regs: &mut Registers,
-    ) -> Vec<Result<PipelineOutput, ParseErr>> {
-        self.process_batch_traced(packets, ingress_port, regs, &Telemetry::off())
-    }
-
-    /// [`process_batch`](Self::process_batch) with per-packet telemetry
-    /// spans — the same span names and per-packet counts as
-    /// [`Self::process_traced`], so batched and per-packet runs are
-    /// comparable histogram-for-histogram.
-    pub fn process_batch_traced<P: AsRef<[u8]>>(
-        &self,
-        packets: &[P],
-        ingress_port: u64,
-        regs: &mut Registers,
-        tel: &Telemetry,
-    ) -> Vec<Result<PipelineOutput, ParseErr>> {
-        // Parse phase. `None` in `alive` = parse error or dropped.
-        let mut alive: Vec<Option<(Parsed, usize)>> = Vec::with_capacity(packets.len());
-        let mut results: Vec<Option<Result<PipelineOutput, ParseErr>>> =
-            Vec::with_capacity(packets.len());
-        for bytes in packets {
-            let parsed = {
-                let _s = tel.span("pipeline.parse");
-                self.parser.parse(bytes.as_ref())
-            };
-            match parsed {
-                Ok(mut p) => {
-                    p.phv.set(meta::INGRESS_PORT, ingress_port);
-                    alive.push(Some((p, 0)));
-                    results.push(None);
-                }
-                Err(e) => {
-                    alive.push(None);
-                    results.push(Some(Err(e)));
-                }
-            }
-        }
-
-        // Stage phase: each stage sweeps the whole burst. `alive` and
-        // `results` are index-aligned with `packets`.
-        for stage in &self.stages {
-            for i in 0..packets.len() {
-                let Some((parsed, stages_executed)) = alive[i].as_mut() else {
-                    continue;
-                };
-                let mut span = tel.span_with(|| format!("pipeline.stage.{}", stage.table.name));
-                let action = stage.table.lookup(&parsed.phv).clone();
-                execute(&action, &mut parsed.phv, regs);
-                *stages_executed += 1;
-                if parsed.phv.get(meta::EGRESS_PORT) == meta::DROP {
-                    span.set("dropped", true);
-                    drop(span);
-                    let (parsed, stages_executed) = alive[i].take().expect("checked Some above");
-                    results[i] = Some(Ok(PipelineOutput {
-                        packet: None,
-                        egress_port: meta::DROP,
-                        phv: parsed.phv,
-                        stages_executed,
-                    }));
-                }
-            }
-        }
-
-        // Deparse phase over the survivors.
-        for i in 0..packets.len() {
-            let Some((parsed, stages_executed)) = alive[i].take() else {
-                continue;
-            };
-            let egress_port = parsed.phv.get(meta::EGRESS_PORT);
-            let packet = {
-                let _s = tel.span("pipeline.deparse");
-                deparse(&parsed, packets[i].as_ref())
-            };
-            results[i] = Some(Ok(PipelineOutput {
-                packet: Some(packet),
-                egress_port,
-                phv: parsed.phv,
-                stages_executed,
-            }));
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every packet parsed, dropped, or deparsed"))
-            .collect()
-    }
 }
 
 impl fmt::Display for DataplaneProgram {
@@ -383,71 +281,6 @@ mod tests {
         // The untraced path must not record anywhere (and must still work).
         prog.process(&pkt, 0, &mut regs).unwrap();
         assert_eq!(reg.histogram("pipeline.parse.ns").count(), 1);
-    }
-
-    #[test]
-    fn batch_matches_per_packet_results() {
-        let mut prog = one_table_program(Action::drop_());
-        prog.stages[0]
-            .table
-            .insert(Entry {
-                key: vec![KeyCell::Exact(0xc0a80002)],
-                priority: 0,
-                action: Action::fwd(7),
-            })
-            .unwrap();
-        let forwarded = build_udp_packet(1, 2, 0xc0a80001, 0xc0a80002, 10, 20, b"payload!");
-        let dropped = build_udp_packet(1, 2, 1, 2, 10, 20, b"payload!");
-        let runt = vec![0u8; 3]; // parse error
-        let packets = [forwarded.as_slice(), dropped.as_slice(), runt.as_slice()];
-
-        let mut regs_batch = Registers::new();
-        let batched = prog.process_batch(&packets, 4, &mut regs_batch);
-        assert_eq!(batched.len(), 3);
-
-        let mut regs_single = Registers::new();
-        for (bytes, got) in packets.iter().zip(&batched) {
-            let want = prog.process(bytes, 4, &mut regs_single);
-            match (&want, got) {
-                (Ok(w), Ok(g)) => {
-                    assert_eq!(w.packet, g.packet);
-                    assert_eq!(w.egress_port, g.egress_port);
-                    assert_eq!(w.stages_executed, g.stages_executed);
-                }
-                (Err(w), Err(g)) => assert_eq!(w, g),
-                _ => panic!("batch/per-packet disagree: {want:?} vs {got:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn batch_traced_records_same_spans_as_per_packet() {
-        let prog = one_table_program(Action::fwd(3));
-        let pkts: Vec<Vec<u8>> = (0..4)
-            .map(|i| build_udp_packet(1, 2, i, 2, 10, 20, b"payload!"))
-            .collect();
-        let count = |run: &dyn Fn(&Telemetry, &mut Registers)| {
-            let tel = pda_telemetry::Telemetry::collecting();
-            let mut regs = Registers::new();
-            run(&tel, &mut regs);
-            let reg = tel.registry().unwrap();
-            [
-                "pipeline.parse.ns",
-                "pipeline.stage.t0.ns",
-                "pipeline.deparse.ns",
-            ]
-            .map(|n| reg.histogram(n).count())
-        };
-        let batched = count(&|tel, regs| {
-            prog.process_batch_traced(&pkts, 0, regs, tel);
-        });
-        let single = count(&|tel, regs| {
-            for p in &pkts {
-                prog.process_traced(p, 0, regs, tel).unwrap();
-            }
-        });
-        assert_eq!(batched, [4, 4, 4]);
-        assert_eq!(batched, single);
     }
 
     #[test]

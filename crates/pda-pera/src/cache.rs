@@ -9,7 +9,9 @@
 
 use crate::config::DetailLevel;
 use pda_crypto::digest::Digest;
-use std::collections::HashMap;
+
+/// One slot per detail level, indexed by its position on the detail axis.
+const LEVELS: usize = DetailLevel::ALL.len();
 
 /// Cache statistics (reported by experiment E8).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -27,9 +29,8 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Total lookups. Derived from the three breakdowns in exactly one
-    /// place so they can never drift apart — the telemetry counters
-    /// (`pera.cache.*`) mirror this identity and the switch tests
-    /// assert it across attested runs.
+    /// place so they can never drift apart; the switch publishes it as
+    /// `pera.cache.lookups`.
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses + self.uncacheable
     }
@@ -50,8 +51,8 @@ impl CacheStats {
 /// Evidence cache: detail level → (generation, digest).
 #[derive(Clone, Debug, Default)]
 pub struct EvidenceCache {
-    entries: HashMap<DetailLevel, (u64, Digest)>,
-    generations: HashMap<DetailLevel, u64>,
+    entries: [Option<(u64, Digest)>; LEVELS],
+    generations: [u64; LEVELS],
     /// Statistics.
     pub stats: CacheStats,
 }
@@ -64,7 +65,7 @@ impl EvidenceCache {
 
     /// Current generation of a detail level.
     pub fn generation(&self, level: DetailLevel) -> u64 {
-        self.generations.get(&level).copied().unwrap_or(0)
+        self.generations[level as usize]
     }
 
     /// Invalidate a level (e.g. program reloaded → bump Program; a table
@@ -72,10 +73,10 @@ impl EvidenceCache {
     /// a level also bumps every lower-inertia level: a new program means
     /// new tables and new state.
     pub fn invalidate(&mut self, level: DetailLevel) {
-        for l in DetailLevel::ALL {
-            if l >= level {
-                *self.generations.entry(l).or_insert(0) += 1;
-            }
+        // Levels are declared in inertia order, so "`level` and every
+        // lower-inertia level" is the tail of the array.
+        for gen in &mut self.generations[level as usize..] {
+            *gen += 1;
         }
     }
 
@@ -91,7 +92,8 @@ impl EvidenceCache {
             return measure();
         }
         let gen = self.generation(level);
-        if let Some(&(cached_gen, d)) = self.entries.get(&level) {
+        let slot = &mut self.entries[level as usize];
+        if let Some((cached_gen, d)) = *slot {
             if cached_gen == gen {
                 self.stats.hits += 1;
                 return d;
@@ -99,7 +101,7 @@ impl EvidenceCache {
         }
         self.stats.misses += 1;
         let d = measure();
-        self.entries.insert(level, (gen, d));
+        *slot = Some((gen, d));
         d
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! * **Detail** — what is attested, ordered by *inertia* (how quickly it
 //!   changes): hardware identity (never), program (on reload), tables
-//!   (on rule update), program state/registers (per packet burst),
+//!   (on rule update), program state/registers (per packet),
 //!   packets themselves (every packet).
 //! * **Sampling** — how often evidence is produced.
 //! * **Composition** — pointwise (independent records) vs chained
@@ -144,8 +144,11 @@ pub struct PeraConfig {
     /// Evidence batch size for [`crate::PeraSwitch::process_batch`]:
     /// records accumulate unsigned and are batch-signed (one root
     /// signature + per-record inclusion proofs) every `batch_size`
-    /// packets. `1` (the default) signs each record individually,
-    /// matching the per-packet path exactly. Has no effect on
+    /// packets. Batching groups signatures only: every packet still
+    /// runs the pipeline, and every record is measured and chained
+    /// (ProgState included) exactly as on the per-packet path. `1`
+    /// (the default) signs each record individually, matching the
+    /// per-packet path exactly. Has no effect on
     /// [`crate::PeraSwitch::process_packet`], which always signs
     /// immediately.
     pub batch_size: u32,

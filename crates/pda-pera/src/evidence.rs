@@ -117,7 +117,8 @@ impl EvidenceRecord {
         pda_telemetry::TraceCtx::for_nonce(self.nonce.0)
     }
 
-    /// Create and sign a record.
+    /// Create and sign a record: [`PendingRecord::new`], one signature
+    /// over its chain value, [`PendingRecord::into_record`].
     pub fn create(
         switch: &str,
         details: Vec<(DetailLevel, Digest)>,
@@ -125,16 +126,9 @@ impl EvidenceRecord {
         prev: Digest,
         signer: &mut Signer,
     ) -> Result<EvidenceRecord, SignError> {
-        let chain = chain_digest(switch, &details, nonce, prev);
-        let sig = signer.sign(chain.as_bytes())?;
-        Ok(EvidenceRecord {
-            switch: switch.to_string(),
-            details,
-            nonce,
-            prev,
-            chain,
-            sig,
-        })
+        let pending = PendingRecord::new(switch, details, nonce, prev);
+        let sig = signer.sign(pending.chain.as_bytes())?;
+        Ok(pending.into_record(sig))
     }
 
     /// Recompute the chain value from the record's own fields.
@@ -246,8 +240,9 @@ impl EvidenceRecord {
 }
 
 /// An evidence record measured but not yet signed: everything an
-/// [`EvidenceRecord`] carries except the signature. The batching switch
-/// accumulates these, chain values already threaded, then signs all
+/// [`EvidenceRecord`] carries except the signature. The switch's
+/// per-packet step produces these, chain values already threaded; the
+/// per-packet path signs each on its own, the batching path signs all
 /// their chain digests in one [`pda_crypto::batch::sign_batch`] call at
 /// flush time.
 #[derive(Clone, Debug)]

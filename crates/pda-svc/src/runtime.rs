@@ -134,8 +134,15 @@ impl ServerHandle {
     /// Signal shutdown and join every thread. Idempotent. Kept-alive
     /// connections are closed at their next poll tick, not waited out.
     pub fn stop(&mut self) {
-        if self.conns.stop.swap(true, Ordering::SeqCst) {
-            return;
+        // Set the flag under the queue lock. A worker in `ConnQueue::pop`
+        // checks the flag and starts waiting under that lock, so it
+        // either sees the flag or is already waiting when `notify_all`
+        // runs; it cannot miss the wake-up in between.
+        {
+            let _queue = self.conns.queue.lock().expect("queue poisoned");
+            if self.conns.stop.swap(true, Ordering::SeqCst) {
+                return;
+            }
         }
         // Unblock the accept loop with one throwaway connection.
         let _ = TcpStream::connect(self.addr);

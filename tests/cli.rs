@@ -172,6 +172,31 @@ fn netkat_reach_subcommand() {
     assert!(stdout.contains("reachable: no"), "{stdout}");
 }
 
+/// A `dup` step policy is outside the fragment reachability decides:
+/// the CLI must refuse it with an error, not panic (exit 101).
+#[test]
+fn netkat_reach_rejects_dup_policy() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pda"))
+        .args([
+            "netkat",
+            "reach",
+            "dup; sw:=2",
+            "--from",
+            "sw=1,pt=0",
+            "--goal",
+            "sw=2",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert_ne!(out.status.code(), Some(101), "must not panic");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("works on the dup-free fragment"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn netkat_slice_subcommand() {
     let (ok, stdout, _) = pda(&[
