@@ -546,13 +546,20 @@ fn cmd_netkat_slice(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --switch value".to_string())?;
     let slice = pda_netkat::slice_for_switch(&p, sw);
-    let guard = Policy::filter(Pred::test(Field::Switch, sw));
+    let guard = Pred::test(Field::Switch, sw);
     let verified = !p.has_dup()
-        && pda_netkat::equivalent_with(
-            backend,
-            &guard.clone().seq(p.clone()),
-            &guard.seq(slice.clone()),
-        );
+        && match backend {
+            pda_netkat::Backend::Symbolic => {
+                pda_netkat::counterexample_under(&guard, &p, &slice).is_none()
+            }
+            pda_netkat::Backend::Enumerative => {
+                let guard = Policy::filter(guard);
+                pda_netkat::equivalent_enumerative(
+                    &guard.clone().seq(p.clone()),
+                    &guard.seq(slice.clone()),
+                )
+            }
+        };
     println!("slice:    {slice}");
     println!("size:     {} nodes (network: {})", slice.size(), p.size());
     println!("verified: {}", if verified { "yes" } else { "NO" });

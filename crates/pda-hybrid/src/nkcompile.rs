@@ -501,9 +501,7 @@ pub fn reconstruct(prog: &DataplaneProgram) -> Result<Policy, CompileError> {
 /// a counterexample input on disagreement.
 pub fn validate(policy: &Policy, prog: &DataplaneProgram) -> Result<(), CompileError> {
     let decoded = reconstruct(prog)?;
-    let guard = Policy::filter(Pred::test(Field::Switch, 0));
-    match pda_netkat::equiv::counterexample(&guard.clone().seq(policy.clone()), &guard.seq(decoded))
-    {
+    match pda_netkat::equiv::counterexample_under(&Pred::test(Field::Switch, 0), policy, &decoded) {
         None => Ok(()),
         Some(witness) => Err(CompileError::ValidationFailed { witness }),
     }

@@ -29,7 +29,7 @@
 //! where mentioned values are adjacent to (or interleaved around) the
 //! chosen representative.
 
-use crate::ast::{Field, Packet, Policy};
+use crate::ast::{Field, Packet, Policy, Pred};
 use crate::semantics::eval_set;
 use crate::sym;
 use std::collections::BTreeSet;
@@ -68,21 +68,32 @@ pub fn counterexample_with(backend: Backend, p: &Policy, q: &Policy) -> Option<P
         "equivalence checking is implemented for the dup-free fragment"
     );
     match backend {
-        Backend::Symbolic => counterexample_symbolic(p, q),
+        Backend::Symbolic => counterexample_under(&Pred::True, p, q),
         Backend::Enumerative => counterexample_enumerative(p, q),
     }
 }
 
-fn counterexample_symbolic(p: &Policy, q: &Policy) -> Option<Packet> {
+/// A packet satisfying `guard` on which the two (dup-free) policies
+/// disagree: the symbolic [`counterexample`] of `filter guard ; p` and
+/// `filter guard ; q`. Both sides convert under the guard
+/// ([`sym::Arena::spp_from_policy_under`]), so sub-policies the guard
+/// makes dead are never built. Panics on `dup`, like [`counterexample`].
+pub fn counterexample_under(guard: &Pred, p: &Policy, q: &Policy) -> Option<Packet> {
+    assert!(
+        !p.has_dup() && !q.has_dup(),
+        "equivalence checking is implemented for the dup-free fragment"
+    );
     let mut ar = sym::Arena::for_policies(&[p, q]);
+    let g = ar.sp_from_pred(guard);
     let a = ar
-        .spp_from_policy(p)
+        .spp_from_policy_under(g, p)
         .expect("dup-free policy converts to a transformer");
     let b = ar
-        .spp_from_policy(q)
+        .spp_from_policy_under(g, q)
         .expect("dup-free policy converts to a transformer");
     let witness = ar.distinguishing_input(a, b)?;
     let pkt = ar.packet_of_values(&witness);
+    debug_assert!(guard.eval(&pkt), "the witness lies in the guard");
     debug_assert_ne!(
         eval_set(p, &BTreeSet::from([pkt])),
         eval_set(q, &BTreeSet::from([pkt])),

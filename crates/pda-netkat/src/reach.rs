@@ -12,14 +12,17 @@
 //!   realize `∗⇒`, used to resolve abstract places (`∀hop`) to the actual
 //!   switches along a forwarding path.
 //!
-//! Both queries default to the **symbolic** backend: the step policy is
-//! converted once to a canonical transformer ([`sym::Arena`]) and the
-//! star fixpoint runs on symbolic packet-*set* frontiers (image under
-//! [`sym::Arena::push`] per layer), so a thousand-switch fabric converges
-//! in topology-diameter many pushes instead of per-packet enumeration.
-//! Witness paths walk the BFS layers backwards through the preimage
-//! operator ([`sym::Arena::pre`]). The original enumerative evaluators
-//! remain as `*_enumerative` and serve as the differential oracle.
+//! Both queries default to the **symbolic** backend: a breadth-first
+//! search over symbolic packet-*set* frontiers ([`Arena`]). Each
+//! layer is the image of the last under the step policy, computed by
+//! structural recursion over the policy ([`Arena::push_policy`]),
+//! so the step's transformer is never built and a rule the frontier
+//! cannot match costs one empty intersection. Witness paths walk the
+//! BFS layers backwards through the preimage
+//! ([`Arena::pre_policy`]). `dup` only archives the packet into the
+//! history, so both queries treat it as the identity on the current
+//! packet. The original enumerative evaluators remain as `*_enumerative`
+//! and serve as the differential oracle.
 
 use crate::ast::{Field, Packet, Policy, Pred};
 use crate::semantics::eval_set;
@@ -35,34 +38,7 @@ pub fn reachable(step: &Policy, init: &BTreeSet<Packet>) -> BTreeSet<Packet> {
 /// Does some packet in `init` eventually satisfy `goal` under `step*`?
 /// Symbolic: fixpoint over packet-set images.
 pub fn can_reach(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> bool {
-    assert!(
-        !step.has_dup(),
-        "reachability is implemented for dup-free step policies"
-    );
-    let mut ar = Arena::for_policies(&[step]);
-    let t = ar
-        .spp_from_policy(step)
-        .expect("dup-free policy converts to a transformer");
-    let goal_sp = ar.sp_from_pred(goal);
-    let mut acc = Sp::EMPTY;
-    for pkt in init {
-        let vals = ar.values_of_packet(pkt);
-        let s = ar.sp_singleton(&vals);
-        acc = ar.sp_union(acc, s);
-    }
-    let mut frontier = acc;
-    loop {
-        let hit = ar.sp_intersect(frontier, goal_sp);
-        if !ar.sp_is_empty(hit) {
-            return true;
-        }
-        let next = ar.push(frontier, t);
-        frontier = ar.sp_diff(next, acc);
-        if ar.sp_is_empty(frontier) {
-            return false;
-        }
-        acc = ar.sp_union(acc, frontier);
-    }
+    search(step, init, goal).1.is_some()
 }
 
 /// Enumerative oracle for [`can_reach`].
@@ -70,52 +46,50 @@ pub fn can_reach_enumerative(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred
     reachable(step, init).iter().any(|p| goal.eval(p))
 }
 
+/// Symbolic BFS from `init` under `step`. Returns the arena and, when
+/// some packet reaches `goal`, the layers (`layers[i]` holds the packets
+/// first reached at distance `i`) and the goal packets of the last one.
+fn search(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> (Arena, Option<(Vec<Sp>, Sp)>) {
+    let mut ar = Arena::for_policies(&[step]);
+    let goal_sp = ar.sp_from_pred(goal);
+    let mut acc = Sp::EMPTY;
+    for pkt in init {
+        let vals = ar.values_of_packet(pkt);
+        let s = ar.sp_singleton(&vals);
+        acc = ar.sp_union(acc, s);
+    }
+    let mut layers = vec![acc];
+    let mut frontier = acc;
+    loop {
+        let hit = ar.sp_intersect(frontier, goal_sp);
+        if !ar.sp_is_empty(hit) {
+            return (ar, Some((layers, hit)));
+        }
+        let next = ar.push_policy(frontier, step);
+        frontier = ar.sp_diff(next, acc);
+        if ar.sp_is_empty(frontier) {
+            return (ar, None);
+        }
+        acc = ar.sp_union(acc, frontier);
+        layers.push(frontier);
+    }
+}
+
 /// Shortest witness trace: a sequence of packets `π₀ … πₖ` with
 /// `π₀ ∈ init`, each `πᵢ₊₁` an output of `step` on `πᵢ`, and `goal(πₖ)`.
 /// Returns `None` when unreachable. Symbolic: BFS layers of packet-set
 /// images, reconstructed backwards through the preimage operator.
 pub fn witness_path(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> Option<Vec<Packet>> {
-    assert!(
-        !step.has_dup(),
-        "reachability is implemented for dup-free step policies"
-    );
-    let mut ar = Arena::for_policies(&[step]);
-    let t = ar
-        .spp_from_policy(step)
-        .expect("dup-free policy converts to a transformer");
-    let goal_sp = ar.sp_from_pred(goal);
-    let mut init_sp = Sp::EMPTY;
-    for pkt in init {
-        let vals = ar.values_of_packet(pkt);
-        let s = ar.sp_singleton(&vals);
-        init_sp = ar.sp_union(init_sp, s);
-    }
-    // Forward BFS layers: layers[i] holds the packets first reached at
-    // distance i.
-    let mut layers = vec![init_sp];
-    let mut acc = init_sp;
-    let hit_layer = loop {
-        let frontier = *layers.last().expect("non-empty");
-        let hit = ar.sp_intersect(frontier, goal_sp);
-        if !ar.sp_is_empty(hit) {
-            break hit;
-        }
-        let next = ar.push(frontier, t);
-        let new = ar.sp_diff(next, acc);
-        if ar.sp_is_empty(new) {
-            return None;
-        }
-        acc = ar.sp_union(acc, new);
-        layers.push(new);
-    };
+    let (mut ar, found) = search(step, init, goal);
+    let (layers, hit) = found?;
     // Backward reconstruction: pick a goal packet, then repeatedly pick a
     // predecessor from the previous layer via the preimage.
-    let mut cur = ar.sp_witness(hit_layer).expect("non-empty hit layer");
+    let mut cur = ar.sp_witness(hit).expect("non-empty hit layer");
     let mut path = vec![ar.packet_of_values(&cur)];
-    for i in (0..layers.len() - 1).rev() {
+    for &layer in layers.iter().rev().skip(1) {
         let cur_sp = ar.sp_singleton(&cur);
-        let prev = ar.pre(t, cur_sp);
-        let cand = ar.sp_intersect(prev, layers[i]);
+        let prev = ar.pre_policy(step, cur_sp);
+        let cand = ar.sp_intersect(prev, layer);
         cur = ar
             .sp_witness(cand)
             .expect("every BFS layer packet has a predecessor in the prior layer");
@@ -228,6 +202,20 @@ mod tests {
         // Same length as the enumerative BFS (both are shortest).
         let oracle = witness_path_enumerative(&step, &init, &at_switch(3)).unwrap();
         assert_eq!(path.len(), oracle.len());
+    }
+
+    #[test]
+    fn dup_steps_answer_as_with_id() {
+        let (fwd, topo) = linear3();
+        let plain = fwd.clone().seq(topo.clone());
+        let step = Policy::Dup.seq(fwd).seq(Policy::Dup.star()).seq(topo);
+        let init = BTreeSet::from([Packet::of(&[(Field::Switch, 1), (Field::Port, 0)])]);
+        assert!(can_reach(&step, &init, &at_switch(3)));
+        assert!(!can_reach(&step, &init, &at_switch(4)));
+        assert_eq!(
+            witness_path(&step, &init, &at_switch(3)),
+            witness_path(&plain, &init, &at_switch(3))
+        );
     }
 
     #[test]

@@ -56,61 +56,62 @@ fn spec_pred(a: &Pred, f: Field, v: u32) -> Pred {
 /// only until the first modification of `f` along each control path;
 /// after that the policy is left untouched.
 pub fn specialize(p: &Policy, f: Field, v: u32) -> Policy {
-    // Returns (specialized policy, whether the assumption still holds
-    // afterwards — None = may or may not, depending on path).
-    fn go(p: &Policy, f: Field, v: u32, holds: bool) -> (Policy, Option<bool>) {
-        if !holds {
-            return (p.clone(), Some(false));
-        }
+    // Returns (specialized policy, whether it is syntactically drop,
+    // whether the assumption still holds afterwards — None = may or may
+    // not, depending on path). Reporting drop here keeps union-arm
+    // pruning O(1) per node.
+    fn go(p: &Policy, f: Field, v: u32) -> (Policy, bool, Option<bool>) {
         match p {
-            Policy::Filter(a) => (Policy::Filter(spec_pred(a, f, v)), Some(true)),
-            Policy::Mod(g, w) if *g == f => (Policy::Mod(*g, *w), Some(*w == v)),
-            Policy::Mod(g, w) => (Policy::Mod(*g, *w), Some(true)),
-            Policy::Dup => (Policy::Dup, Some(true)),
+            Policy::Filter(a) => {
+                let a = spec_pred(a, f, v);
+                let dead = a == Pred::False;
+                (Policy::Filter(a), dead, Some(true))
+            }
+            Policy::Mod(g, w) if *g == f => (Policy::Mod(*g, *w), false, Some(*w == v)),
+            Policy::Mod(g, w) => (Policy::Mod(*g, *w), false, Some(true)),
+            Policy::Dup => (Policy::Dup, false, Some(true)),
             Policy::Seq(l, r) => {
-                let (ls, lholds) = go(l, f, v, true);
+                let (ls, ldead, lholds) = go(l, f, v);
                 match lholds {
                     Some(true) => {
-                        let (rs, rholds) = go(r, f, v, true);
-                        (ls.seq(rs), rholds)
+                        let (rs, rdead, rholds) = go(r, f, v);
+                        (ls.seq(rs), ldead || rdead, rholds)
                     }
-                    _ => (ls.seq(r.as_ref().clone()), lholds),
+                    _ => (ls.seq(r.as_ref().clone()), ldead || is_drop(r), lholds),
                 }
             }
             Policy::Union(l, r) => {
-                let (ls, lh) = go(l, f, v, true);
-                let (rs, rh) = go(r, f, v, true);
+                let (ls, ldead, lh) = go(l, f, v);
+                let (rs, rdead, rh) = go(r, f, v);
                 let holds = match (lh, rh) {
                     (Some(a), Some(b)) if a == b => Some(a),
                     _ => None,
                 };
                 // Prune dead branches: `filter false ; …` arms vanish.
-                let out = match (is_drop(&ls), is_drop(&rs)) {
-                    (true, true) => Policy::drop(),
-                    (true, false) => rs,
-                    (false, true) => ls,
-                    (false, false) => ls.union(rs),
-                };
-                (out, holds)
+                match (ldead, rdead) {
+                    (true, true) => (Policy::drop(), true, holds),
+                    (true, false) => (rs, false, holds),
+                    (false, true) => (ls, false, holds),
+                    (false, false) => (ls.union(rs), false, holds),
+                }
             }
             Policy::Star(inner) => {
                 // Inside a star the assumption can be broken by earlier
                 // iterations, so only a star whose body preserves the
                 // assumption may be specialized.
-                let (_, ih) = go(inner, f, v, true);
+                let (is, _, ih) = go(inner, f, v);
                 if ih == Some(true) {
-                    let (is, _) = go(inner, f, v, true);
-                    (is.star(), Some(true))
+                    (is.star(), false, Some(true))
                 } else {
-                    (p.clone(), None)
+                    (p.clone(), false, None)
                 }
             }
         }
     }
-    go(p, f, v, true).0
+    go(p, f, v).0
 }
 
-/// Syntactic drop detection (used for branch pruning).
+/// Syntactic drop detection, for a sub-policy left unspecialized.
 fn is_drop(p: &Policy) -> bool {
     match p {
         Policy::Filter(Pred::False) => true,
@@ -127,13 +128,12 @@ pub fn slice_for_switch(p: &Policy, sw: u32) -> Policy {
 }
 
 /// Symbolically verify the slice soundness property:
-/// `filter f=v ; network ≡ filter f=v ; slice`. Dup-free only.
+/// `filter f=v ; network ≡ filter f=v ; slice`. Dup-free only. Both
+/// sides are converted under the guard
+/// ([`crate::equiv::counterexample_under`]), so the rules of other
+/// switches are never built.
 pub fn slice_equivalent(network: &Policy, slice: &Policy, f: Field, v: u32) -> bool {
-    let guard = Policy::filter(Pred::test(f, v));
-    crate::equiv::equivalent(
-        &guard.clone().seq(network.clone()),
-        &guard.seq(slice.clone()),
-    )
+    crate::equiv::counterexample_under(&Pred::test(f, v), network, slice).is_none()
 }
 
 /// [`slice_for_switch`] with the soundness property discharged by the
@@ -153,12 +153,10 @@ pub fn verified_slice_for_switch(p: &Policy, sw: u32) -> Policy {
 /// drop every packet? Dead slices indicate unreachable switches in the
 /// network encoding (nothing the policy does at `sw` is observable).
 pub fn slice_is_dead(p: &Policy, sw: u32) -> bool {
-    let guarded = Policy::filter(Pred::test(Field::Switch, sw)).seq(p.clone());
-    let mut ar = Arena::for_policies(&[&guarded]);
-    match ar.spp_from_policy(&guarded) {
-        Ok(t) => t == Spp::ZERO,
-        Err(_) => false, // dup: cannot decide symbolically; assume live
-    }
+    let mut ar = Arena::for_policies(&[p]);
+    let g = ar.sp_from_pred(&Pred::test(Field::Switch, sw));
+    // A live `dup` cannot be decided symbolically: assume live.
+    ar.spp_from_policy_under(g, p) == Ok(Spp::ZERO)
 }
 
 #[cfg(test)]
@@ -244,6 +242,35 @@ mod tests {
         let filt = Policy::filter(Pred::test(Field::Switch, 7));
         assert!(!slice_is_dead(&filt, 7));
         assert!(slice_is_dead(&filt, 8));
+    }
+
+    #[test]
+    fn dead_slice_decided_past_a_dead_dup() {
+        // Only switch 1's rule has a dup; no other slice check reaches it.
+        let network = Policy::filter(Pred::test(Field::Switch, 1))
+            .seq(Policy::Dup)
+            .union(guarded(2, 20));
+        assert!(!slice_is_dead(&network, 2));
+        assert!(slice_is_dead(&network, 3));
+        // At switch 1 the dup is live: undecided symbolically, so live.
+        assert!(!slice_is_dead(&network, 1));
+    }
+
+    #[test]
+    fn fabric_slices_are_pinned() {
+        let network = crate::corpus::fabric_step(8);
+        let up = Policy::id()
+            .seq(Policy::assign(Field::Port, 1))
+            .seq(Policy::assign(Field::Switch, 0));
+        for leaf in 1..=9 {
+            assert_eq!(slice_for_switch(&network, leaf), up, "leaf {leaf}");
+        }
+        let down = Policy::any((1..=8).map(|j| {
+            Policy::filter(Pred::test(Field::Dst, j))
+                .seq(Policy::assign(Field::Switch, j))
+                .seq(Policy::assign(Field::Port, 2))
+        }));
+        assert_eq!(slice_for_switch(&network, 0), Policy::id().seq(down));
     }
 
     #[test]

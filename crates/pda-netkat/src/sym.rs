@@ -1160,50 +1160,174 @@ impl Arena {
         items[0]
     }
 
+    /// The transformer `f := v` in this arena's variable order.
+    fn spp_mod(&mut self, f: Field, v: u32) -> Spp {
+        let slot = self.slot_of[f.index()];
+        self.spp_assign(slot, u64::from(v))
+    }
+
     /// The symbolic transformer denoted by a dup-free NetKAT policy.
     pub fn spp_from_policy(&mut self, p: &Policy) -> Result<Spp, SymError> {
+        self.spp_from_policy_under(Sp::FULL, p)
+    }
+
+    /// The canonical transformer of `filter g ; p`, built without
+    /// converting the sub-policies of `p` that `g` makes dead.
+    ///
+    /// Canonical form makes the result id-identical to
+    /// `spp_from_policy(filter g ; p)`; only the work differs. A slice
+    /// check under `sw = k` thus never builds the other switches' rules.
+    /// A `dup` in a dead sub-policy is never reached, so only a live one
+    /// is an error.
+    pub fn spp_from_policy_under(&mut self, g: Sp, p: &Policy) -> Result<Spp, SymError> {
+        let t = self.spp_pruned(g, p)?;
+        let test = self.spp_test(g);
+        Ok(self.spp_seq(test, t))
+    }
+
+    /// A transformer that agrees with `p` on every packet in `g`: each
+    /// sub-policy `g` makes dead becomes `ZERO` without being converted.
+    ///
+    /// `g` narrows through a filter at the head of a sequence and widens
+    /// to `FULL` past any other head, which is sound because every output
+    /// of `filter g ; l` lies in the guard kept for what follows `l`. An
+    /// unguarded (`FULL`) conversion narrows nothing, so it does the work
+    /// of a plain conversion and no more.
+    fn spp_pruned(&mut self, g: Sp, p: &Policy) -> Result<Spp, SymError> {
+        if g == Sp::EMPTY {
+            return Ok(Spp::ZERO);
+        }
         match p {
             Policy::Filter(a) => {
                 let s = self.sp_from_pred(a);
-                Ok(self.spp_test(s))
+                if self.sp_intersect(g, s) == Sp::EMPTY {
+                    Ok(Spp::ZERO)
+                } else {
+                    Ok(self.spp_test(s))
+                }
             }
-            Policy::Mod(f, v) => {
-                let slot = self.slot_of[f.index()];
-                Ok(self.spp_assign(slot, u64::from(*v)))
-            }
+            Policy::Mod(f, v) => Ok(self.spp_mod(*f, *v)),
             Policy::Union(_, _) => {
                 // Balanced reduction over the flattened union spine: a
                 // left- or right-leaning `p₁ + p₂ + … + pₙ` otherwise
                 // rebuilds the (growing) accumulated node n times.
-                let mut terms = Vec::new();
-                fn spine<'p>(p: &'p Policy, out: &mut Vec<&'p Policy>) {
-                    if let Policy::Union(l, r) = p {
-                        spine(l, out);
-                        spine(r, out);
-                    } else {
-                        out.push(p);
-                    }
-                }
-                spine(p, &mut terms);
+                let terms = union_terms(p);
                 let mut ids = Vec::with_capacity(terms.len());
                 for t in terms {
-                    ids.push(self.spp_from_policy(t)?);
+                    ids.push(self.spp_pruned(g, t)?);
                 }
                 Ok(self.reduce_balanced(ids, Spp::ZERO, Arena::spp_union))
             }
             Policy::Seq(l, r) => {
-                let a = self.spp_from_policy(l)?;
-                let b = self.spp_from_policy(r)?;
+                let a = self.spp_pruned(g, l)?;
+                if a == Spp::ZERO {
+                    return Ok(Spp::ZERO);
+                }
+                let after = match l.as_ref() {
+                    Policy::Filter(x) if g != Sp::FULL => {
+                        let s = self.sp_from_pred(x);
+                        self.sp_intersect(g, s)
+                    }
+                    _ => Sp::FULL,
+                };
+                let b = self.spp_pruned(after, r)?;
                 Ok(self.spp_seq(a, b))
             }
             Policy::Star(x) => {
-                let a = self.spp_from_policy(x)?;
+                let a = self.spp_pruned(Sp::FULL, x)?;
                 self.spp_star_bounded(a, DEFAULT_STAR_BUDGET)
                     .map(|(s, _)| s)
                     .map_err(SymError::StarBudget)
             }
             Policy::Dup => Err(SymError::DupUnsupported),
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Policy images
+    // ------------------------------------------------------------------
+
+    /// Forward image of `s` under a policy: `{ β | ∃ α ∈ s. β ∈ p(α) }`.
+    ///
+    /// Computed by structural recursion over `p` on packet sets, so no
+    /// transformer for the whole of `p` is built and a sub-policy the
+    /// packets cannot reach costs one empty intersection. `dup` only
+    /// archives the packet into the history, so it is the identity on
+    /// the current packet here.
+    pub fn push_policy(&mut self, s: Sp, p: &Policy) -> Sp {
+        if s == Sp::EMPTY {
+            return Sp::EMPTY;
+        }
+        match p {
+            Policy::Filter(a) => {
+                let t = self.sp_from_pred(a);
+                self.sp_intersect(s, t)
+            }
+            Policy::Mod(f, v) => {
+                let t = self.spp_mod(*f, *v);
+                self.push(s, t)
+            }
+            Policy::Union(_, _) => {
+                let images = union_terms(p)
+                    .into_iter()
+                    .map(|t| self.push_policy(s, t))
+                    .collect();
+                self.reduce_balanced(images, Sp::EMPTY, Arena::sp_union)
+            }
+            Policy::Seq(l, r) => {
+                let mid = self.push_policy(s, l);
+                self.push_policy(mid, r)
+            }
+            Policy::Star(x) => self.sp_closure(s, |ar, f| ar.push_policy(f, x)),
+            Policy::Dup => s,
+        }
+    }
+
+    /// Backward image (preimage) of `s` under a policy:
+    /// `{ α | ∃ β ∈ s. β ∈ p(α) }`, by the structural recursion of
+    /// [`Arena::push_policy`] run backwards.
+    pub fn pre_policy(&mut self, p: &Policy, s: Sp) -> Sp {
+        if s == Sp::EMPTY {
+            return Sp::EMPTY;
+        }
+        match p {
+            Policy::Filter(a) => {
+                let t = self.sp_from_pred(a);
+                self.sp_intersect(s, t)
+            }
+            Policy::Mod(f, v) => {
+                let t = self.spp_mod(*f, *v);
+                self.pre(t, s)
+            }
+            Policy::Union(_, _) => {
+                let images = union_terms(p)
+                    .into_iter()
+                    .map(|t| self.pre_policy(t, s))
+                    .collect();
+                self.reduce_balanced(images, Sp::EMPTY, Arena::sp_union)
+            }
+            Policy::Seq(l, r) => {
+                let mid = self.pre_policy(r, s);
+                self.pre_policy(l, mid)
+            }
+            Policy::Star(x) => self.sp_closure(s, |ar, f| ar.pre_policy(x, f)),
+            Policy::Dup => s,
+        }
+    }
+
+    /// The least set containing `s` and closed under `image`, found by
+    /// applying `image` to the newly added frontier only (images
+    /// distribute over union). Terminates: the accumulated set grows
+    /// strictly, and every set built lies in the finite lattice of sets
+    /// over the constants of `s` and the policy.
+    fn sp_closure(&mut self, s: Sp, image: impl Fn(&mut Arena, Sp) -> Sp) -> Sp {
+        let (mut acc, mut frontier) = (s, s);
+        while frontier != Sp::EMPTY {
+            let next = image(self, frontier);
+            frontier = self.sp_diff(next, acc);
+            acc = self.sp_union(acc, frontier);
+        }
+        acc
     }
 
     /// Convert a NetKAT [`Packet`] to arena slot values (this arena's
@@ -1309,6 +1433,21 @@ impl Arena {
         }
         Ok(())
     }
+}
+
+/// The terms of a union spine `p₁ + … + pₙ`, however it is nested.
+fn union_terms(p: &Policy) -> Vec<&Policy> {
+    fn spine<'p>(p: &'p Policy, out: &mut Vec<&'p Policy>) {
+        if let Policy::Union(l, r) = p {
+            spine(l, out);
+            spine(r, out);
+        } else {
+            out.push(p);
+        }
+    }
+    let mut out = Vec::new();
+    spine(p, &mut out);
+    out
 }
 
 /// The smallest value not in `taken`.
@@ -1480,6 +1619,46 @@ mod tests {
         // Nothing maps into sw=3.
         let at3 = ar.sp_test(0, 3);
         assert_eq!(ar.pre(t, at3), Sp::EMPTY);
+    }
+
+    #[test]
+    fn guarded_conversion_skips_dead_arms() {
+        let mut ar = Arena::for_netkat();
+        let at2 = ar.sp_test(0, 2);
+        // The dup sits in an arm `sw = 2` makes dead: it is never
+        // converted, so the conversion succeeds.
+        let live = f(Pred::test(Field::Switch, 2)).seq(Policy::assign(Field::Port, 7));
+        let p = f(Pred::test(Field::Switch, 1))
+            .seq(Policy::Dup)
+            .union(live.clone());
+        let under = ar.spp_from_policy_under(at2, &p).unwrap();
+        assert_eq!(under, ar.spp_from_policy(&live).unwrap());
+        assert_eq!(ar.spp_from_policy(&p), Err(SymError::DupUnsupported));
+        // A modification widens the guard again: after `sw := 1` the
+        // test `sw = 1` is live although `sw = 2` held before it.
+        let q = Policy::assign(Field::Switch, 1).seq(f(Pred::test(Field::Switch, 1)));
+        let under = ar.spp_from_policy_under(at2, &q).unwrap();
+        let full = f(Pred::test(Field::Switch, 2)).seq(q);
+        assert_eq!(under, ar.spp_from_policy(&full).unwrap());
+        assert_ne!(under, Spp::ZERO);
+    }
+
+    #[test]
+    fn policy_images_read_dup_as_identity_and_close_stars() {
+        let mut ar = Arena::for_netkat();
+        let hop = f(Pred::test(Field::Switch, 1))
+            .seq(Policy::Dup)
+            .seq(Policy::assign(Field::Switch, 2))
+            .union(f(Pred::test(Field::Switch, 2)).seq(Policy::assign(Field::Switch, 3)));
+        let at1 = ar.sp_singleton(&[1, 0, 0, 0, 0, 0]);
+        let at3 = ar.sp_singleton(&[3, 0, 0, 0, 0, 0]);
+        let closure = ar.push_policy(at1, &hop.clone().star());
+        let visited = [1, 2, 3].map(|sw| ar.sp_singleton(&[sw, 0, 0, 0, 0, 0]));
+        let expect = visited
+            .into_iter()
+            .fold(Sp::EMPTY, |acc, s| ar.sp_union(acc, s));
+        assert_eq!(closure, expect);
+        assert_eq!(ar.pre_policy(&hop.star(), at3), expect);
     }
 
     #[test]

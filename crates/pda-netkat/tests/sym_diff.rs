@@ -1,19 +1,23 @@
 //! Differential testing of the symbolic backend against the enumerative
 //! oracle: on random dup-free policies the two decision procedures must
 //! agree on equivalence verdicts, counterexample witnesses must actually
-//! distinguish the policies under `eval_packet`, reachability must
-//! coincide, and the arena's structural invariants must hold after every
-//! workload.
+//! distinguish the policies under `eval_packet`, reachability, witness
+//! paths and dead slices must coincide, guarded conversion and policy
+//! images must equal their whole-policy counterparts, and the arena's
+//! structural invariants must hold after every workload. On policies
+//! with `dup`, reachability must answer as the oracle does with every
+//! `dup` read as `id`.
 
 use pda_netkat::ast::{Field, Packet, Policy, Pred};
-use pda_netkat::equiv::{counterexample_with, equivalent_with, Backend};
-use pda_netkat::reach::{can_reach, can_reach_enumerative};
-use pda_netkat::semantics::eval_packet;
+use pda_netkat::equiv::{counterexample_with, equivalent_enumerative, equivalent_with, Backend};
+use pda_netkat::reach::{can_reach, can_reach_enumerative, witness_path, witness_path_enumerative};
+use pda_netkat::semantics::{eval_packet, eval_set};
+use pda_netkat::specialize::slice_is_dead;
 use pda_netkat::sym::Arena;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-fn field() -> impl Strategy<Value = Field> {
+fn field() -> BoxedStrategy<Field> {
     prop_oneof![
         Just(Field::Switch),
         Just(Field::Port),
@@ -22,13 +26,24 @@ fn field() -> impl Strategy<Value = Field> {
         Just(Field::Proto),
         Just(Field::Tag),
     ]
+    .boxed()
+}
+
+/// Two fields only, so that a policy often modifies a field it or its
+/// guard also tests.
+fn switch_or_port() -> BoxedStrategy<Field> {
+    prop_oneof![Just(Field::Switch), Just(Field::Port)].boxed()
 }
 
 fn pred() -> impl Strategy<Value = Pred> {
+    pred_on(field())
+}
+
+fn pred_on(fields: BoxedStrategy<Field>) -> impl Strategy<Value = Pred> {
     let leaf = prop_oneof![
         Just(Pred::True),
         Just(Pred::False),
-        (field(), 0u32..4).prop_map(|(f, v)| Pred::Test(f, v)),
+        (fields, 0u32..4).prop_map(|(f, v)| Pred::Test(f, v)),
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
         prop_oneof![
@@ -39,20 +54,81 @@ fn pred() -> impl Strategy<Value = Pred> {
     })
 }
 
-/// Random dup-free policies over a small value domain (keeps the
-/// enumerative oracle fast).
-fn policy() -> impl Strategy<Value = Policy> {
-    let leaf = prop_oneof![
-        pred().prop_map(Policy::Filter),
-        (field(), 0u32..4).prop_map(|(f, v)| Policy::Mod(f, v)),
+/// Random policies over `fields` and a small value domain (keeps the
+/// enumerative oracle fast); with `dup`, it is one leaf in three.
+fn policy_on(fields: BoxedStrategy<Field>, with_dup: bool) -> impl Strategy<Value = Policy> {
+    let mut leaves = vec![
+        pred_on(fields.clone()).prop_map(Policy::Filter).boxed(),
+        (fields, 0u32..4)
+            .prop_map(|(f, v)| Policy::Mod(f, v))
+            .boxed(),
     ];
-    leaf.prop_recursive(3, 20, 2, |inner| {
+    if with_dup {
+        leaves.push(Just(Policy::Dup).boxed());
+    }
+    Union::new(leaves).prop_recursive(3, 20, 2, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(p, q)| p.union(q)),
             (inner.clone(), inner.clone()).prop_map(|(p, q)| p.seq(q)),
             inner.prop_map(|p| p.star()),
         ]
     })
+}
+
+/// Random dup-free policies.
+fn policy() -> impl Strategy<Value = Policy> {
+    policy_on(field(), false)
+}
+
+/// `p` with every `dup` replaced by `id`.
+fn without_dup(p: &Policy) -> Policy {
+    match p {
+        Policy::Dup => Policy::id(),
+        Policy::Union(l, r) => without_dup(l).union(without_dup(r)),
+        Policy::Seq(l, r) => without_dup(l).seq(without_dup(r)),
+        Policy::Star(x) => without_dup(x).star(),
+        Policy::Filter(_) | Policy::Mod(_, _) => p.clone(),
+    }
+}
+
+/// Check a symbolic witness path against the enumerative one for the
+/// dup-free `step`: both exist or neither does, and a symbolic path is as
+/// short as the oracle's, starts in `init`, ends in `goal` and takes
+/// only `step` hops.
+fn check_witness(
+    step: &Policy,
+    init: &BTreeSet<Packet>,
+    goal: &Pred,
+    sym: Option<Vec<Packet>>,
+) -> Result<(), TestCaseError> {
+    let enu = witness_path_enumerative(step, init, goal);
+    let (path, oracle) = match (sym, enu) {
+        (None, None) => return Ok(()),
+        (Some(p), Some(o)) => (p, o),
+        (s, e) => {
+            return Err(TestCaseError::fail(format!(
+                "witness split on step={step}: sym {s:?}, enum {e:?}"
+            )))
+        }
+    };
+    prop_assert_eq!(path.len(), oracle.len(), "step={}", step);
+    prop_assert!(init.contains(&path[0]), "path leaves init: {:?}", path);
+    prop_assert!(
+        goal.eval(&path[path.len() - 1]),
+        "path misses goal: {:?}",
+        path
+    );
+    for hop in path.windows(2) {
+        let outs = eval_set(step, &BTreeSet::from([hop[0]]));
+        prop_assert!(
+            outs.contains(&hop[1]),
+            "invalid hop {:?} -> {:?} under {}",
+            hop[0],
+            hop[1],
+            step
+        );
+    }
+    Ok(())
 }
 
 fn pkt() -> impl Strategy<Value = Packet> {
@@ -113,6 +189,93 @@ proptest! {
         let sym = can_reach(&p, &init, &g);
         let enu = can_reach_enumerative(&p, &init, &g);
         prop_assert_eq!(sym, enu, "reachability split on step={}", p);
+    }
+
+    /// Converting under a guard gives the very node of converting the
+    /// guarded policy in full: for a random predicate and a single test
+    /// (the shape of a slice guard) as the guard, and for every single
+    /// test guarding a policy over the guard's own two fields, where
+    /// modifications often re-open what the guard ruled out.
+    #[test]
+    fn guarded_conversion_matches_full_conversion(
+        p in policy(),
+        a in pred(),
+        f in field(),
+        v in 0u32..4,
+        q in policy_on(switch_or_port(), false),
+    ) {
+        let mut ar = Arena::for_policies(&[&p, &q]);
+        let mut cases = vec![(a, &p), (Pred::test(f, v), &p)];
+        for h in [Field::Switch, Field::Port] {
+            cases.extend((0..4).map(|w| (Pred::test(h, w), &q)));
+        }
+        for (g, pol) in cases {
+            let gs = ar.sp_from_pred(&g);
+            let under = ar.spp_from_policy_under(gs, pol).expect("dup-free");
+            let guarded = Policy::filter(g.clone()).seq(pol.clone());
+            let full = ar.spp_from_policy(&guarded).expect("dup-free");
+            prop_assert_eq!(under, full, "guard {}, policy {}", g, pol);
+        }
+        prop_assert!(ar.check_invariants().is_ok(), "invariants: {:?}", ar.check_invariants());
+    }
+
+    /// Images by structural recursion equal images through the compiled
+    /// transformer, on a predicate's set and on a single packet.
+    #[test]
+    fn policy_images_match_transformer_images(p in policy(), a in pred(), x in pkt()) {
+        let mut ar = Arena::for_policies(&[&p]);
+        let t = ar.spp_from_policy(&p).expect("dup-free");
+        let vals = ar.values_of_packet(&x);
+        let sets = [ar.sp_from_pred(&a), ar.sp_singleton(&vals)];
+        for s in sets {
+            let fwd = ar.push_policy(s, &p);
+            prop_assert_eq!(fwd, ar.push(s, t), "push through {}", p);
+            let bwd = ar.pre_policy(&p, s);
+            prop_assert_eq!(bwd, ar.pre(t, s), "pre through {}", p);
+        }
+        prop_assert!(ar.check_invariants().is_ok(), "invariants: {:?}", ar.check_invariants());
+    }
+
+    /// Symbolic witness paths are shortest, valid paths exactly when the
+    /// enumerative BFS finds one.
+    #[test]
+    fn witness_paths_agree(
+        p in policy(),
+        xs in proptest::collection::vec(pkt(), 1..4),
+        g in pred(),
+    ) {
+        let init: BTreeSet<Packet> = xs.into_iter().collect();
+        check_witness(&p, &init, &g, witness_path(&p, &init, &g))?;
+    }
+
+    /// A slice is dead exactly when the oracle finds `filter sw=k ; p`
+    /// equivalent to drop.
+    #[test]
+    fn dead_slices_agree(p in policy(), k in 0u32..4) {
+        let guarded = Policy::filter(Pred::test(Field::Switch, k)).seq(p.clone());
+        prop_assert_eq!(
+            slice_is_dead(&p, k),
+            equivalent_enumerative(&guarded, &Policy::drop()),
+            "sw={} policy {}", k, p
+        );
+    }
+
+    /// `dup` only archives the packet, so reachability over a step with
+    /// `dup` answers as the oracle does with every `dup` read as `id`,
+    /// for a random goal and for every single-field test as the goal.
+    #[test]
+    fn reach_reads_dup_as_identity(p in policy_on(field(), true), x in pkt(), g in pred()) {
+        let init = BTreeSet::from([x]);
+        let q = without_dup(&p);
+        let tests = Field::ALL.into_iter().flat_map(|f| (0..4).map(move |v| Pred::test(f, v)));
+        for goal in std::iter::once(g).chain(tests) {
+            prop_assert_eq!(
+                can_reach(&p, &init, &goal),
+                can_reach_enumerative(&q, &init, &goal),
+                "step={}, goal {}", p, goal
+            );
+            check_witness(&q, &init, &goal, witness_path(&p, &init, &goal))?;
+        }
     }
 
     /// Interning gives id equality for structurally equal conversions:
