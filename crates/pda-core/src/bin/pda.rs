@@ -288,14 +288,15 @@ fn cmd_wire(args: &[String]) -> Result<(), String> {
         },
         directives: r.directives,
     });
-    println!("{}", hex(&bytes));
+    println!("{}", pda_crypto::hex_encode(&bytes));
     eprintln!("({} bytes)", bytes.len());
     Ok(())
 }
 
 fn cmd_decode(args: &[String]) -> Result<(), String> {
     let hex_in = first_positional(args)?;
-    let bytes = unhex(hex_in)?;
+    let bytes = pda_crypto::hex_decode(hex_in.trim())
+        .ok_or("not hex: want an even number of hex digits")?;
     let p = wire::decode(&bytes).map_err(|e| e.to_string())?;
     println!("nonce:      {:#018x}", p.nonce);
     println!("in-band:    {}", p.flags.in_band_evidence);
@@ -871,7 +872,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
                     .map_err(|_| "bad --rogue-every".to_string())?,
                 ..pda_svc::ChurnConfig::default()
             };
-            let report = pda_svc::run_churn(&client, &cfg)?;
+            let report = pda_svc::run_churn(&client, &cfg, &pda_telemetry::Telemetry::off())?;
             println!("{report:#?}");
             println!("client connection reuses: {}", client.reused_connections());
         }
@@ -896,19 +897,4 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         .transpose()?;
     print!("{}", pda_telemetry::render_trace_trees(&text, filter)?);
     Ok(())
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn unhex(s: &str) -> Result<Vec<u8>, String> {
-    let s = s.trim();
-    if !s.len().is_multiple_of(2) {
-        return Err("odd-length hex".into());
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|e| e.to_string()))
-        .collect()
 }

@@ -21,6 +21,20 @@ pub fn hex_encode(bytes: &[u8]) -> String {
     String::from_utf8(out).expect("hex output is ASCII")
 }
 
+/// Decode hex (either case) into bytes; `None` on odd length or any
+/// byte that is not a hex digit, including a sign or one byte of a
+/// multi-byte character. Works on bytes, so no input can panic it.
+pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
+    let digit = |b: u8| char::from(b).to_digit(16);
+    let s = s.as_bytes();
+    if !s.len().is_multiple_of(2) {
+        return None;
+    }
+    s.chunks_exact(2)
+        .map(|pair| Some(((digit(pair[0])? << 4) | digit(pair[1])?) as u8))
+        .collect()
+}
+
 /// A 256-bit digest value.
 ///
 /// Wraps `[u8; 32]` to give hashes a distinct type from raw byte strings,
@@ -70,14 +84,7 @@ impl Digest {
 
     /// Parse a 64-character hex string.
     pub fn from_hex(s: &str) -> Option<Digest> {
-        if s.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for i in 0..32 {
-            out[i] = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
-        }
-        Some(Digest(out))
+        hex_decode(s)?.try_into().ok().map(Digest)
     }
 
     /// Short prefix for logs and pseudonyms (first 8 hex chars).
@@ -125,6 +132,20 @@ mod tests {
         assert_eq!(Digest::from_hex("zz"), None);
         assert_eq!(Digest::from_hex(&"0".repeat(63)), None);
         assert_eq!(Digest::from_hex(&"g".repeat(64)), None);
+        // 64 bytes, but `é` is two of them: no digit pair may split it.
+        let split = format!("a{}", "é".repeat(31) + "b");
+        assert_eq!(split.len(), 64);
+        assert_eq!(Digest::from_hex(&split), None);
+        assert_eq!(Digest::from_hex(&format!("é{}", "0".repeat(62))), None);
+    }
+
+    #[test]
+    fn hex_decode_takes_digits_only() {
+        assert_eq!(hex_decode("00fFa9"), Some(vec![0x00, 0xff, 0xa9]));
+        assert_eq!(hex_decode(""), Some(vec![]));
+        assert_eq!(hex_decode("abc"), None, "odd length");
+        assert_eq!(hex_decode("+f"), None, "a sign is not a digit");
+        assert_eq!(hex_decode("aéb"), None);
     }
 
     #[test]

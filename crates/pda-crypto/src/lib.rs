@@ -43,7 +43,7 @@ pub mod sha256;
 pub mod sig;
 
 pub use batch::{sign_batch, BatchCommit, BatchLeaf};
-pub use digest::{hex_encode, Digest};
+pub use digest::{hex_decode, hex_encode, Digest};
 pub use keyreg::{KeyRegistry, PrincipalId, RegistryError};
 pub use nonce::{Nonce, ReplayWindow};
 pub use sig::{SigScheme, SignError, Signature, Signer, VerifyKey};

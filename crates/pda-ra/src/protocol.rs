@@ -97,35 +97,44 @@ pub fn run_request(
     env: &mut Environment,
     nonce: Option<Nonce>,
 ) -> Result<RunReport, ProtocolError> {
-    run_request_inner(req, env, nonce, None)
+    let mut stats = RunStats::default();
+    let evidence = run_request_inner(req, env, nonce, &mut stats, None)?;
+    Ok(RunReport { evidence, stats })
 }
 
 /// [`run_request`] over a lossy transport: every `@P` request/reply leg
 /// passes through the session's [`crate::retry::FlakyChannel`], with
 /// lost legs retransmitted under the session's retry policy. A leg that
 /// exhausts its budget fails the run with [`ProtocolError::Timeout`].
+/// Either way the run's books are published to the session's
+/// `ra.retry.*` counters.
 pub fn run_request_retrying(
     req: &Request,
     env: &mut Environment,
     nonce: Option<Nonce>,
     session: &mut RetrySession,
 ) -> Result<RunReport, ProtocolError> {
-    run_request_inner(req, env, nonce, Some(session))
+    let mut stats = RunStats::default();
+    let evidence = run_request_inner(req, env, nonce, &mut stats, Some(&mut *session));
+    session.publish((stats, matches!(evidence, Err(ProtocolError::Timeout(_)))));
+    Ok(RunReport {
+        evidence: evidence?,
+        stats,
+    })
 }
 
 fn run_request_inner(
     req: &Request,
     env: &mut Environment,
     nonce: Option<Nonce>,
+    stats: &mut RunStats,
     retry: Option<&mut RetrySession>,
-) -> Result<RunReport, ProtocolError> {
+) -> Result<Ev, ProtocolError> {
     let init = match (req.params.iter().any(|p| p == "n"), nonce) {
         (true, Some(n)) => Ev::Nonce(n),
         _ => Ev::Empty,
     };
-    let mut stats = RunStats::default();
-    let evidence = eval(&req.phrase, &req.rp, init, env, nonce, &mut stats, retry)?;
-    Ok(RunReport { evidence, stats })
+    eval(&req.phrase, &req.rp, init, env, nonce, stats, retry)
 }
 
 /// Execute a bare phrase at `place`.
@@ -390,13 +399,14 @@ fn service(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::runtime::PlaceRuntime;
     use pda_copland::ast::examples;
     use pda_copland::parser::parse_request;
 
-    fn bank_env() -> Environment {
+    /// The `bank_eq{1,2}` places: `bank_eq2` makes two `@P` hops.
+    pub(crate) fn bank_env() -> Environment {
         let mut env = Environment::new();
         env.add_place(PlaceRuntime::new("bank"));
         env.add_place(PlaceRuntime::new("ks").with_component("av", b"av-v1"));

@@ -11,10 +11,11 @@
 //! exponentially backed-off timeout, until the budget is exhausted and
 //! the run fails with [`ProtocolError::Timeout`].
 //!
-//! Retransmissions are visible three ways: [`RunStats::retries`] /
-//! [`RunStats::backoff_ns`], the extra `messages`/`bytes` each
-//! retransmitted leg accounts, and the `ra.retry.*` telemetry counters
-//! (`legs`, `retransmits`, `timeouts`) when a handle is attached.
+//! Retransmissions are counted once, in the run's books:
+//! [`RunStats::retries`] / [`RunStats::backoff_ns`] and the extra
+//! `messages`/`bytes` each retransmitted leg accounts. When a handle is
+//! attached, each run publishes the `ra.retry.*` telemetry counters
+//! (`legs`, `retransmits`, `timeouts`) derived from those books.
 //!
 //! Request-leg loss retries *before* the remote phrase runs; reply-leg
 //! loss re-sends the already-computed reply without re-executing the
@@ -26,6 +27,20 @@ use pda_copland::ast::Place;
 use pda_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// One run's books: its stats, and whether it ended in a timeout.
+type Books = (RunStats, bool);
+
+/// Reads one entry of the books.
+type BookEntry = fn(&Books) -> u64;
+
+/// Each `ra.retry.*` registry counter and the book entry it publishes.
+const PUBLISHED: [(&str, BookEntry); 3] = [
+    // Every leg accounts one message, every retransmission one more.
+    ("ra.retry.legs", |(s, _)| s.messages - s.retries),
+    ("ra.retry.retransmits", |(s, _)| s.retries),
+    ("ra.retry.timeouts", |&(_, timed_out)| u64::from(timed_out)),
+];
 
 /// Retransmit budget and backoff shape for one protocol run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,9 +179,16 @@ impl RetrySession {
         self
     }
 
-    fn count(&self, name: &str) {
+    /// Add one run's books to the `ra.retry.*` counters — the only
+    /// place this session writes them.
+    pub(crate) fn publish(&self, books: Books) {
         if let Some(reg) = self.telemetry.registry() {
-            reg.counter(name).inc();
+            for (name, read) in PUBLISHED {
+                let n = read(&books);
+                if n > 0 {
+                    reg.counter(name).add(n);
+                }
+            }
         }
     }
 
@@ -196,7 +218,6 @@ impl RetrySession {
         bytes: u64,
         stats: &mut RunStats,
     ) -> Result<(), ProtocolError> {
-        self.count("ra.retry.legs");
         let mut timeout = self.policy.base_timeout_ns;
         for attempt in 0..=self.policy.max_retries {
             if self.channel.delivers() {
@@ -216,7 +237,6 @@ impl RetrySession {
             stats.backoff_ns += wait;
             stats.messages += 1;
             stats.bytes += bytes;
-            self.count("ra.retry.retransmits");
             self.trace_event(
                 "ra.retry.backoff",
                 place,
@@ -224,7 +244,6 @@ impl RetrySession {
             );
             timeout = timeout.saturating_mul(self.policy.backoff as u64);
         }
-        self.count("ra.retry.timeouts");
         self.trace_event(
             "ra.retry.timeout",
             place,
@@ -237,6 +256,9 @@ impl RetrySession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::run_request_retrying;
+    use crate::protocol::tests::bank_env;
+    use pda_copland::ast::examples;
 
     fn place(n: &str) -> Place {
         n.into()
@@ -341,22 +363,65 @@ mod tests {
         assert_eq!(stats.backoff_ns, 1_000_000 + 2_000_000 + 4_000_000);
     }
 
+    /// One `bank_eq2` run: two `@P` hops, so four legs.
+    fn run(s: &mut RetrySession) -> Result<crate::RunReport, ProtocolError> {
+        run_request_retrying(&examples::bank_eq2(), &mut bank_env(), None, s)
+    }
+
     #[test]
     fn telemetry_counters_track_legs() {
         let tel = Telemetry::collecting();
         let mut s = RetrySession::new(RetryPolicy::none(), FlakyChannel::new(5, 0.5))
             .with_telemetry(tel.clone());
-        let mut stats = RunStats::default();
+        let reg = tel.registry().unwrap();
+        let legs = || reg.counter("ra.retry.legs").get();
         let mut timeouts = 0u64;
         for _ in 0..50 {
-            if s.leg(&place("p"), 8, &mut stats).is_err() {
-                timeouts += 1;
+            let before = legs();
+            match run(&mut s) {
+                Ok(report) => assert_eq!(legs() - before, report.stats.messages),
+                Err(err) => {
+                    assert!(matches!(err, ProtocolError::Timeout(_)), "{err}");
+                    assert!(legs() > before, "the lost leg is counted");
+                    timeouts += 1;
+                }
             }
         }
-        let reg = tel.registry().unwrap();
-        assert_eq!(reg.counter("ra.retry.legs").get(), 50);
         assert_eq!(reg.counter("ra.retry.timeouts").get(), timeouts);
         assert_eq!(reg.counter("ra.retry.retransmits").get(), 0);
         assert!(timeouts > 0, "p=0.5 with no budget must time out");
+    }
+
+    #[test]
+    fn retry_counters_derive_from_run_stats() {
+        // A lossy run that completes.
+        let tel = Telemetry::collecting();
+        let mut s = RetrySession::new(RetryPolicy::default(), FlakyChannel::new(11, 0.3))
+            .with_telemetry(tel.clone());
+        let stats = run(&mut s).expect("the budget absorbs p=0.3").stats;
+        assert!(stats.retries > 0, "p=0.3 over four legs retransmits");
+        let reg = tel.registry().unwrap();
+        let counter = |name: &str| reg.counter(name).get();
+        assert_eq!(counter("ra.retry.legs"), stats.messages - stats.retries);
+        assert_eq!(counter("ra.retry.legs"), 4);
+        assert_eq!(counter("ra.retry.retransmits"), stats.retries);
+        assert_eq!(counter("ra.retry.timeouts"), 0);
+
+        // A run whose first leg is lost three times: two retransmits,
+        // then the timeout.
+        let tel = Telemetry::collecting();
+        let policy = RetryPolicy {
+            max_retries: 2,
+            ..RetryPolicy::default()
+        };
+        let mut s =
+            RetrySession::new(policy, FlakyChannel::new(7, 1.0)).with_telemetry(tel.clone());
+        let err = run(&mut s).unwrap_err();
+        assert!(matches!(err, ProtocolError::Timeout(_)), "{err}");
+        let reg = tel.registry().unwrap();
+        let counter = |name: &str| reg.counter(name).get();
+        assert_eq!(counter("ra.retry.legs"), 1);
+        assert_eq!(counter("ra.retry.retransmits"), 2);
+        assert_eq!(counter("ra.retry.timeouts"), 1);
     }
 }

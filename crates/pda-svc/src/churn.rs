@@ -18,7 +18,7 @@ use pda_dataplane::programs;
 use pda_netsim::{ControlRetryPolicy, DeviceKind, EvidenceMode, FaultPlan, LinearPath, LinkFaults};
 use pda_pera::EvidenceRecord;
 use pda_telemetry::json::Json;
-use pda_telemetry::Telemetry;
+use pda_telemetry::{percentile, Telemetry};
 use std::time::Instant;
 
 /// Churn-run shape.
@@ -114,25 +114,14 @@ pub fn rogue_reload(fleet: &mut LinearPath) {
     }
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Drive `config.epochs` of churn through the service at `client`.
-pub fn run_churn(client: &SvcClient, config: &ChurnConfig) -> Result<ChurnReport, String> {
-    run_churn_with(client, config, &Telemetry::off())
-}
-
-/// [`run_churn`] with a telemetry handle attached to every epoch's
-/// fleet, so one subscriber observes the whole evidence lifecycle:
-/// the switch-side `pera.attest` spans and channel send/retry events
-/// land on the same handle that (when it also backs the service) sees
-/// the federation spans — one trace from measurement to verdict.
-pub fn run_churn_with(
+/// `telemetry` is attached to every epoch's fleet (pass
+/// [`Telemetry::off`] to record nothing), so one subscriber observes
+/// the whole evidence lifecycle: the switch-side `pera.attest` spans
+/// and channel send/retry events land on the same handle that (when it
+/// also backs the service) sees the federation spans — one trace from
+/// measurement to verdict.
+pub fn run_churn(
     client: &SvcClient,
     config: &ChurnConfig,
     telemetry: &Telemetry,
@@ -265,7 +254,7 @@ mod tests {
             rogue_every: 2,
             ..ChurnConfig::default()
         };
-        let report = run_churn(&client, &config).expect("churn run completes");
+        let report = run_churn(&client, &config, &Telemetry::off()).expect("churn run completes");
         server.stop();
 
         assert_eq!(report.rogue_epochs, 2);
@@ -297,7 +286,7 @@ mod tests {
             rogue_every: 0,
             ..ChurnConfig::default()
         };
-        let report = run_churn(&client, &config).expect("churn run completes");
+        let report = run_churn(&client, &config, &Telemetry::off()).expect("churn run completes");
         server.stop();
 
         assert_eq!(report.appraisals, 10);

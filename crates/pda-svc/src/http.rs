@@ -9,6 +9,7 @@
 //! — a property the codec proptests pin.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Largest accepted request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -56,80 +57,117 @@ pub enum HttpParse {
 /// Parse one request from the front of `buf`. Never panics, for any
 /// input whatsoever.
 pub fn parse_request(buf: &[u8]) -> HttpParse {
-    // Locate the end of the head: CRLFCRLF.
-    let head_end = match find_head_end_from(buf, 0) {
-        Some(e) => e,
-        None if buf.len() > MAX_HEAD_BYTES => return HttpParse::Invalid("head too large"),
-        None => return HttpParse::Incomplete,
-    };
-    parse_request_with_head(buf, head_end)
+    parse_request_with_head(buf, find_head_end_from(buf, 0))
 }
 
-/// [`parse_request`] with the CRLFCRLF boundary already located, so an
-/// incremental caller ([`RequestBuffer`]) never re-scans for it.
-fn parse_request_with_head(buf: &[u8], head_end: usize) -> HttpParse {
+/// [`parse_request`] with the CRLFCRLF boundary already searched for
+/// (`None`: not found yet), so an incremental caller
+/// ([`RequestBuffer`]) never re-scans for it.
+fn parse_request_with_head(buf: &[u8], head_end: Option<usize>) -> HttpParse {
+    match frame(buf, head_end, request_line) {
+        Ok(Some(((method, path), headers, body))) => HttpParse::Complete(
+            Box::new(HttpRequest {
+                method: method.to_string(),
+                path: path.to_string(),
+                headers,
+                body: buf[body.clone()].to_vec(),
+            }),
+            body.end,
+        ),
+        Ok(None) => HttpParse::Incomplete,
+        Err(reason) => HttpParse::Invalid(reason),
+    }
+}
+
+/// Split a request line into its method and path.
+fn request_line(line: &str) -> Result<(&str, &str), &'static str> {
+    let mut parts = line.split(' ');
+    match (parts.next(), parts.next(), parts.next()) {
+        (Some(m), Some(p), Some(v)) if !m.is_empty() && parts.next().is_none() => {
+            if v.starts_with("HTTP/1.") {
+                Ok((m, p))
+            } else {
+                Err("unsupported HTTP version")
+            }
+        }
+        _ => Err("malformed request line"),
+    }
+}
+
+/// The status code of a response's status line.
+fn status_line(line: &str) -> Result<u16, &'static str> {
+    let mut parts = line.splitn(3, ' ');
+    match (parts.next(), parts.next()) {
+        (Some(v), Some(code)) if v.starts_with("HTTP/1.") => {
+            code.parse::<u16>().map_err(|_| "malformed status code")
+        }
+        _ => Err("malformed status line"),
+    }
+}
+
+/// A framed message: what its first line parsed to, its headers
+/// (names lower-cased, in arrival order), and where its body lies.
+type Frame<T> = (T, Vec<(String, String)>, Range<usize>);
+
+/// Frame one HTTP/1.1 message from the front of `buf`, whose head ends
+/// at `head_end` (the CRLFCRLF offset; `None` when not found yet):
+/// check the head, parse its first line with `first_line`, collect the
+/// headers, and bound the body by its one `Content-Length`. `Ok(None)`
+/// means the message has not all arrived. Requests and responses share
+/// it, so both get the same caps and the same request-smuggling guard.
+/// Never panics.
+fn frame<'a, T>(
+    buf: &'a [u8],
+    head_end: Option<usize>,
+    first_line: fn(&'a str) -> Result<T, &'static str>,
+) -> Result<Option<Frame<T>>, &'static str> {
+    let Some(head_end) = head_end else {
+        return if buf.len() > MAX_HEAD_BYTES {
+            Err("head too large")
+        } else {
+            Ok(None)
+        };
+    };
     if head_end > MAX_HEAD_BYTES {
-        return HttpParse::Invalid("head too large");
+        return Err("head too large");
     }
-    let head = match std::str::from_utf8(&buf[..head_end]) {
-        Ok(h) => h,
-        Err(_) => return HttpParse::Invalid("head is not UTF-8"),
-    };
+    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| "head is not UTF-8")?;
     let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split(' ');
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) if !m.is_empty() && parts.next().is_none() => (m, p, v),
-        _ => return HttpParse::Invalid("malformed request line"),
-    };
-    if !version.starts_with("HTTP/1.") {
-        return HttpParse::Invalid("unsupported HTTP version");
-    }
+    let first = first_line(lines.next().unwrap_or(""))?;
     let mut headers = Vec::new();
     for line in lines {
         if line.is_empty() {
             continue;
         }
         if headers.len() >= MAX_HEADERS {
-            return HttpParse::Invalid("too many headers");
+            return Err("too many headers");
         }
-        let Some((name, value)) = line.split_once(':') else {
-            return HttpParse::Invalid("malformed header");
-        };
+        let (name, value) = line.split_once(':').ok_or("malformed header")?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
     // More than one Content-Length is the classic request-smuggling
     // ambiguity: two parsers disagreeing on which copy governs desync
-    // on where the next request starts. Reject outright — even equal
+    // on where the next message starts. Reject outright — even equal
     // duplicates — rather than pick one.
     let mut lengths = headers.iter().filter(|(n, _)| n == "content-length");
     let first_length = lengths.next();
     if lengths.next().is_some() {
-        return HttpParse::Invalid("conflicting content-length");
+        return Err("conflicting content-length");
     }
     let content_length = match first_length.map(|(_, v)| v.parse::<usize>()) {
         None => 0,
         Some(Ok(n)) if n <= MAX_BODY_BYTES => n,
-        Some(Ok(_)) => return HttpParse::Invalid("body too large"),
-        Some(Err(_)) => return HttpParse::Invalid("bad content-length"),
+        Some(Ok(_)) => return Err("body too large"),
+        Some(Err(_)) => return Err("bad content-length"),
     };
     let body_start = head_end + 4;
-    let total = match body_start.checked_add(content_length) {
-        Some(t) => t,
-        None => return HttpParse::Invalid("bad content-length"),
-    };
+    let total = body_start
+        .checked_add(content_length)
+        .ok_or("bad content-length")?;
     if buf.len() < total {
-        return HttpParse::Incomplete;
+        return Ok(None);
     }
-    HttpParse::Complete(
-        Box::new(HttpRequest {
-            method: method.to_string(),
-            path: path.to_string(),
-            headers,
-            body: buf[body_start..total].to_vec(),
-        }),
-        total,
-    )
+    Ok(Some((first, headers, body_start..total)))
 }
 
 /// Locate CRLFCRLF starting the scan at `from` (a resume offset from a
@@ -228,7 +266,7 @@ impl RequestBuffer {
                 }
             }
         };
-        match parse_request_with_head(&self.buf, head_end) {
+        match parse_request_with_head(&self.buf, Some(head_end)) {
             HttpParse::Complete(req, used) => {
                 self.buf.drain(..used);
                 self.scanned = 0;
@@ -245,8 +283,12 @@ impl RequestBuffer {
 /// absence of keep-alive is approximated by honoring only the explicit
 /// header (the service always speaks 1.1).
 pub fn wants_close(req: &HttpRequest) -> bool {
-    req.header("connection")
-        .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close")))
+    says_close(req.header("connection"))
+}
+
+/// Whether a `Connection` header value lists the `close` token.
+fn says_close(connection: Option<&str>) -> bool {
+    connection.is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close")))
 }
 
 /// An HTTP response ready to serialize.
@@ -337,8 +379,7 @@ impl ParsedResponse {
 
     /// Whether the server announced it will close the connection.
     pub fn closes_connection(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close")))
+        says_close(self.header("connection"))
     }
 }
 
@@ -360,68 +401,18 @@ pub enum ResponseParse {
 /// panics; same caps and duplicate-`Content-Length` rejection as the
 /// request parser.
 pub fn parse_response_bytes(buf: &[u8]) -> ResponseParse {
-    let head_end = match find_head_end_from(buf, 0) {
-        Some(e) => e,
-        None if buf.len() > MAX_HEAD_BYTES => return ResponseParse::Invalid("head too large"),
-        None => return ResponseParse::Incomplete,
-    };
-    if head_end > MAX_HEAD_BYTES {
-        return ResponseParse::Invalid("head too large");
+    match frame(buf, find_head_end_from(buf, 0), status_line) {
+        Ok(Some((status, headers, body))) => ResponseParse::Complete(
+            Box::new(ParsedResponse {
+                status,
+                headers,
+                body: buf[body.clone()].to_vec(),
+            }),
+            body.end,
+        ),
+        Ok(None) => ResponseParse::Incomplete,
+        Err(reason) => ResponseParse::Invalid(reason),
     }
-    let head = match std::str::from_utf8(&buf[..head_end]) {
-        Ok(h) => h,
-        Err(_) => return ResponseParse::Invalid("head is not UTF-8"),
-    };
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let mut parts = status_line.splitn(3, ' ');
-    let status = match (parts.next(), parts.next()) {
-        (Some(v), Some(code)) if v.starts_with("HTTP/1.") => match code.parse::<u16>() {
-            Ok(c) => c,
-            Err(_) => return ResponseParse::Invalid("malformed status code"),
-        },
-        _ => return ResponseParse::Invalid("malformed status line"),
-    };
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return ResponseParse::Invalid("too many headers");
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return ResponseParse::Invalid("malformed header");
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    let mut lengths = headers.iter().filter(|(n, _)| n == "content-length");
-    let first_length = lengths.next();
-    if lengths.next().is_some() {
-        return ResponseParse::Invalid("conflicting content-length");
-    }
-    let content_length = match first_length.map(|(_, v)| v.parse::<usize>()) {
-        None => 0,
-        Some(Ok(n)) if n <= MAX_BODY_BYTES => n,
-        Some(Ok(_)) => return ResponseParse::Invalid("body too large"),
-        Some(Err(_)) => return ResponseParse::Invalid("bad content-length"),
-    };
-    let body_start = head_end + 4;
-    let total = match body_start.checked_add(content_length) {
-        Some(t) => t,
-        None => return ResponseParse::Invalid("bad content-length"),
-    };
-    if buf.len() < total {
-        return ResponseParse::Incomplete;
-    }
-    ResponseParse::Complete(
-        Box::new(ParsedResponse {
-            status,
-            headers,
-            body: buf[body_start..total].to_vec(),
-        }),
-        total,
-    )
 }
 
 impl fmt::Display for HttpRequest {

@@ -38,7 +38,7 @@ pub mod rpc;
 pub mod runtime;
 pub mod service;
 
-pub use churn::{rogue_reload, run_churn, run_churn_with, ChurnConfig, ChurnReport};
+pub use churn::{rogue_reload, run_churn, ChurnConfig, ChurnReport};
 pub use client::SvcClient;
 pub use federation::{Appraiser, Federation, Quorum, QuorumVerdict};
 pub use runtime::{serve, serve_with, Handler, ServeOptions, ServerHandle};

@@ -179,14 +179,9 @@ pub fn to_hex(bytes: &[u8]) -> String {
 }
 
 /// Decode lower/upper-case hex; `None` on odd length or non-hex bytes.
+/// Delegates to [`pda_crypto::hex_decode`].
 pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
-        .collect()
+    pda_crypto::hex_decode(s)
 }
 
 #[cfg(test)]

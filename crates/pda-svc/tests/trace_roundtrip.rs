@@ -6,7 +6,7 @@
 
 use pda_crypto::nonce::Nonce;
 use pda_netsim::EvidenceMode;
-use pda_svc::churn::{run_churn_with, ChurnConfig};
+use pda_svc::churn::{run_churn, ChurnConfig};
 use pda_svc::client::SvcClient;
 use pda_svc::fleet::standard_fleet;
 use pda_svc::runtime::serve;
@@ -85,7 +85,7 @@ fn churn_traces_span_switch_to_quorum_for_accepted_and_rejected() {
         link_loss: 0.0,
         ..ChurnConfig::default()
     };
-    let report = run_churn_with(&client, &config, &tel).expect("churn run completes");
+    let report = run_churn(&client, &config, &tel).expect("churn run completes");
     server.stop();
 
     assert!(

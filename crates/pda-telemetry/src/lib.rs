@@ -34,7 +34,7 @@ pub use audit::{AuditEvent, AuditLog, AuditRecord};
 pub use event::{Event, JsonlSubscriber, MemorySubscriber, NoopSubscriber, Subscriber, Value};
 pub use flight::{render_trace_trees, FlightRecorder};
 pub use json::Json;
-pub use metrics::{Counter, Exemplar, Gauge, Histogram, Registry};
+pub use metrics::{percentile, Counter, Exemplar, Gauge, Histogram, Registry};
 pub use slo::{SloPolicy, SloStatus};
 pub use trace::{SpanId, TraceCtx, TraceId};
 

@@ -43,6 +43,22 @@ pub fn bucket_lower(i: usize) -> u64 {
     (1u64 << msb) + (sub << (msb - SUB_BITS))
 }
 
+/// 1-based nearest rank of the `q`-quantile (`q` clamped to
+/// `0.0..=1.0`) among `n ≥ 1` ordered samples: `⌈q·n⌉`, at least 1.
+fn nearest_rank(q: f64, n: u64) -> u64 {
+    ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).clamp(1, n)
+}
+
+/// The nearest-rank `q`-quantile of an ascending-sorted sample — the
+/// rule [`Histogram::quantile`] applies to its buckets, here exact;
+/// 0 for an empty sample.
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[nearest_rank(q, sorted.len() as u64) as usize - 1]
+}
+
 /// A monotonically increasing counter. Cloning shares the underlying
 /// cell, so a hot path can hold a pre-resolved handle and skip the
 /// registry lookup.
@@ -210,9 +226,7 @@ impl Histogram {
         if n == 0 {
             return None;
         }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target sample, 1-based; ceil so q=1.0 → n.
-        let rank = ((q * n as f64).ceil() as u64).max(1);
+        let rank = nearest_rank(q, n);
         let mut seen = 0u64;
         for (i, b) in self.0.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
@@ -583,6 +597,17 @@ mod tests {
         assert!((93..=99).contains(&p99), "p99 = {p99}");
         assert!(p50 <= p90 && p90 <= p99, "quantiles must be ordered");
         assert_eq!(h.quantile(0.0), Some(1), "q=0 is the min bucket");
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let sample: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&sample, 0.5), 50);
+        assert_eq!(percentile(&sample, 0.99), 99);
+        assert_eq!(percentile(&sample, 1.0), 100);
+        assert_eq!(percentile(&sample, 0.0), 1, "q=0 is the minimum");
+        assert_eq!(percentile(&[7, 9], 0.5), 7, "rank ⌈0.5·2⌉ = 1");
+        assert_eq!(percentile(&[], 0.5), 0);
     }
 
     #[test]

@@ -77,6 +77,20 @@ fn wire_and_decode_round_trip() {
 }
 
 #[test]
+fn decode_rejects_non_hex_without_panicking() {
+    // `é` is two bytes: a digit pair must not split it.
+    for input in ["aéb", "zz", "abc"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pda"))
+            .args(["decode", input])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{input}: {stderr}");
+        assert!(stderr.contains("error: not hex"), "{input}: {stderr}");
+    }
+}
+
+#[test]
 fn simulate_appraises() {
     let (ok, stdout, _) = pda(&["simulate", "--hops", "3", "--legacy", "1"]);
     assert!(ok);
