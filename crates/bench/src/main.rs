@@ -15,10 +15,10 @@
 //!
 //! `--bench-json <path>` additionally writes every table that ran as a
 //! `{experiment, git_rev, rows}` JSON document (see `Table::to_json`),
-//! so runs are diffable across commits; `BENCH_e15.json`,
-//! `BENCH_e18.json` and `BENCH_e19.json` are such files. When several
-//! tables run (`e18` alone prints two), the file holds an array of
-//! their documents.
+//! so runs are diffable across commits; `BENCH_fig3.json`,
+//! `BENCH_e15.json`, `BENCH_e18.json` and `BENCH_e19.json` are such
+//! files. When several tables run (`e18` alone prints two), the file
+//! holds an array of their documents.
 
 use bench::*;
 use pda_pera::config::Sampling;
@@ -97,10 +97,18 @@ fn write(path: &str, body: &str) {
     }
 }
 
-/// The current git revision, or "unknown" outside a checkout.
+/// The current git revision, suffixed `-dirty` when tracked files
+/// differ from it (so a baseline written before its commit exists does
+/// not read as the parent's), or "unknown" outside a checkout.
 fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=40",
+            "--exclude=*",
+        ])
         .output()
         .ok()
         .filter(|o| o.status.success())

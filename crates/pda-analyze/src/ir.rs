@@ -237,10 +237,7 @@ fn enumerate_paths<'a>(
     on_path.push(name);
     let pushed_header = if let Some(h) = &state.extract {
         extracted.push(h.name);
-        facts
-            .may_extracted
-            .entry(h.name.to_string())
-            .or_insert_with(|| h.clone());
+        facts.may_extracted.entry(h.name.to_string()).or_insert(*h);
         true
     } else {
         false

@@ -166,7 +166,7 @@ pub fn defuse_pass(program: &DataplaneProgram, facts: &ParserFacts, out: &mut Ve
     let mut defined: BTreeSet<String> = BTreeSet::new();
     defined.insert(meta::INGRESS_PORT.to_string());
     for hdr in facts.may_extracted.values() {
-        for f in &hdr.fields {
+        for f in hdr.fields {
             defined.insert(hdr.slot(f.name));
         }
     }

@@ -4,6 +4,13 @@
 //! sub-byte fields of the real protocols are merged into byte-aligned
 //! spans, documented per header). The parser and deparser work directly
 //! from these definitions, so adding a protocol is purely declarative.
+//!
+//! The library headers are `const` data: each constructor is a `const
+//! fn` returning its name and a reference to one `static` field table,
+//! so a [`HeaderDef`] is a `Copy` pair of references, and
+//! [`crate::phv`] derives its fixed container layout from these same
+//! definitions at compile time (and recognizes a library header by the
+//! address of its table).
 
 /// A field: name and width in bytes (1..=8).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -15,12 +22,12 @@ pub struct FieldDef {
 }
 
 /// A header type.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HeaderDef {
     /// Header instance name (`eth`, `ipv4`, `tcp`, …).
     pub name: &'static str,
     /// Ordered fields.
-    pub fields: Vec<FieldDef>,
+    pub fields: &'static [FieldDef],
 }
 
 impl HeaderDef {
@@ -40,62 +47,66 @@ impl HeaderDef {
     }
 }
 
-fn f(name: &'static str, bytes: usize) -> FieldDef {
+const fn f(name: &'static str, bytes: usize) -> FieldDef {
     FieldDef { name, bytes }
 }
 
 /// Ethernet II: dst(6) src(6) ethertype(2). 14 bytes.
-pub fn ethernet() -> HeaderDef {
+pub const fn ethernet() -> HeaderDef {
+    static FIELDS: [FieldDef; 3] = [f("dst", 6), f("src", 6), f("ethertype", 2)];
     HeaderDef {
         name: "eth",
-        fields: vec![f("dst", 6), f("src", 6), f("ethertype", 2)],
+        fields: &FIELDS,
     }
 }
 
 /// IPv4 without options, 20 bytes. `ver_ihl` packs version+IHL,
 /// `flags_frag` packs flags+fragment offset (byte-aligned merges of the
 /// real sub-byte fields).
-pub fn ipv4() -> HeaderDef {
+pub const fn ipv4() -> HeaderDef {
+    static FIELDS: [FieldDef; 10] = [
+        f("ver_ihl", 1),
+        f("dscp", 1),
+        f("total_len", 2),
+        f("id", 2),
+        f("flags_frag", 2),
+        f("ttl", 1),
+        f("proto", 1),
+        f("checksum", 2),
+        f("src", 4),
+        f("dst", 4),
+    ];
     HeaderDef {
         name: "ipv4",
-        fields: vec![
-            f("ver_ihl", 1),
-            f("dscp", 1),
-            f("total_len", 2),
-            f("id", 2),
-            f("flags_frag", 2),
-            f("ttl", 1),
-            f("proto", 1),
-            f("checksum", 2),
-            f("src", 4),
-            f("dst", 4),
-        ],
+        fields: &FIELDS,
     }
 }
 
 /// UDP, 8 bytes.
-pub fn udp() -> HeaderDef {
+pub const fn udp() -> HeaderDef {
+    static FIELDS: [FieldDef; 4] = [f("sport", 2), f("dport", 2), f("len", 2), f("checksum", 2)];
     HeaderDef {
         name: "udp",
-        fields: vec![f("sport", 2), f("dport", 2), f("len", 2), f("checksum", 2)],
+        fields: &FIELDS,
     }
 }
 
 /// TCP without options, 20 bytes. `off_flags` packs data offset +
 /// reserved + flags.
-pub fn tcp() -> HeaderDef {
+pub const fn tcp() -> HeaderDef {
+    static FIELDS: [FieldDef; 8] = [
+        f("sport", 2),
+        f("dport", 2),
+        f("seq", 4),
+        f("ack", 4),
+        f("off_flags", 2),
+        f("window", 2),
+        f("checksum", 2),
+        f("urgent", 2),
+    ];
     HeaderDef {
         name: "tcp",
-        fields: vec![
-            f("sport", 2),
-            f("dport", 2),
-            f("seq", 4),
-            f("ack", 4),
-            f("off_flags", 2),
-            f("window", 2),
-            f("checksum", 2),
-            f("urgent", 2),
-        ],
+        fields: &FIELDS,
     }
 }
 
@@ -104,17 +115,18 @@ pub fn tcp() -> HeaderDef {
 /// the pipeline's perspective. 16 bytes.
 ///
 /// `magic(2) ver(1) flags(1) nonce(8) policy_len(2) ev_len(2)`.
-pub fn pda_options() -> HeaderDef {
+pub const fn pda_options() -> HeaderDef {
+    static FIELDS: [FieldDef; 6] = [
+        f("magic", 2),
+        f("ver", 1),
+        f("flags", 1),
+        f("nonce", 8),
+        f("policy_len", 2),
+        f("ev_len", 2),
+    ];
     HeaderDef {
         name: "pda",
-        fields: vec![
-            f("magic", 2),
-            f("ver", 1),
-            f("flags", 1),
-            f("nonce", 8),
-            f("policy_len", 2),
-            f("ev_len", 2),
-        ],
+        fields: &FIELDS,
     }
 }
 
@@ -122,10 +134,11 @@ pub fn pda_options() -> HeaderDef {
 /// extracted so match-action stages can pattern-match application bytes
 /// (how a PISA switch does lightweight payload inspection, cf. UC4's
 /// malware-C2 fingerprinting).
-pub fn payload_sig() -> HeaderDef {
+pub const fn payload_sig() -> HeaderDef {
+    static FIELDS: [FieldDef; 1] = [f("window", 8)];
     HeaderDef {
         name: "sig",
-        fields: vec![f("window", 8)],
+        fields: &FIELDS,
     }
 }
 
@@ -171,7 +184,7 @@ mod tests {
             pda_options(),
             payload_sig(),
         ] {
-            for fd in &h.fields {
+            for fd in h.fields {
                 assert!(fd.bytes >= 1 && fd.bytes <= 8, "{}.{}", h.name, fd.name);
             }
             assert!(!h.is_empty());

@@ -86,7 +86,7 @@ impl ParserDef {
         let mut phv = Phv::new();
         let mut offset = 0usize;
         let mut header_order = Vec::new();
-        let mut state_name = self.start.clone();
+        let mut state_name = self.start.as_str();
         // A parse graph is a DAG in any real program; budget visits to
         // defend against misconfigured graphs.
         for _ in 0..64 {
@@ -94,48 +94,34 @@ impl ParserDef {
                 .states
                 .iter()
                 .find(|s| s.name == state_name)
-                .ok_or_else(|| ParseErr::UnknownState(state_name.clone()))?;
+                .ok_or_else(|| ParseErr::UnknownState(state_name.to_string()))?;
             if let Some(hdr) = &state.extract {
-                if offset + hdr.len() > bytes.len() {
+                let end = offset + hdr.len();
+                let Some(raw) = bytes.get(offset..end) else {
                     return Err(ParseErr::Truncated {
                         state: state.name.clone(),
                     });
-                }
-                for fd in &hdr.fields {
-                    let mut v: u64 = 0;
-                    for b in &bytes[offset..offset + fd.bytes] {
-                        v = (v << 8) | u64::from(*b);
-                    }
-                    phv.set(&hdr.slot(fd.name), v);
-                    offset += fd.bytes;
-                }
-                phv.set_valid(hdr.name, true);
-                header_order.push(hdr.clone());
+                };
+                phv.extract(hdr, raw);
+                offset = end;
+                header_order.push(*hdr);
             }
-            match &state.select {
-                Select::Accept => {
+            let next = match &state.select {
+                Select::Accept => None,
+                Select::On {
+                    field,
+                    cases,
+                    default,
+                } => cases.get(&phv.get(field)).or(default.as_ref()),
+            };
+            match next {
+                Some(next) => state_name = next,
+                None => {
                     return Ok(Parsed {
                         phv,
                         payload_offset: offset,
                         header_order,
                     })
-                }
-                Select::On {
-                    field,
-                    cases,
-                    default,
-                } => {
-                    let v = phv.get(field);
-                    match cases.get(&v).or(default.as_ref()) {
-                        Some(next) => state_name = next.clone(),
-                        None => {
-                            return Ok(Parsed {
-                                phv,
-                                payload_offset: offset,
-                                header_order,
-                            })
-                        }
-                    }
                 }
             }
         }
@@ -148,14 +134,9 @@ impl ParserDef {
 pub fn deparse(parsed: &Parsed, original: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(original.len());
     for hdr in &parsed.header_order {
-        if !parsed.phv.is_valid(hdr.name) {
-            continue; // header was invalidated (popped)
-        }
-        for fd in &hdr.fields {
-            let v = parsed.phv.get(&hdr.slot(fd.name));
-            for i in (0..fd.bytes).rev() {
-                out.push(((v >> (8 * i)) & 0xff) as u8);
-            }
+        // An invalidated (popped) header is not re-emitted.
+        if parsed.phv.is_valid(hdr.name) {
+            parsed.phv.emit(hdr, &mut out);
         }
     }
     out.extend_from_slice(&original[parsed.payload_offset..]);

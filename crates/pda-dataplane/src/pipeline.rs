@@ -124,8 +124,7 @@ impl DataplaneProgram {
         let mut stages_executed = 0;
         for stage in &self.stages {
             let mut span = tel.span_with(|| format!("pipeline.stage.{}", stage.table.name));
-            let action = stage.table.lookup(&parsed.phv).clone();
-            execute(&action, &mut parsed.phv, regs);
+            execute(stage.table.lookup(&parsed.phv), &mut parsed.phv, regs);
             stages_executed += 1;
             if parsed.phv.get(meta::EGRESS_PORT) == meta::DROP {
                 span.set("dropped", true);

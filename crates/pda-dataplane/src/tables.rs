@@ -173,7 +173,8 @@ impl Table {
     }
 
     /// Look up the best-matching entry's action for the PHV. Returns the
-    /// default action on miss.
+    /// default action on miss. The action is borrowed from the table,
+    /// not the PHV, so the caller may execute it on that same PHV.
     pub fn lookup(&self, phv: &Phv) -> &Action {
         let values: Vec<u64> = self.key.iter().map(|c| phv.get(&c.field)).collect();
         let mut best: Option<(i32, u32, usize)> = None; // (priority, specificity, index)

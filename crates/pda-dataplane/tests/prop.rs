@@ -3,11 +3,97 @@
 //! and digest sensitivity.
 
 use pda_dataplane::actions::{Action, Registers};
+use pda_dataplane::headers;
 use pda_dataplane::parser::{build_udp_packet, deparse, standard_parser};
+use pda_dataplane::phv::meta;
 use pda_dataplane::pipeline::{DataplaneProgram, Stage};
 use pda_dataplane::programs;
 use pda_dataplane::tables::{Entry, KeyCell, KeyCol, MatchKind, Table};
+use pda_dataplane::Phv;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The PHV as a pair of name-keyed maps: the reference the container
+/// layout is checked against.
+#[derive(Default)]
+struct ModelPhv {
+    fields: BTreeMap<String, u64>,
+    valid: BTreeMap<String, bool>,
+}
+
+impl ModelPhv {
+    fn get(&self, field: &str) -> u64 {
+        self.fields.get(field).copied().unwrap_or(0)
+    }
+
+    fn is_valid(&self, header: &str) -> bool {
+        self.valid.get(header).copied().unwrap_or(false)
+    }
+
+    fn valid_headers(&self) -> Vec<&str> {
+        self.valid
+            .iter()
+            .filter(|(_, v)| **v)
+            .map(|(k, _)| k.as_str())
+            .collect()
+    }
+
+    fn render(&self) -> String {
+        let body: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        format!("PHV{{{}}}", body.join(", "))
+    }
+}
+
+/// Names the PHV differential draws from: every header and field of the
+/// standard library, the intrinsics, user metadata, a header outside the
+/// library, and near-misses of library names.
+fn phv_names() -> Vec<String> {
+    let library = [
+        headers::ethernet(),
+        headers::ipv4(),
+        headers::tcp(),
+        headers::udp(),
+        headers::pda_options(),
+        headers::payload_sig(),
+    ];
+    let mut names = Vec::new();
+    for h in &library {
+        names.push(h.name.to_string());
+        names.extend(h.fields.iter().map(|f| h.slot(f.name)));
+    }
+    names.extend(
+        [
+            meta::INGRESS_PORT,
+            meta::EGRESS_PORT,
+            meta::HASH,
+            "meta.c2_hit",
+            "vlan",
+            "vlan.id",
+            "ipv4.",
+            ".dst",
+            "ipv4.dst.x",
+            "",
+        ]
+        .map(String::from),
+    );
+    names
+}
+
+/// One PHV operation: which (set, get, set_valid, is_valid), the index
+/// of the name it touches, and the value or validity it writes.
+type PhvOp = (usize, usize, u64, bool);
+
+fn phv_op(names: usize) -> impl Strategy<Value = PhvOp> {
+    (0usize..4, 0..names, any::<u64>(), any::<bool>()).prop_map(|(op, name, v, flag)| {
+        // Writes of 0 are common, so a zero-set field meets an unset one.
+        let v = if op == 0 && flag { 0 } else { v };
+        (op, name, v, flag)
+    })
+}
 
 proptest! {
     /// parse → deparse is the identity on well-formed packets.
@@ -148,6 +234,57 @@ proptest! {
         phv.set("x", probe);
         prop_assert_eq!(&table.lookup(&phv).name, "fwd1");
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The PHV agrees with the name-keyed reference model on every read
+    /// after every operation, and on its listings at the end.
+    #[test]
+    fn phv_matches_name_keyed_model(
+        ops in proptest::collection::vec(phv_op(phv_names().len()), 1..64),
+    ) {
+        let names = phv_names();
+        let mut phv = Phv::new();
+        let mut model = ModelPhv::default();
+        for (op, name, value, flag) in ops {
+            let name = &names[name];
+            match op {
+                0 => {
+                    phv.set(name, value);
+                    model.fields.insert(name.clone(), value);
+                }
+                1 => prop_assert_eq!(phv.get(name), model.get(name)),
+                2 => {
+                    phv.set_valid(name, flag);
+                    model.valid.insert(name.clone(), flag);
+                }
+                _ => prop_assert_eq!(phv.is_valid(name), model.is_valid(name)),
+            }
+            for n in &names {
+                prop_assert_eq!(phv.get(n), model.get(n), "get({:?})", n);
+                prop_assert_eq!(phv.is_valid(n), model.is_valid(n), "is_valid({:?})", n);
+            }
+        }
+        let fields: Vec<(&str, u64)> = phv.fields().collect();
+        let expect: Vec<(&str, u64)> = model.fields.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        prop_assert_eq!(fields, expect);
+        prop_assert_eq!(phv.valid_headers(), model.valid_headers());
+        prop_assert_eq!(phv.to_string(), model.render());
+    }
+}
+
+/// The digest of a fixed forwarding program is pinned: the canonical
+/// encoding, which hashes the parser's `Debug` text, must not move when
+/// the header library's representation does.
+#[test]
+fn forwarding_program_digest_is_pinned() {
+    let prog = programs::forwarding(&[(0x0a00_0000, 8, 1), (0x0a01_0000, 16, 2)]);
+    assert_eq!(
+        prog.digest().to_hex(),
+        "251e70e1e607220b5b6c401de29f8d9541c8734222e77b253122c0556098f774"
+    );
 }
 
 /// Deterministic regression: a multi-stage program processes a batch

@@ -10,7 +10,7 @@ use pda_crypto::nonce::Nonce;
 use pda_crypto::sig::{SigScheme, Signature, Signer, VerifyKey};
 use pda_dataplane::actions::Registers;
 use pda_dataplane::parser::ParseErr;
-use pda_dataplane::phv::meta;
+use pda_dataplane::phv::{meta, Phv};
 use pda_dataplane::pipeline::{DataplaneProgram, PipelineOutput};
 use pda_telemetry::{AuditEvent, Counter, Telemetry};
 use std::collections::HashSet;
@@ -108,7 +108,7 @@ pub struct PeraSwitch {
     /// Inertia-keyed evidence cache.
     pub cache: EvidenceCache,
     /// Flows already attested (PerFlow sampling).
-    seen_flows: HashSet<u64>,
+    seen_flows: HashSet<FlowKey>,
     /// Counters.
     pub stats: PeraStats,
     /// Telemetry handle (disabled by default; see [`Self::set_telemetry`]).
@@ -200,11 +200,12 @@ impl PeraSwitch {
         }
     }
 
-    /// Should the current packet be attested, per the sampling config?
-    /// Periodic modes are phase-aligned to the *first* packet:
-    /// `EveryN(n)` attests packets 1, n+1, 2n+1, … and an epoch of
-    /// length n opens at packet 1.
-    fn sample(&mut self, flow_hash: u64) -> bool {
+    /// Should the current packet, whose pipeline pass left `phv`, be
+    /// attested per the sampling config? Periodic modes are
+    /// phase-aligned to the *first* packet: `EveryN(n)` attests packets
+    /// 1, n+1, 2n+1, … and an epoch of length n opens at packet 1. Only
+    /// the per-flow modes read the flow key.
+    fn sample(&mut self, phv: &Phv) -> bool {
         match self.config.sampling {
             Sampling::PerPacket => true,
             Sampling::EveryN(n) => self
@@ -212,14 +213,14 @@ impl PeraSwitch {
                 .packets
                 .saturating_sub(1)
                 .is_multiple_of(u64::from(n.max(1))),
-            Sampling::PerFlow => self.seen_flows.insert(flow_hash),
+            Sampling::PerFlow => self.seen_flows.insert(flow_key(phv)),
             Sampling::PerEpoch(_) => self.epoch_opens(),
             Sampling::PerFlowEpoch(_) => {
                 // Epoch boundary: forget which flows were attested.
                 if self.epoch_opens() {
                     self.seen_flows.clear();
                 }
-                self.seen_flows.insert(flow_hash)
+                self.seen_flows.insert(flow_key(phv))
             }
         }
     }
@@ -253,7 +254,7 @@ impl PeraSwitch {
         let Some((nonce, prev)) = attestation else {
             return Ok((forward, None));
         };
-        if forward.packet.is_none() || !self.sample(flow_hash(&forward.phv)) {
+        if forward.packet.is_none() || !self.sample(&forward.phv) {
             return Ok((forward, None));
         }
         self.stats.attested_packets += 1;
@@ -519,16 +520,30 @@ impl PeraSwitch {
     }
 }
 
-/// The 5-tuple-ish flow hash used by the sampling axis: the pipeline's
-/// own hash metadata folded with the addressing fields, so distinct
-/// flows land in distinct PerFlow buckets even when the program never
-/// set `meta::HASH`.
-fn flow_hash(phv: &pda_dataplane::phv::Phv) -> u64 {
-    phv.get(meta::HASH)
-        ^ phv.get("ipv4.src")
-        ^ phv.get("ipv4.dst").rotate_left(16)
-        ^ phv.get("udp.sport").rotate_left(32)
-        ^ phv.get("udp.dport").rotate_left(48)
+/// A flow as the per-flow sampling modes tell flows apart: IP protocol,
+/// source and destination address, source and destination port, and
+/// the pipeline's own `meta.hash`.
+type FlowKey = [u64; 6];
+
+/// The exact flow key of the packet whose pipeline pass left `phv`. The
+/// ports are those of whichever of `tcp` and `udp` is valid (zero when
+/// neither is). Nothing is folded, so distinct flows never share a key.
+fn flow_key(phv: &Phv) -> FlowKey {
+    let (sport, dport) = if phv.is_valid("tcp") {
+        (phv.get("tcp.sport"), phv.get("tcp.dport"))
+    } else if phv.is_valid("udp") {
+        (phv.get("udp.sport"), phv.get("udp.dport"))
+    } else {
+        (0, 0)
+    };
+    [
+        phv.get("ipv4.proto"),
+        phv.get("ipv4.src"),
+        phv.get("ipv4.dst"),
+        sport,
+        dport,
+        phv.get(meta::HASH),
+    ]
 }
 
 /// Measure one detail level right now (uncached). A free function over
@@ -575,7 +590,7 @@ fn measure_level(
 mod tests {
     use super::*;
     use pda_crypto::keyreg::{KeyRegistry, PrincipalId};
-    use pda_dataplane::parser::build_udp_packet;
+    use pda_dataplane::parser::{build_udp_packet, standard_parser};
     use pda_dataplane::programs;
 
     fn switch(config: PeraConfig) -> PeraSwitch {
@@ -616,6 +631,64 @@ mod tests {
             }
         }
         assert_eq!(evid, 3, "one record per distinct flow");
+    }
+
+    /// Attest `frames` in order under `PerFlow` sampling; returns how
+    /// many records they produced.
+    fn per_flow_records(frames: &[Vec<u8>]) -> usize {
+        let mut sw = switch(PeraConfig::default().with_sampling(Sampling::PerFlow));
+        frames
+            .iter()
+            .filter(|f| {
+                sw.process_packet(f, 0, Some((Nonce(1), Digest::ZERO)))
+                    .expect("frame parses")
+                    .evidence
+                    .is_some()
+            })
+            .count()
+    }
+
+    /// Two UDP flows whose fields cancel under an XOR fold (the high half
+    /// of one destination against the low bit of the source port) are
+    /// still two flows.
+    #[test]
+    fn per_flow_sampling_separates_flows_a_folded_key_would_merge() {
+        let udp = |dst: u32, sport: u16| {
+            build_udp_packet(0xa, 0xb, 0x0a00_0001, dst, sport, 2000, b"payload!")
+        };
+        assert_eq!(
+            per_flow_records(&[udp(0x0001_0000, 1000), udp(0, 1001)]),
+            2,
+            "10.0.0.1:1000 -> 0.1.0.0:2000 and 10.0.0.1:1001 -> 0.0.0.0:2000"
+        );
+    }
+
+    /// An Ethernet/IPv4/TCP frame: the IPv4 header of a UDP frame with
+    /// the protocol rewritten, a 20-byte TCP header (SYN) and an 8-byte
+    /// payload. Length and checksum fields are not maintained.
+    fn tcp_pkt(src: u32, dst: u32, sport: u16, dport: u16) -> Vec<u8> {
+        let mut b = build_udp_packet(0xa, 0xb, src, dst, 0, 0, b"")[..34].to_vec();
+        b[23] = pda_dataplane::headers::consts::PROTO_TCP as u8;
+        b.extend_from_slice(&sport.to_be_bytes());
+        b.extend_from_slice(&dport.to_be_bytes());
+        b.extend_from_slice(&[0; 8]); // seq, ack
+        b.extend_from_slice(&[0x50, 0x02, 0xff, 0xff, 0, 0, 0, 0]);
+        b.extend_from_slice(b"payload!");
+        b
+    }
+
+    /// Per-flow sampling keys TCP connections on their own ports: two
+    /// connections between the same hosts are two flows.
+    #[test]
+    fn per_flow_sampling_separates_tcp_connections() {
+        let (a, b) = (0x0a00_0001, 0x0a00_0002);
+        let frames = [tcp_pkt(a, b, 40000, 80), tcp_pkt(a, b, 40001, 80)];
+        let parsed = standard_parser()
+            .parse(&frames[0])
+            .expect("tcp frame parses");
+        assert!(parsed.phv.is_valid("tcp") && !parsed.phv.is_valid("udp"));
+        assert_eq!(per_flow_records(&frames), 2);
+        assert_eq!(per_flow_records(&[frames[0].clone(), frames[0].clone()]), 1);
     }
 
     #[test]

@@ -6,9 +6,11 @@ use pda_crypto::digest::Digest;
 use pda_crypto::keyreg::{KeyRegistry, PrincipalId};
 use pda_crypto::nonce::Nonce;
 use pda_crypto::sig::{SigScheme, Signer};
+use pda_dataplane::parser::build_udp_packet;
 use pda_pera::cache::EvidenceCache;
-use pda_pera::config::DetailLevel;
+use pda_pera::config::{DetailLevel, PeraConfig};
 use pda_pera::evidence::{verify_chain, EvidenceRecord};
+use pda_pera::PeraSwitch;
 use proptest::prelude::*;
 
 fn build_chain(n: usize, nonce: Nonce) -> (Vec<EvidenceRecord>, KeyRegistry) {
@@ -164,5 +166,59 @@ proptest! {
                     "stale value for {}", level);
             }
         }
+    }
+}
+
+/// Push `bytes` through every builtin program twice: the bare pipeline,
+/// and a PERA switch running it with an attestation request that
+/// measures the packet and the register state. Only a panic fails.
+fn run_every_builtin(bytes: &[u8], ingress_port: u64) {
+    let config = PeraConfig::default().with_details(&[
+        DetailLevel::Hardware,
+        DetailLevel::Program,
+        DetailLevel::ProgState,
+        DetailLevel::Packets,
+    ]);
+    for (name, program, _) in pda_analyze::corpus::builtins() {
+        let mut regs = program.make_registers();
+        let _ = program.process(bytes, ingress_port, &mut regs);
+        let mut sw = PeraSwitch::new(name, "hw", program, config.clone());
+        let _ = sw.process_packet(bytes, ingress_port, Some((Nonce(7), Digest::ZERO)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Packets are network input: no builtin program, bare or inside a
+    /// PERA switch, panics on arbitrary bytes.
+    #[test]
+    fn builtins_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        ingress_port in any::<u64>(),
+    ) {
+        run_every_builtin(&bytes, ingress_port);
+    }
+
+    /// Nor on well-formed UDP frames with random fields, which reach
+    /// every stage instead of stopping in the parser.
+    #[test]
+    fn builtins_never_panic_on_udp_frames(
+        macs in (any::<u64>(), any::<u64>()),
+        ips in (any::<u32>(), any::<u32>()),
+        ports in (any::<u16>(), any::<u16>()),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        ingress_port in any::<u64>(),
+    ) {
+        let frame = build_udp_packet(
+            macs.0 & 0xffff_ffff_ffff,
+            macs.1 & 0xffff_ffff_ffff,
+            ips.0,
+            ips.1,
+            ports.0,
+            ports.1,
+            &payload,
+        );
+        run_every_builtin(&frame, ingress_port);
     }
 }
