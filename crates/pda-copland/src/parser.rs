@@ -21,10 +21,19 @@
 //! directly after the identifier makes it a service; two following
 //! identifiers make it a measurement; otherwise it is an argument-less
 //! service.
+//!
+//! The parser recurses once per `@place [` and once per `(`, so their
+//! nesting is bounded by [`MAX_NESTING`]: deeper text is a parse error,
+//! not a stack overflow. Long `->` and branch chains are parsed by loops
+//! and are not bounded.
 
 use crate::ast::{Asp, Phrase, Place, Request, Sp};
 use crate::lexer::{lex, LexError, Spanned, Token};
 use std::fmt;
+
+/// Deepest nesting of `@place [ … ]` and `( … )` that [`parse_request`]
+/// and [`parse_phrase`] accept; the next level is an error at its offset.
+pub const MAX_NESTING: usize = 256;
 
 /// Parse error with source offset.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -59,6 +68,7 @@ pub fn parse_request(src: &str) -> Result<Request, ParseError> {
         toks: &tokens,
         pos: 0,
         src_len: src.len(),
+        depth: 0,
     };
     p.expect(&Token::Star)?;
     let rp = p.ident()?;
@@ -89,6 +99,7 @@ pub fn parse_phrase(src: &str) -> Result<Phrase, ParseError> {
         toks: &tokens,
         pos: 0,
         src_len: src.len(),
+        depth: 0,
     };
     let phrase = p.phrase()?;
     p.expect_end()?;
@@ -99,6 +110,8 @@ struct Parser<'a> {
     toks: &'a [Spanned],
     pos: usize,
     src_len: usize,
+    /// Open `@place [` and `(` levels around the current token.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -170,6 +183,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Run `inner` one nesting level deeper; the current token opens the
+    /// level and is where a too-deep level is reported.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let r = inner(self);
+        self.depth -= 1;
+        r
+    }
+
     /// branch := seq ( BROP seq )*
     fn phrase(&mut self) -> Result<Phrase, ParseError> {
         let mut left = self.seq()?;
@@ -203,20 +231,20 @@ impl<'a> Parser<'a> {
 
     fn atom(&mut self) -> Result<Phrase, ParseError> {
         match self.peek().cloned() {
-            Some(Token::At) => {
-                self.pos += 1;
-                let place = self.ident()?;
-                self.expect(&Token::LBracket)?;
-                let inner = self.phrase()?;
-                self.expect(&Token::RBracket)?;
+            Some(Token::At) => self.nested(|s| {
+                s.pos += 1;
+                let place = s.ident()?;
+                s.expect(&Token::LBracket)?;
+                let inner = s.phrase()?;
+                s.expect(&Token::RBracket)?;
                 Ok(Phrase::At(Place::new(place), Box::new(inner)))
-            }
-            Some(Token::LParen) => {
-                self.pos += 1;
-                let inner = self.phrase()?;
-                self.expect(&Token::RParen)?;
+            }),
+            Some(Token::LParen) => self.nested(|s| {
+                s.pos += 1;
+                let inner = s.phrase()?;
+                s.expect(&Token::RParen)?;
                 Ok(inner)
-            }
+            }),
             Some(Token::Bang) => {
                 self.pos += 1;
                 Ok(Phrase::Asp(Asp::Sign))
@@ -402,6 +430,39 @@ mod tests {
     fn params_parse() {
         let req = parse_request("*bank<n, X> : !").unwrap();
         assert_eq!(req.params, vec!["n".to_string(), "X".to_string()]);
+    }
+
+    fn at_places(depth: usize, inner: &str) -> String {
+        format!("{}{inner}{}", "@p1 [".repeat(depth), "]".repeat(depth))
+    }
+
+    fn parens(depth: usize, inner: &str) -> String {
+        format!("{}{inner}{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_opening_token() {
+        let head = "*bank: ";
+        let err = parse_request(&format!("{head}{}", at_places(MAX_NESTING + 1, "!"))).unwrap_err();
+        assert_eq!(err.offset, head.len() + 5 * MAX_NESTING);
+        assert!(err.message.contains("nesting deeper than 256"), "{err}");
+        let err = parse_phrase(&parens(MAX_NESTING + 1, "@p1 [attest p1 sys]")).unwrap_err();
+        assert_eq!(err.offset, MAX_NESTING);
+        // Places and parentheses share one count.
+        let mixed = parens(MAX_NESTING / 2, &at_places(MAX_NESTING / 2 + 1, "!"));
+        assert_eq!(
+            parse_phrase(&mixed).unwrap_err().offset,
+            6 * MAX_NESTING / 2
+        );
+    }
+
+    #[test]
+    fn nesting_up_to_the_bound_parses() {
+        let p = parse_phrase(&at_places(MAX_NESTING, "attest p1 sys")).unwrap();
+        assert_eq!(p.depth(), MAX_NESTING + 1);
+        // The clause's own `@p1 [` is the last of the bound's levels.
+        let p = parse_phrase(&parens(MAX_NESTING - 1, "@p1 [attest p1 sys]")).unwrap();
+        assert_eq!(p.places(), vec![Place::new("p1")]);
     }
 
     #[test]

@@ -14,11 +14,19 @@
 //! Clause bodies are plain Copland and are delegated to
 //! [`pda_copland::parser::parse_phrase`]; the guard (if any) is split
 //! off at the first depth-0 `|>`.
+//!
+//! The parser recurses once per `(`, so parenthesis nesting is bounded by
+//! [`MAX_NESTING`]: deeper text is a parse error, not a stack overflow.
+//! Clause bodies carry the Copland parser's own bound.
 
 use crate::ast::{Clause, Guard, HExpr, HybridPolicy, PlaceRef};
 use pda_copland::ast::{Place, Sp};
 use pda_copland::parser::parse_phrase;
 use std::fmt;
+
+/// Deepest parenthesis nesting [`parse_hybrid`] accepts; the next level
+/// is an error at its offset.
+pub const MAX_NESTING: usize = 256;
 
 /// Parse error for hybrid policies.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -44,6 +52,8 @@ impl std::error::Error for HParseError {}
 struct Scanner<'a> {
     src: &'a str,
     pos: usize,
+    /// Open `(` levels around the current position.
+    depth: usize,
 }
 
 impl<'a> Scanner<'a> {
@@ -203,8 +213,14 @@ fn parse_hseg(sc: &mut Scanner) -> Result<HExpr, HParseError> {
 fn parse_hatom(sc: &mut Scanner) -> Result<HExpr, HParseError> {
     match sc.peek() {
         Some('(') => {
+            if sc.depth == MAX_NESTING {
+                return Err(sc.err(format!("nesting deeper than {MAX_NESTING} levels")));
+            }
             sc.eat_str("(");
-            let inner = parse_hexpr(sc)?;
+            sc.depth += 1;
+            let inner = parse_hexpr(sc);
+            sc.depth -= 1;
+            let inner = inner?;
             sc.skip_ws();
             if !sc.eat_str(")") {
                 return Err(sc.err("expected `)`"));
@@ -262,7 +278,11 @@ fn fix_places(e: HExpr, quantified: &[String]) -> HExpr {
 
 /// Parse a full hybrid policy.
 pub fn parse_hybrid(src: &str) -> Result<HybridPolicy, HParseError> {
-    let mut sc = Scanner { src, pos: 0 };
+    let mut sc = Scanner {
+        src,
+        pos: 0,
+        depth: 0,
+    };
     if !sc.eat_str("*") {
         return Err(sc.err("expected `*`"));
     }
@@ -404,6 +424,28 @@ mod tests {
         assert!(parse_hybrid("*rp : @x [!] trailing").is_err());
         assert!(parse_hybrid("*rp : @x [?bad-guard? |> !]").is_err());
         assert!(parse_hybrid("*rp : (@x [!]").is_err());
+    }
+
+    fn parens(depth: usize, inner: &str) -> String {
+        format!("*rp: {}{inner}{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_opening_paren() {
+        let err = parse_hybrid(&parens(MAX_NESTING + 1, "@p1 [attest p1 sys]")).unwrap_err();
+        assert_eq!(err.offset, "*rp: ".len() + MAX_NESTING);
+        assert!(err.message.contains("nesting deeper than 256"), "{err}");
+        // A clause body is bounded by the Copland parser, at its own offset.
+        let body = format!("{}!{}", "@p1 [".repeat(300), "]".repeat(300));
+        let err = parse_hybrid(&format!("*rp: @p0 [{body}]")).unwrap_err();
+        assert_eq!(err.offset, "*rp: @p0 [".len() + 5 * 256);
+        assert!(err.message.contains("in clause body"), "{err}");
+    }
+
+    #[test]
+    fn nesting_up_to_the_bound_parses() {
+        let p = parse_hybrid(&parens(MAX_NESTING, "@p1 [attest p1 sys]")).unwrap();
+        assert!(matches!(p.body, HExpr::Clause(_)));
     }
 
     #[test]

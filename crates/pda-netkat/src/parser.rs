@@ -12,11 +12,20 @@
 //! pnot   := '!' pnot | 'true' | 'false' | field '=' num | '(' pred ')'
 //! field  := 'sw' | 'pt' | 'src' | 'dst' | 'proto' | 'tag'
 //! ```
+//!
+//! The parser recurses once per `(` and once per `!`, so their nesting is
+//! bounded by [`MAX_NESTING`]: deeper text is a parse error, not a stack
+//! overflow. Long `;` and `+` chains are parsed by loops and are not
+//! bounded.
 
 use crate::ast::{Field, Policy, Pred};
 use std::fmt;
 use std::iter::Peekable;
 use std::str::CharIndices;
+
+/// Deepest nesting of parentheses and `!` that [`parse_policy`] and
+/// [`parse_pred`] accept; the next level is an error at its offset.
+pub const MAX_NESTING: usize = 256;
 
 /// Parse error with byte offset.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -158,6 +167,8 @@ struct P<'a> {
     toks: &'a [(Tok, usize)],
     pos: usize,
     len: usize,
+    /// Open `(` and `!` levels around the current token.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -189,6 +200,21 @@ impl<'a> P<'a> {
         }
     }
 
+    /// Run `inner` one nesting level deeper; the current token opens the
+    /// level and is where a too-deep level is reported.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, NkParseError>,
+    ) -> Result<T, NkParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let r = inner(self);
+        self.depth -= 1;
+        r
+    }
+
     fn policy(&mut self) -> Result<Policy, NkParseError> {
         let mut left = self.pseq()?;
         while self.eat(&Tok::Plus) {
@@ -217,12 +243,12 @@ impl<'a> P<'a> {
 
     fn patom(&mut self) -> Result<Policy, NkParseError> {
         match self.peek().cloned() {
-            Some(Tok::LParen) => {
-                self.pos += 1;
-                let p = self.policy()?;
-                self.expect(&Tok::RParen, "`)`")?;
+            Some(Tok::LParen) => self.nested(|s| {
+                s.pos += 1;
+                let p = s.policy()?;
+                s.expect(&Tok::RParen, "`)`")?;
                 Ok(p)
-            }
+            }),
             Some(Tok::Word(w)) => match w.as_str() {
                 "filter" => {
                     self.pos += 1;
@@ -278,16 +304,17 @@ impl<'a> P<'a> {
     }
 
     fn pnot(&mut self) -> Result<Pred, NkParseError> {
-        if self.eat(&Tok::Bang) {
-            return Ok(self.pnot()?.not());
-        }
         match self.peek().cloned() {
-            Some(Tok::LParen) => {
-                self.pos += 1;
-                let p = self.pred()?;
-                self.expect(&Tok::RParen, "`)`")?;
+            Some(Tok::Bang) => self.nested(|s| {
+                s.pos += 1;
+                Ok(s.pnot()?.not())
+            }),
+            Some(Tok::LParen) => self.nested(|s| {
+                s.pos += 1;
+                let p = s.pred()?;
+                s.expect(&Tok::RParen, "`)`")?;
                 Ok(p)
-            }
+            }),
             Some(Tok::Word(w)) => match w.as_str() {
                 "true" => {
                     self.pos += 1;
@@ -324,6 +351,7 @@ pub fn parse_policy(src: &str) -> Result<Policy, NkParseError> {
         toks: &toks,
         pos: 0,
         len: src.len(),
+        depth: 0,
     };
     let pol = p.policy()?;
     if p.pos != toks.len() {
@@ -339,6 +367,7 @@ pub fn parse_pred(src: &str) -> Result<Pred, NkParseError> {
         toks: &toks,
         pos: 0,
         len: src.len(),
+        depth: 0,
     };
     let pred = p.pred()?;
     if p.pos != toks.len() {
@@ -422,5 +451,40 @@ mod tests {
     fn error_offsets() {
         let err = parse_policy("id ; $").unwrap_err();
         assert_eq!(err.offset, 5);
+    }
+
+    fn parens(depth: usize, inner: &str) -> String {
+        format!("{}{inner}{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_opening_token() {
+        let err = parse_policy(&parens(MAX_NESTING + 1, "id")).unwrap_err();
+        assert_eq!(err.offset, MAX_NESTING);
+        assert!(err.message.contains("nesting deeper than 256"), "{err}");
+        // Predicate parentheses and negations share the policy's count.
+        let src = format!("(filter {})", parens(MAX_NESTING, "sw = 1"));
+        assert_eq!(parse_policy(&src).unwrap_err().offset, 8 + MAX_NESTING - 1);
+        let bangs = format!("{}sw = 1", "!".repeat(MAX_NESTING + 1));
+        assert_eq!(parse_pred(&bangs).unwrap_err().offset, MAX_NESTING);
+    }
+
+    #[test]
+    fn nesting_up_to_the_bound_parses() {
+        assert_eq!(
+            parse_policy(&parens(MAX_NESTING, "id")).unwrap(),
+            Policy::id()
+        );
+        let src = format!("filter {}", parens(MAX_NESTING, "sw = 1"));
+        assert_eq!(
+            parse_policy(&src).unwrap(),
+            Policy::filter(Pred::test(Field::Switch, 1))
+        );
+        let bangs = format!("{}sw = 1", "!".repeat(MAX_NESTING));
+        let mut expect = Pred::test(Field::Switch, 1);
+        for _ in 0..MAX_NESTING {
+            expect = expect.not();
+        }
+        assert_eq!(parse_pred(&bangs).unwrap(), expect);
     }
 }

@@ -44,6 +44,32 @@
 //! tests in `tests/sym_diff.rs` cross-validate this against the
 //! enumerative oracle.
 //!
+//! # Storage and kernels
+//!
+//! A node is stored once, behind an `Rc` shared by the id-indexed node
+//! vector and the intern table, and its rows are vectors sorted by value:
+//! an SP node's `branches`, an SPP node's `muts`, its tested `branches`,
+//! and each tested row's outputs. Operations read rows where they lie. A
+//! memoized operation holds its operands' nodes (one reference-count bump
+//! each), walks their rows with two-pointer merges and binary search, and
+//! builds its result directly as sorted vectors, which the canonical
+//! constructors prune and intern. The effective default row of rule 3 is
+//! never built: it is read as `muts` split around the input value, with
+//! `value → id` between the halves. Where several continuations meet at
+//! one output value (the rows of `spp_seq`, the buckets of `push`), the
+//! gathered pairs are sorted stably by value and each run is folded left
+//! to right with union, in the order the pairs were produced.
+//!
+//! The memo table and both intern tables hash with one word-at-a-time
+//! hasher: each word is folded in with a 64×64→128-bit multiply by a key
+//! the arena draws from [`RandomState`]. Intern keys carry constants from
+//! policy text and table entries, so the hash stays keyed. SipHash pays
+//! its full cost on every call, and a derived `Hash` makes one call per
+//! field and row entry: with it, the same kernels run at about two thirds
+//! of the throughput. Answers never depend on the keys: canonical form
+//! fixes every node, and witnesses visit candidate values in ascending
+//! order.
+//!
 //! # Star termination
 //!
 //! [`Arena::spp_star`] iterates squaring: `s₀ = 1 ∪ p`,
@@ -58,7 +84,11 @@
 //! [`Arena::publish_telemetry`].
 
 use crate::ast::{Field, Packet, Policy, Pred};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasher, Hasher};
+use std::iter::Peekable;
+use std::rc::Rc;
 
 /// A symbolic packet set: an interned index into an [`Arena`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -82,24 +112,199 @@ impl Spp {
     pub const ONE: Spp = Spp(1);
 }
 
-/// Output map of one SPP row: output value → continuation.
-type OutMap = BTreeMap<u64, Spp>;
-/// Tested rows of an SPP node under construction: input value → output map.
-type BranchMap = BTreeMap<u64, OutMap>;
-
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 struct SpNode {
     field: u16,
     branches: Vec<(u64, Sp)>,
     default: Sp,
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
+impl SpNode {
+    /// The child a packet with value `v` at this node's field continues into.
+    fn child(&self, v: u64) -> Sp {
+        match self.branches.binary_search_by_key(&v, |b| b.0) {
+            Ok(i) => self.branches[i].1,
+            Err(_) => self.default,
+        }
+    }
+}
+
+#[derive(PartialEq, Eq, Hash)]
 struct SppNode {
     field: u16,
     branches: Vec<(u64, Vec<(u64, Spp)>)>,
     muts: Vec<(u64, Spp)>,
     id: Spp,
+}
+
+impl SppNode {
+    fn row(&self, v: u64) -> Row<'_> {
+        Row::at(&self.branches, &self.muts, self.id, v)
+    }
+}
+
+/// The output map of one SPP row, read where the arena stores it: `lo`,
+/// then `mid`, then `hi`, ascending by output value and free of `ZERO`.
+/// A tested row is all `lo`. The effective default row at input `v` is
+/// the node's `muts` split around `v`, with `v → id` in the middle when
+/// `id ≠ ZERO` (rule 3 of the module doc).
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    lo: &'a [(u64, Spp)],
+    mid: Option<(u64, Spp)>,
+    hi: &'a [(u64, Spp)],
+}
+
+impl<'a> Row<'a> {
+    fn tested(row: &'a [(u64, Spp)]) -> Row<'a> {
+        Row {
+            lo: row,
+            mid: None,
+            hi: &[],
+        }
+    }
+
+    fn default_at(muts: &'a [(u64, Spp)], id: Spp, v: u64) -> Row<'a> {
+        let i = muts.partition_point(|m| m.0 < v);
+        let j = if muts.get(i).is_some_and(|m| m.0 == v) {
+            i + 1
+        } else {
+            i
+        };
+        Row {
+            lo: &muts[..i],
+            mid: (id != Spp::ZERO).then_some((v, id)),
+            hi: &muts[j..],
+        }
+    }
+
+    /// The row of input `v` in a node with these parts.
+    fn at(
+        branches: &'a [(u64, Vec<(u64, Spp)>)],
+        muts: &'a [(u64, Spp)],
+        id: Spp,
+        v: u64,
+    ) -> Row<'a> {
+        match branches.binary_search_by_key(&v, |b| b.0) {
+            Ok(i) => Row::tested(&branches[i].1),
+            Err(_) => Row::default_at(muts, id, v),
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = (u64, Spp)> + 'a {
+        let (lo, hi) = (self.lo, self.hi);
+        lo.iter().copied().chain(self.mid).chain(hi.iter().copied())
+    }
+
+    fn get(self, w: u64) -> Option<Spp> {
+        let find = |r: &[(u64, Spp)]| r.binary_search_by_key(&w, |e| e.0).ok().map(|i| r[i].1);
+        find(self.lo)
+            .or_else(|| self.mid.filter(|m| m.0 == w).map(|m| m.1))
+            .or_else(|| find(self.hi))
+    }
+}
+
+/// The rows of an SP operand at a field, borrowed from the arena: its
+/// node's when it tests that field, otherwise no branches and the operand
+/// itself as the default.
+struct SpRows {
+    node: Option<Rc<SpNode>>,
+    default: Sp,
+}
+
+impl SpRows {
+    fn branches(&self) -> &[(u64, Sp)] {
+        self.node.as_ref().map_or(&[], |n| &n.branches)
+    }
+
+    fn child(&self, v: u64) -> Sp {
+        self.node.as_ref().map_or(self.default, |n| n.child(v))
+    }
+}
+
+/// The rows of an SPP operand at a field, borrowed from the arena: its
+/// node's when it tests that field, otherwise no branches, no `muts`, and
+/// the operand itself as `id` (`ZERO` rejects everything; `ONE` or a
+/// deeper node is the identity here).
+struct SppRows {
+    node: Option<Rc<SppNode>>,
+    id: Spp,
+}
+
+impl SppRows {
+    fn branches(&self) -> &[(u64, Vec<(u64, Spp)>)] {
+        self.node.as_ref().map_or(&[], |n| &n.branches)
+    }
+
+    fn muts(&self) -> &[(u64, Spp)] {
+        self.node.as_ref().map_or(&[], |n| &n.muts)
+    }
+
+    fn row(&self, v: u64) -> Row<'_> {
+        Row::at(self.branches(), self.muts(), self.id, v)
+    }
+
+    /// `v`'s tested row if the merge found one, else the default row.
+    fn row_or_default<'a>(&'a self, v: u64, tested: Option<&'a [(u64, Spp)]>) -> Row<'a> {
+        tested.map_or_else(|| Row::default_at(self.muts(), self.id, v), Row::tested)
+    }
+}
+
+/// Rows of `branches` as slices, for merging by input value.
+fn tested_rows(
+    branches: &[(u64, Vec<(u64, Spp)>)],
+) -> impl Iterator<Item = (u64, &[(u64, Spp)])> + '_ {
+    branches.iter().map(|(v, r)| (*v, r.as_slice()))
+}
+
+fn keys<T>(entries: &[(u64, T)]) -> impl Iterator<Item = u64> + '_ {
+    entries.iter().map(|e| e.0)
+}
+
+/// The distinct values of `parts`, ascending.
+fn sorted_keys(parts: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut keys: Vec<u64> = parts.collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// Two-pointer merge of two sequences ascending by value: each value
+/// once, with what each side holds there.
+struct Merge<I: Iterator, J: Iterator> {
+    a: Peekable<I>,
+    b: Peekable<J>,
+}
+
+fn merge<A, B, I, J>(a: I, b: J) -> Merge<I::IntoIter, J::IntoIter>
+where
+    I: IntoIterator<Item = (u64, A)>,
+    J: IntoIterator<Item = (u64, B)>,
+{
+    Merge {
+        a: a.into_iter().peekable(),
+        b: b.into_iter().peekable(),
+    }
+}
+
+impl<A, B, I, J> Iterator for Merge<I, J>
+where
+    I: Iterator<Item = (u64, A)>,
+    J: Iterator<Item = (u64, B)>,
+{
+    type Item = (u64, Option<A>, Option<B>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let v = match (self.a.peek(), self.b.peek()) {
+            (None, None) => return None,
+            (Some(x), Some(y)) => x.0.min(y.0),
+            (Some(x), None) => x.0,
+            (None, Some(y)) => y.0,
+        };
+        let a = self.a.next_if(|x| x.0 == v).map(|x| x.1);
+        let b = self.b.next_if(|y| y.0 == v).map(|y| y.1);
+        Some((v, a, b))
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,6 +317,80 @@ enum Memo {
     SppTest(u32),
     Push(u32, u32),
     Pre(u32, u32),
+}
+
+/// The keys of one arena's hash tables: one pair of words drawn from
+/// [`RandomState`], shared by the memo table and both intern tables.
+/// Intern keys carry constants from policy text and table entries, so
+/// the hash stays keyed.
+#[derive(Clone, Copy)]
+struct WordKeys {
+    seed: u64,
+    mul: u64,
+}
+
+impl WordKeys {
+    fn new() -> WordKeys {
+        let rs = RandomState::new();
+        WordKeys {
+            seed: rs.hash_one(0u64),
+            mul: rs.hash_one(1u64) | 1,
+        }
+    }
+}
+
+impl BuildHasher for WordKeys {
+    type Hasher = WordHasher;
+
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher {
+            state: self.seed,
+            mul: self.mul,
+        }
+    }
+}
+
+/// Folds each word written into the state with one keyed 64×64→128-bit
+/// multiply, whose halves are XORed together. A derived `Hash` writes one
+/// word per field and row entry, which is where SipHash spent its time.
+struct WordHasher {
+    state: u64,
+    mul: u64,
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.state ^ x) * u128::from(self.mul);
+        self.state = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
 }
 
 /// Operation counters for one arena; see [`Arena::stats`].
@@ -175,23 +454,15 @@ impl std::fmt::Display for SymError {
 
 impl std::error::Error for SymError {}
 
-struct SpView {
-    branches: BTreeMap<u64, Sp>,
-    default: Sp,
-}
-
-struct SppView {
-    branches: BranchMap,
-    muts: OutMap,
-    id: Spp,
-}
-
 /// A hash-consed arena of SP/SPP nodes over `num_fields` packet fields.
 ///
 /// All structures built in one arena are canonical relative to it, so `==`
 /// on [`Sp`]/[`Spp`] ids decides semantic equality. The arena is generic in
 /// its field count: NetKAT uses [`Arena::for_netkat`] (the six
 /// [`Field`]s); `pda-analyze` reuses it over table key columns.
+///
+/// Nodes are shared (`Rc`) between the id-indexed vectors and the intern
+/// tables, so an arena is not `Send`; each query builds its own.
 pub struct Arena {
     num_fields: u16,
     /// `order[slot]` = external field index stored at arena slot `slot`.
@@ -202,11 +473,11 @@ pub struct Arena {
     order: Vec<u16>,
     /// Inverse of `order`: `slot_of[field]` = arena slot of that field.
     slot_of: Vec<u16>,
-    sp_nodes: Vec<SpNode>,
-    sp_intern: HashMap<SpNode, u32>,
-    spp_nodes: Vec<SppNode>,
-    spp_intern: HashMap<SppNode, u32>,
-    memo: HashMap<Memo, u32>,
+    sp_nodes: Vec<Rc<SpNode>>,
+    sp_intern: HashMap<Rc<SpNode>, u32, WordKeys>,
+    spp_nodes: Vec<Rc<SppNode>>,
+    spp_intern: HashMap<Rc<SppNode>, u32, WordKeys>,
+    memo: HashMap<Memo, u32, WordKeys>,
     stats: SymStats,
 }
 
@@ -215,15 +486,16 @@ impl Arena {
     /// `0..num_fields`, identity variable order).
     pub fn new(num_fields: u16) -> Arena {
         let identity: Vec<u16> = (0..num_fields).collect();
+        let keys = WordKeys::new();
         Arena {
             num_fields,
             order: identity.clone(),
             slot_of: identity,
             sp_nodes: Vec::new(),
-            sp_intern: HashMap::new(),
+            sp_intern: HashMap::with_hasher(keys),
             spp_nodes: Vec::new(),
-            spp_intern: HashMap::new(),
-            memo: HashMap::new(),
+            spp_intern: HashMap::with_hasher(keys),
+            memo: HashMap::with_hasher(keys),
             stats: SymStats::default(),
         }
     }
@@ -318,7 +590,7 @@ impl Arena {
     }
 
     // ------------------------------------------------------------------
-    // Interning and canonical constructors
+    // Interning, memoization and canonical constructors
     // ------------------------------------------------------------------
 
     fn intern_sp(&mut self, node: SpNode) -> Sp {
@@ -326,7 +598,8 @@ impl Arena {
             return Sp(id);
         }
         let id = u32::try_from(self.sp_nodes.len() + 2).expect("sp arena overflow");
-        self.sp_nodes.push(node.clone());
+        let node = Rc::new(node);
+        self.sp_nodes.push(Rc::clone(&node));
         self.sp_intern.insert(node, id);
         Sp(id)
     }
@@ -336,16 +609,26 @@ impl Arena {
             return Spp(id);
         }
         let id = u32::try_from(self.spp_nodes.len() + 2).expect("spp arena overflow");
-        self.spp_nodes.push(node.clone());
+        let node = Rc::new(node);
+        self.spp_nodes.push(Rc::clone(&node));
         self.spp_intern.insert(node, id);
         Spp(id)
     }
 
-    fn mk_sp(&mut self, field: u16, branches: BTreeMap<u64, Sp>, default: Sp) -> Sp {
-        let branches: Vec<(u64, Sp)> = branches
-            .into_iter()
-            .filter(|&(_, c)| c != default)
-            .collect();
+    /// The memoized result of `key`, computing it with `op` on a miss.
+    fn memoized(&mut self, key: Memo, op: impl FnOnce(&mut Arena) -> u32) -> u32 {
+        if let Some(&r) = self.memo.get(&key) {
+            self.stats.cache_hits += 1;
+            return r;
+        }
+        self.stats.cache_misses += 1;
+        let r = op(self);
+        self.memo.insert(key, r);
+        r
+    }
+
+    fn mk_sp(&mut self, field: u16, mut branches: Vec<(u64, Sp)>, default: Sp) -> Sp {
+        branches.retain(|b| b.1 != default);
         if branches.is_empty() {
             return default;
         }
@@ -356,38 +639,53 @@ impl Arena {
         })
     }
 
-    /// The effective default row of an SPP node at input value `v`.
-    fn eff_default(muts: &OutMap, id: Spp, v: u64) -> OutMap {
-        let mut m = muts.clone();
-        m.remove(&v);
-        if id != Spp::ZERO {
-            m.insert(v, id);
-        }
-        m
-    }
-
-    fn mk_spp(&mut self, field: u16, branches: BranchMap, muts: OutMap, id: Spp) -> Spp {
-        let muts: OutMap = muts.into_iter().filter(|&(_, c)| c != Spp::ZERO).collect();
-        let mut kept: Vec<(u64, Vec<(u64, Spp)>)> = Vec::new();
-        for (v, m) in branches {
-            let m: OutMap = m.into_iter().filter(|&(_, c)| c != Spp::ZERO).collect();
-            if m != Self::eff_default(&muts, id, v) {
-                kept.push((v, m.into_iter().collect()));
-            }
-        }
-        if kept.is_empty() && muts.is_empty() {
+    fn mk_spp(
+        &mut self,
+        field: u16,
+        mut branches: Vec<(u64, Vec<(u64, Spp)>)>,
+        mut muts: Vec<(u64, Spp)>,
+        id: Spp,
+    ) -> Spp {
+        muts.retain(|m| m.1 != Spp::ZERO);
+        branches.retain_mut(|(v, row)| {
+            row.retain(|e| e.1 != Spp::ZERO);
+            !row.iter()
+                .copied()
+                .eq(Row::default_at(&muts, id, *v).iter())
+        });
+        if branches.is_empty() && muts.is_empty() {
             return id;
         }
         self.intern_spp(SppNode {
             field,
-            branches: kept,
-            muts: muts.into_iter().collect(),
+            branches,
+            muts,
             id,
         })
     }
 
+    /// Sort the `(value, x)` pairs gathered for one row by value, keeping
+    /// the order they were produced in among equal values, drop `unit`
+    /// entries, and fold each run of equal values left to right with `op`.
+    fn join_by_value<T: Copy + PartialEq>(
+        &mut self,
+        mut pairs: Vec<(u64, T)>,
+        unit: T,
+        op: fn(&mut Arena, T, T) -> T,
+    ) -> Vec<(u64, T)> {
+        pairs.retain(|p| p.1 != unit);
+        pairs.sort_by_key(|p| p.0);
+        pairs.dedup_by(|next, kept| {
+            next.0 == kept.0 && {
+                kept.1 = op(self, kept.1, next.1);
+                true
+            }
+        });
+        pairs
+    }
+
     // ------------------------------------------------------------------
-    // Views (uniform expansion at a given field)
+    // Operand rows (uniform expansion at a given field)
     // ------------------------------------------------------------------
 
     fn sp_field(&self, x: Sp) -> u16 {
@@ -406,50 +704,31 @@ impl Arena {
         }
     }
 
-    fn sp_view(&self, x: Sp, field: u16) -> SpView {
+    fn sp_rows(&self, x: Sp, field: u16) -> SpRows {
         if self.sp_field(x) == field {
-            let n = &self.sp_nodes[(x.0 - 2) as usize];
-            SpView {
-                branches: n.branches.iter().copied().collect(),
+            let n = Rc::clone(&self.sp_nodes[(x.0 - 2) as usize]);
+            SpRows {
                 default: n.default,
+                node: Some(n),
             }
         } else {
             // Leaf or a node at a deeper field: `field` is unconstrained.
-            SpView {
-                branches: BTreeMap::new(),
+            SpRows {
+                node: None,
                 default: x,
             }
         }
     }
 
-    fn spp_view(&self, x: Spp, field: u16) -> SppView {
+    fn spp_rows(&self, x: Spp, field: u16) -> SppRows {
         if self.spp_field(x) == field {
-            let n = &self.spp_nodes[(x.0 - 2) as usize];
-            SppView {
-                branches: n
-                    .branches
-                    .iter()
-                    .map(|(v, m)| (*v, m.iter().copied().collect()))
-                    .collect(),
-                muts: n.muts.iter().copied().collect(),
+            let n = Rc::clone(&self.spp_nodes[(x.0 - 2) as usize]);
+            SppRows {
                 id: n.id,
+                node: Some(n),
             }
         } else {
-            // ZERO: rejects everything. ONE / deeper node: identity here.
-            SppView {
-                branches: BTreeMap::new(),
-                muts: OutMap::new(),
-                id: if x == Spp::ZERO { Spp::ZERO } else { x },
-            }
-        }
-    }
-
-    /// The output map of `view` at input value `v`.
-    fn eff(view: &SppView, v: u64) -> OutMap {
-        if let Some(m) = view.branches.get(&v) {
-            m.clone()
-        } else {
-            Self::eff_default(&view.muts, view.id, v)
+            SppRows { node: None, id: x }
         }
     }
 
@@ -469,31 +748,7 @@ impl Arena {
             return Sp::FULL;
         }
         let key = Memo::SpUnion(a.min(b).0, a.max(b).0);
-        if let Some(&r) = self.memo.get(&key) {
-            self.stats.cache_hits += 1;
-            return Sp(r);
-        }
-        self.stats.cache_misses += 1;
-        let f = self.sp_field(a).min(self.sp_field(b));
-        let va = self.sp_view(a, f);
-        let vb = self.sp_view(b, f);
-        let keys: BTreeSet<u64> = va
-            .branches
-            .keys()
-            .chain(vb.branches.keys())
-            .copied()
-            .collect();
-        let mut branches = BTreeMap::new();
-        for v in keys {
-            let ca = va.branches.get(&v).copied().unwrap_or(va.default);
-            let cb = vb.branches.get(&v).copied().unwrap_or(vb.default);
-            let c = self.sp_union(ca, cb);
-            branches.insert(v, c);
-        }
-        let default = self.sp_union(va.default, vb.default);
-        let r = self.mk_sp(f, branches, default);
-        self.memo.insert(key, r.0);
-        r
+        Sp(self.memoized(key, |ar| ar.sp_pointwise(a, b, Arena::sp_union).0))
     }
 
     /// Set intersection.
@@ -508,31 +763,24 @@ impl Arena {
             return Sp::EMPTY;
         }
         let key = Memo::SpInter(a.min(b).0, a.max(b).0);
-        if let Some(&r) = self.memo.get(&key) {
-            self.stats.cache_hits += 1;
-            return Sp(r);
-        }
-        self.stats.cache_misses += 1;
+        Sp(self.memoized(key, |ar| ar.sp_pointwise(a, b, Arena::sp_intersect).0))
+    }
+
+    /// `op` applied child by child: on every value either side tests, and
+    /// on the defaults.
+    fn sp_pointwise(&mut self, a: Sp, b: Sp, op: fn(&mut Arena, Sp, Sp) -> Sp) -> Sp {
         let f = self.sp_field(a).min(self.sp_field(b));
-        let va = self.sp_view(a, f);
-        let vb = self.sp_view(b, f);
-        let keys: BTreeSet<u64> = va
-            .branches
-            .keys()
-            .chain(vb.branches.keys())
-            .copied()
+        let (va, vb) = (self.sp_rows(a, f), self.sp_rows(b, f));
+        let branches = merge(va.branches().iter().copied(), vb.branches().iter().copied())
+            .map(|(v, ca, cb)| {
+                (
+                    v,
+                    op(self, ca.unwrap_or(va.default), cb.unwrap_or(vb.default)),
+                )
+            })
             .collect();
-        let mut branches = BTreeMap::new();
-        for v in keys {
-            let ca = va.branches.get(&v).copied().unwrap_or(va.default);
-            let cb = vb.branches.get(&v).copied().unwrap_or(vb.default);
-            let c = self.sp_intersect(ca, cb);
-            branches.insert(v, c);
-        }
-        let default = self.sp_intersect(va.default, vb.default);
-        let r = self.mk_sp(f, branches, default);
-        self.memo.insert(key, r.0);
-        r
+        let default = op(self, va.default, vb.default);
+        self.mk_sp(f, branches, default)
     }
 
     /// Set complement.
@@ -543,22 +791,16 @@ impl Arena {
         if a == Sp::FULL {
             return Sp::EMPTY;
         }
-        let key = Memo::SpComp(a.0);
-        if let Some(&r) = self.memo.get(&key) {
-            self.stats.cache_hits += 1;
-            return Sp(r);
-        }
-        self.stats.cache_misses += 1;
-        let n = self.sp_nodes[(a.0 - 2) as usize].clone();
-        let mut branches = BTreeMap::new();
-        for (v, c) in n.branches {
-            let cc = self.sp_complement(c);
-            branches.insert(v, cc);
-        }
-        let default = self.sp_complement(n.default);
-        let r = self.mk_sp(n.field, branches, default);
-        self.memo.insert(key, r.0);
-        r
+        Sp(self.memoized(Memo::SpComp(a.0), |ar| {
+            let n = Rc::clone(&ar.sp_nodes[(a.0 - 2) as usize]);
+            let branches = n
+                .branches
+                .iter()
+                .map(|&(v, c)| (v, ar.sp_complement(c)))
+                .collect();
+            let default = ar.sp_complement(n.default);
+            ar.mk_sp(n.field, branches, default).0
+        }))
     }
 
     /// Set difference `a ∖ b`.
@@ -583,13 +825,7 @@ impl Arena {
                 return true;
             }
             let n = &self.sp_nodes[(cur.0 - 2) as usize];
-            let v = vals[n.field as usize];
-            cur = n
-                .branches
-                .iter()
-                .find(|&&(w, _)| w == v)
-                .map(|&(_, c)| c)
-                .unwrap_or(n.default);
+            cur = n.child(vals[n.field as usize]);
         }
     }
 
@@ -610,7 +846,7 @@ impl Arena {
         if a == Sp::FULL {
             return true;
         }
-        let n = self.sp_nodes[(a.0 - 2) as usize].clone();
+        let n = &self.sp_nodes[(a.0 - 2) as usize];
         // Fields between `field` and `n.field` are unconstrained (left 0).
         for &(v, c) in &n.branches {
             out[n.field as usize] = v;
@@ -618,8 +854,8 @@ impl Arena {
                 return true;
             }
         }
-        let taken: BTreeSet<u64> = n.branches.iter().map(|&(v, _)| v).collect();
-        out[n.field as usize] = fresh_value(&taken);
+        out[n.field as usize] =
+            fresh_value(|v| n.branches.binary_search_by_key(&v, |b| b.0).is_ok());
         self.sp_witness_into(n.default, out)
     }
 
@@ -627,32 +863,19 @@ impl Arena {
     pub fn sp_singleton(&mut self, vals: &[u64]) -> Sp {
         let mut acc = Sp::FULL;
         for f in (0..vals.len()).rev() {
-            let branches = BTreeMap::from([(vals[f], acc)]);
-            acc = self.mk_sp(f as u16, branches, Sp::EMPTY);
+            acc = self.mk_sp(f as u16, vec![(vals[f], acc)], Sp::EMPTY);
         }
         acc
     }
 
     /// The set of packets `{ p | p[field] = value }`.
     pub fn sp_test(&mut self, field: u16, value: u64) -> Sp {
-        let branches = BTreeMap::from([(value, Sp::FULL)]);
-        self.mk_sp(field, branches, Sp::EMPTY)
+        self.mk_sp(field, vec![(value, Sp::FULL)], Sp::EMPTY)
     }
 
     // ------------------------------------------------------------------
     // SPP operations
     // ------------------------------------------------------------------
-
-    fn out_insert_union(&mut self, m: &mut OutMap, w: u64, c: Spp) {
-        if c == Spp::ZERO {
-            return;
-        }
-        let merged = match m.get(&w) {
-            Some(&old) => self.spp_union(old, c),
-            None => c,
-        };
-        m.insert(w, merged);
-    }
 
     /// Transformer union: `a + b`.
     pub fn spp_union(&mut self, a: Spp, b: Spp) -> Spp {
@@ -663,42 +886,30 @@ impl Arena {
             return b;
         }
         let key = Memo::SppUnion(a.min(b).0, a.max(b).0);
-        if let Some(&r) = self.memo.get(&key) {
-            self.stats.cache_hits += 1;
-            return Spp(r);
-        }
-        self.stats.cache_misses += 1;
+        Spp(self.memoized(key, |ar| ar.spp_union_rows(a, b).0))
+    }
+
+    fn spp_union_rows(&mut self, a: Spp, b: Spp) -> Spp {
         let f = self.spp_field(a).min(self.spp_field(b));
-        let va = self.spp_view(a, f);
-        let vb = self.spp_view(b, f);
-        let tested: BTreeSet<u64> = va
-            .branches
-            .keys()
-            .chain(vb.branches.keys())
-            .copied()
-            .collect();
-        let mut branches = BranchMap::new();
-        for &v in &tested {
-            let ma = Self::eff(&va, v);
-            let mb = Self::eff(&vb, v);
-            let mut out = ma;
-            for (w, c) in mb {
-                self.out_insert_union(&mut out, w, c);
-            }
-            branches.insert(v, out);
+        let (va, vb) = (self.spp_rows(a, f), self.spp_rows(b, f));
+        let mut branches = Vec::new();
+        for (v, ra, rb) in merge(tested_rows(va.branches()), tested_rows(vb.branches())) {
+            let (ra, rb) = (va.row_or_default(v, ra), vb.row_or_default(v, rb));
+            branches.push((v, self.row_union(ra, rb)));
         }
-        let wkeys: BTreeSet<u64> = va.muts.keys().chain(vb.muts.keys()).copied().collect();
-        let mut muts = OutMap::new();
-        for w in wkeys {
-            let ca = va.muts.get(&w).copied().unwrap_or(Spp::ZERO);
-            let cb = vb.muts.get(&w).copied().unwrap_or(Spp::ZERO);
-            let c = self.spp_union(ca, cb);
-            muts.insert(w, c);
-        }
+        let muts = self.row_union(Row::tested(va.muts()), Row::tested(vb.muts()));
         let id = self.spp_union(va.id, vb.id);
-        let r = self.mk_spp(f, branches, muts, id);
-        self.memo.insert(key, r.0);
-        r
+        self.mk_spp(f, branches, muts, id)
+    }
+
+    /// Two rows united output by output.
+    fn row_union(&mut self, a: Row<'_>, b: Row<'_>) -> Vec<(u64, Spp)> {
+        merge(a.iter(), b.iter())
+            .map(|(w, ca, cb)| {
+                let c = self.spp_union(ca.unwrap_or(Spp::ZERO), cb.unwrap_or(Spp::ZERO));
+                (w, c)
+            })
+            .collect()
     }
 
     /// Sequential composition `a ; b`.
@@ -712,60 +923,49 @@ impl Arena {
         if b == Spp::ONE {
             return a;
         }
-        let key = Memo::SppSeq(a.0, b.0);
-        if let Some(&r) = self.memo.get(&key) {
-            self.stats.cache_hits += 1;
-            return Spp(r);
-        }
-        self.stats.cache_misses += 1;
+        Spp(self.memoized(Memo::SppSeq(a.0, b.0), |ar| ar.spp_seq_rows(a, b).0))
+    }
+
+    fn spp_seq_rows(&mut self, a: Spp, b: Spp) -> Spp {
         let f = self.spp_field(a).min(self.spp_field(b));
-        let va = self.spp_view(a, f);
-        let vb = self.spp_view(b, f);
+        let (va, vb) = (self.spp_rows(a, f), self.spp_rows(b, f));
 
         // Behaviour on a *generic* untested input value v: a's muts lead
         // into b at known constants; a's id leads into b's untested row.
-        let mut gen_muts = OutMap::new();
-        let a_muts: Vec<(u64, Spp)> = va.muts.iter().map(|(&w, &c)| (w, c)).collect();
-        for (w, ca) in a_muts {
-            for (z, cb) in Self::eff(&vb, w) {
-                let c = self.spp_seq(ca, cb);
-                self.out_insert_union(&mut gen_muts, z, c);
+        let mut generic = Vec::new();
+        for &(w, ca) in va.muts() {
+            for (z, cb) in vb.row(w).iter() {
+                generic.push((z, self.spp_seq(ca, cb)));
             }
         }
-        let b_muts: Vec<(u64, Spp)> = vb.muts.iter().map(|(&z, &c)| (z, c)).collect();
-        for (z, cb) in b_muts {
-            let c = self.spp_seq(va.id, cb);
-            self.out_insert_union(&mut gen_muts, z, c);
+        for &(z, cb) in vb.muts() {
+            generic.push((z, self.spp_seq(va.id, cb)));
         }
-        let gen_id = self.spp_seq(va.id, vb.id);
+        let muts = self.join_by_value(generic, Spp::ZERO, Arena::spp_union);
+        let id = self.spp_seq(va.id, vb.id);
 
         // Inputs whose behaviour can differ from the generic row: values
         // tested or mutated by either side, plus any value the generic row
         // itself outputs (for those, "output = input" is reachable through
         // a mut chain, which the untested row cannot express).
-        let tested: BTreeSet<u64> = va
-            .branches
-            .keys()
-            .chain(va.muts.keys())
-            .chain(vb.branches.keys())
-            .chain(vb.muts.keys())
-            .chain(gen_muts.keys())
-            .copied()
-            .collect();
-        let mut branches = BranchMap::new();
-        for &v in &tested {
-            let mut out = OutMap::new();
-            for (w, ca) in Self::eff(&va, v) {
-                for (z, cb) in Self::eff(&vb, w) {
-                    let c = self.spp_seq(ca, cb);
-                    self.out_insert_union(&mut out, z, c);
+        let tested = sorted_keys(
+            keys(va.branches())
+                .chain(keys(va.muts()))
+                .chain(keys(vb.branches()))
+                .chain(keys(vb.muts()))
+                .chain(keys(&muts)),
+        );
+        let mut branches = Vec::with_capacity(tested.len());
+        for v in tested {
+            let mut out = Vec::new();
+            for (w, ca) in va.row(v).iter() {
+                for (z, cb) in vb.row(w).iter() {
+                    out.push((z, self.spp_seq(ca, cb)));
                 }
             }
-            branches.insert(v, out);
+            branches.push((v, self.join_by_value(out, Spp::ZERO, Arena::spp_union)));
         }
-        let r = self.mk_spp(f, branches, gen_muts, gen_id);
-        self.memo.insert(key, r.0);
-        r
+        self.mk_spp(f, branches, muts, id)
     }
 
     /// Kleene star `a*` with an explicit iteration budget; returns the
@@ -809,29 +1009,22 @@ impl Arena {
         if a == Sp::FULL {
             return Spp::ONE;
         }
-        let key = Memo::SppTest(a.0);
-        if let Some(&r) = self.memo.get(&key) {
-            self.stats.cache_hits += 1;
-            return Spp(r);
-        }
-        self.stats.cache_misses += 1;
-        let n = self.sp_nodes[(a.0 - 2) as usize].clone();
-        let mut branches = BranchMap::new();
-        for (v, c) in n.branches {
-            let t = self.spp_test(c);
-            branches.insert(v, OutMap::from([(v, t)]));
-        }
-        let id = self.spp_test(n.default);
-        let r = self.mk_spp(n.field, branches, OutMap::new(), id);
-        self.memo.insert(key, r.0);
-        r
+        Spp(self.memoized(Memo::SppTest(a.0), |ar| {
+            let n = Rc::clone(&ar.sp_nodes[(a.0 - 2) as usize]);
+            let branches = n
+                .branches
+                .iter()
+                .map(|&(v, c)| (v, vec![(v, ar.spp_test(c))]))
+                .collect();
+            let id = ar.spp_test(n.default);
+            ar.mk_spp(n.field, branches, Vec::new(), id).0
+        }))
     }
 
     /// The transformer `field := value` (identity on the other fields).
     pub fn spp_assign(&mut self, field: u16, value: u64) -> Spp {
-        let branches = BranchMap::from([(value, OutMap::from([(value, Spp::ONE)]))]);
-        let muts = OutMap::from([(value, Spp::ONE)]);
-        self.mk_spp(field, branches, muts, Spp::ZERO)
+        let branches = vec![(value, vec![(value, Spp::ONE)])];
+        self.mk_spp(field, branches, vec![(value, Spp::ONE)], Spp::ZERO)
     }
 
     // ------------------------------------------------------------------
@@ -846,60 +1039,46 @@ impl Arena {
         if t == Spp::ONE {
             return s;
         }
-        let key = Memo::Push(s.0, t.0);
-        if let Some(&r) = self.memo.get(&key) {
-            self.stats.cache_hits += 1;
-            return Sp(r);
-        }
-        self.stats.cache_misses += 1;
+        Sp(self.memoized(Memo::Push(s.0, t.0), |ar| ar.push_rows(s, t).0))
+    }
+
+    fn push_rows(&mut self, s: Sp, t: Spp) -> Sp {
         let f = self.sp_field(s).min(self.spp_field(t));
-        let vs = self.sp_view(s, f);
-        let vt = self.spp_view(t, f);
-        let tested_in: BTreeSet<u64> = vs
-            .branches
-            .keys()
-            .chain(vt.branches.keys())
-            .copied()
-            .collect();
-        // Output buckets. Every tested *input* value is also pinned as an
-        // output bucket: its id-contribution was handled exactly, so the
-        // generic default (which includes the id image) must not apply.
-        let mut buckets: BTreeMap<u64, Sp> = tested_in.iter().map(|&w| (w, Sp::EMPTY)).collect();
-        for &v in &tested_in {
-            let sv = vs.branches.get(&v).copied().unwrap_or(vs.default);
+        let (vs, vt) = (self.sp_rows(s, f), self.spp_rows(t, f));
+        let mut tested = Vec::new();
+        let mut images = Vec::new();
+        for (v, sv, row) in merge(vs.branches().iter().copied(), tested_rows(vt.branches())) {
+            tested.push(v);
+            let sv = sv.unwrap_or(vs.default);
             if sv == Sp::EMPTY {
                 continue;
             }
-            for (w, c) in Self::eff(&vt, v) {
-                let img = self.push(sv, c);
-                let cur = buckets.get(&w).copied().unwrap_or(Sp::EMPTY);
-                let merged = self.sp_union(cur, img);
-                buckets.insert(w, merged);
+            for (w, c) in vt.row_or_default(v, row).iter() {
+                images.push((w, self.push(sv, c)));
             }
         }
-        let t_muts: Vec<(u64, Spp)> = vt.muts.iter().map(|(&w, &c)| (w, c)).collect();
-        for (w, c) in t_muts {
+        for &(w, c) in vt.muts() {
             // Valid for any untested input v ≠ w; such inputs always exist.
-            let img = self.push(vs.default, c);
-            let cur = buckets.get(&w).copied().unwrap_or(Sp::EMPTY);
-            let merged = self.sp_union(cur, img);
-            buckets.insert(w, merged);
+            images.push((w, self.push(vs.default, c)));
         }
         let default = self.push(vs.default, vt.id);
-        // Buckets at values that are *not* tested inputs additionally
-        // receive the generic id image (an untested input equal to that
-        // output value maps onto it through id).
-        let bucket_keys: Vec<u64> = buckets.keys().copied().collect();
-        for w in bucket_keys {
-            if !tested_in.contains(&w) {
-                let cur = buckets[&w];
-                let merged = self.sp_union(cur, default);
-                buckets.insert(w, merged);
-            }
+        let images = self.join_by_value(images, Sp::EMPTY, Arena::sp_union);
+        // One bucket per output value. A tested input value keeps its own
+        // bucket: its id image was handled exactly above, so the generic
+        // default (which includes the id image) must not apply. Every
+        // other bucket also receives the generic id image (an untested
+        // input equal to that output value maps onto it through id).
+        let pinned = tested.iter().map(|&v| (v, ()));
+        let mut buckets = Vec::with_capacity(tested.len() + images.len());
+        for (w, pin, img) in merge(pinned, images) {
+            let img = img.unwrap_or(Sp::EMPTY);
+            let bucket = match pin {
+                Some(()) => img,
+                None => self.sp_union(img, default),
+            };
+            buckets.push((w, bucket));
         }
-        let r = self.mk_sp(f, buckets, default);
-        self.memo.insert(key, r.0);
-        r
+        self.mk_sp(f, buckets, default)
     }
 
     /// Backward image (preimage): `{ α | ∃ β ∈ s. (α, β) ∈ t }`.
@@ -910,42 +1089,32 @@ impl Arena {
         if t == Spp::ONE {
             return s;
         }
-        let key = Memo::Pre(t.0, s.0);
-        if let Some(&r) = self.memo.get(&key) {
-            self.stats.cache_hits += 1;
-            return Sp(r);
-        }
-        self.stats.cache_misses += 1;
+        Sp(self.memoized(Memo::Pre(t.0, s.0), |ar| ar.pre_rows(t, s).0))
+    }
+
+    fn pre_rows(&mut self, t: Spp, s: Sp) -> Sp {
         let f = self.sp_field(s).min(self.spp_field(t));
-        let vs = self.sp_view(s, f);
-        let vt = self.spp_view(t, f);
-        let tested: BTreeSet<u64> = vt
-            .branches
-            .keys()
-            .chain(vt.muts.keys())
-            .chain(vs.branches.keys())
-            .copied()
-            .collect();
-        let mut branches = BTreeMap::new();
-        for &v in &tested {
+        let (vs, vt) = (self.sp_rows(s, f), self.spp_rows(t, f));
+        let tested = sorted_keys(
+            keys(vt.branches())
+                .chain(keys(vt.muts()))
+                .chain(keys(vs.branches())),
+        );
+        let mut branches = Vec::with_capacity(tested.len());
+        for v in tested {
             let mut acc = Sp::EMPTY;
-            for (w, c) in Self::eff(&vt, v) {
-                let sw = vs.branches.get(&w).copied().unwrap_or(vs.default);
-                let p = self.pre(c, sw);
+            for (w, c) in vt.row(v).iter() {
+                let p = self.pre(c, vs.child(w));
                 acc = self.sp_union(acc, p);
             }
-            branches.insert(v, acc);
+            branches.push((v, acc));
         }
         let mut default = self.pre(vt.id, vs.default);
-        let t_muts: Vec<(u64, Spp)> = vt.muts.iter().map(|(&w, &c)| (w, c)).collect();
-        for (w, c) in t_muts {
-            let sw = vs.branches.get(&w).copied().unwrap_or(vs.default);
-            let p = self.pre(c, sw);
+        for &(w, c) in vt.muts() {
+            let p = self.pre(c, vs.child(w));
             default = self.sp_union(default, p);
         }
-        let r = self.mk_sp(f, branches, default);
-        self.memo.insert(key, r.0);
-        r
+        self.mk_sp(f, branches, default)
     }
 
     // ------------------------------------------------------------------
@@ -980,19 +1149,10 @@ impl Arena {
         }
         let n = &self.spp_nodes[(t.0 - 2) as usize];
         // Fields field..n.field are identity (skipped).
-        let skip_start = field as usize;
-        let skipped: Vec<u64> = input[skip_start..n.field as usize].to_vec();
-        let v = input[n.field as usize];
-        let row: OutMap = match n.branches.iter().find(|&&(bv, _)| bv == v) {
-            Some((_, m)) => m.iter().copied().collect(),
-            None => {
-                let muts: OutMap = n.muts.iter().copied().collect();
-                Self::eff_default(&muts, n.id, v)
-            }
-        };
-        for (w, c) in row {
+        let skipped = &input[field as usize..n.field as usize];
+        for (w, c) in n.row(input[n.field as usize]).iter() {
             let mut p = prefix.to_vec();
-            p.extend_from_slice(&skipped);
+            p.extend_from_slice(skipped);
             p.push(w);
             self.spp_eval_into(c, input, n.field + 1, &p, out);
         }
@@ -1027,39 +1187,31 @@ impl Arena {
             // (fields field.. already hold defaults in `out`).
             return true;
         }
-        let va = self.spp_view(a, f);
-        let vb = self.spp_view(b, f);
-        let mut candidates: BTreeSet<u64> = va
-            .branches
-            .keys()
-            .chain(va.muts.keys())
-            .chain(vb.branches.keys())
-            .chain(vb.muts.keys())
-            .copied()
-            .collect();
-        candidates.insert(fresh_value(&candidates));
+        let (va, vb) = (self.spp_rows(a, f), self.spp_rows(b, f));
+        let mut candidates = sorted_keys(
+            keys(va.branches())
+                .chain(keys(va.muts()))
+                .chain(keys(vb.branches()))
+                .chain(keys(vb.muts())),
+        );
+        let fresh = fresh_value(|v| candidates.binary_search(&v).is_ok());
+        candidates.insert(candidates.partition_point(|&v| v < fresh), fresh);
         for v in candidates {
-            let ma = Self::eff(&va, v);
-            let mb = Self::eff(&vb, v);
+            let (ma, mb) = (va.row(v), vb.row(v));
             // An output value present on one side only is immediately a
             // difference: drive the extra row to any producing input.
-            for (w, c) in &ma {
-                if !mb.contains_key(w) {
-                    out[f as usize] = v;
-                    self.some_input_into(*c, out);
-                    return true;
-                }
+            let one_sided = ma
+                .iter()
+                .find(|e| mb.get(e.0).is_none())
+                .or_else(|| mb.iter().find(|e| ma.get(e.0).is_none()));
+            if let Some((_, c)) = one_sided {
+                out[f as usize] = v;
+                self.some_input_into(c, out);
+                return true;
             }
-            for (w, c) in &mb {
-                if !ma.contains_key(w) {
-                    out[f as usize] = v;
-                    self.some_input_into(*c, out);
-                    return true;
-                }
-            }
-            for (w, ca) in &ma {
-                let cb = mb[w];
-                if *ca != cb && self.distinguish_into(*ca, cb, out) {
+            for (w, ca) in ma.iter() {
+                let cb = mb.get(w).unwrap_or(Spp::ZERO);
+                if ca != cb && self.distinguish_into(ca, cb, out) {
                     out[f as usize] = v;
                     return true;
                 }
@@ -1082,15 +1234,13 @@ impl Arena {
                 return;
             }
         }
-        let tested: BTreeSet<u64> = n.branches.iter().map(|&(v, _)| v).collect();
+        let tested = |v: u64| n.branches.binary_search_by_key(&v, |b| b.0).is_ok();
         if let Some(&(w, c)) = n.muts.first() {
-            let mut avoid = tested;
-            avoid.insert(w);
-            out[n.field as usize] = fresh_value(&avoid);
+            out[n.field as usize] = fresh_value(|v| v == w || tested(v));
             self.some_input_into(c, out);
             return;
         }
-        out[n.field as usize] = fresh_value(&tested);
+        out[n.field as usize] = fresh_value(tested);
         self.some_input_into(n.id, out);
     }
 
@@ -1383,7 +1533,7 @@ impl Arena {
             if self.sp_field(n.default) <= n.field {
                 return Err(format!("sp {id:?}: default violates field order"));
             }
-            if self.sp_intern.get(n) != Some(&id.0) {
+            if self.sp_intern.get(&**n) != Some(&id.0) {
                 return Err(format!("sp {id:?}: interning inconsistent"));
             }
         }
@@ -1398,7 +1548,6 @@ impl Arena {
             if !n.muts.windows(2).all(|w| w[0].0 < w[1].0) {
                 return Err(format!("spp {id:?}: muts not strictly sorted"));
             }
-            let muts: OutMap = n.muts.iter().copied().collect();
             for &(w, c) in &n.muts {
                 if c == Spp::ZERO {
                     return Err(format!("spp {id:?}: ZERO mut at {w}"));
@@ -1422,12 +1571,14 @@ impl Arena {
                         return Err(format!("spp {id:?}: ({v},{w}) violates field order"));
                     }
                 }
-                let row: OutMap = m.iter().copied().collect();
-                if row == Self::eff_default(&muts, n.id, *v) {
+                if m.iter()
+                    .copied()
+                    .eq(Row::default_at(&n.muts, n.id, *v).iter())
+                {
                     return Err(format!("spp {id:?}: branch {v} equals effective default"));
                 }
             }
-            if self.spp_intern.get(n) != Some(&id.0) {
+            if self.spp_intern.get(&**n) != Some(&id.0) {
                 return Err(format!("spp {id:?}: interning inconsistent"));
             }
         }
@@ -1450,9 +1601,9 @@ fn union_terms(p: &Policy) -> Vec<&Policy> {
     out
 }
 
-/// The smallest value not in `taken`.
-fn fresh_value(taken: &BTreeSet<u64>) -> u64 {
-    (0u64..).find(|v| !taken.contains(v)).expect("u64 space")
+/// The smallest value not `taken`.
+fn fresh_value(taken: impl Fn(u64) -> bool) -> u64 {
+    (0u64..).find(|&v| !taken(v)).expect("u64 space")
 }
 
 #[cfg(test)]

@@ -7,13 +7,18 @@
 //! structural invariants must hold after every workload. On policies
 //! with `dup`, reachability must answer as the oracle does with every
 //! `dup` read as `id`.
+//!
+//! The small-domain policies never build a node row of more than a few
+//! values. The wide-row policies below do: fabric-shaped union spines
+//! over `sw` and `dst` whose constants span the whole `u32` range, so
+//! rows are long, sparse and interleaved as in the benchmark fabric.
 
 use pda_netkat::ast::{Field, Packet, Policy, Pred};
 use pda_netkat::equiv::{counterexample_with, equivalent_enumerative, equivalent_with, Backend};
 use pda_netkat::reach::{can_reach, can_reach_enumerative, witness_path, witness_path_enumerative};
 use pda_netkat::semantics::{eval_packet, eval_set};
 use pda_netkat::specialize::slice_is_dead;
-use pda_netkat::sym::Arena;
+use pda_netkat::sym::{Arena, Sp};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -129,6 +134,85 @@ fn check_witness(
         );
     }
     Ok(())
+}
+
+/// Sparse constants for wide rows: both ends of the `u32` range, powers
+/// of two and their neighbours, the fabric's leaf numbers around 64, and
+/// the small values the oracle and witnesses pick as fresh
+/// representatives. Sixteen values keep the oracle's model of `sw` and
+/// `dst` at most 17 × 17 packets.
+const WIDE: [u32; 16] = [
+    0,
+    1,
+    2,
+    3,
+    7,
+    63,
+    64,
+    65,
+    255,
+    256,
+    65_535,
+    1 << 16,
+    1 << 31,
+    u32::MAX - 2,
+    u32::MAX - 1,
+    u32::MAX,
+];
+
+fn wide_value() -> impl Strategy<Value = u32> {
+    (0..WIDE.len()).prop_map(|i| WIDE[i])
+}
+
+fn switch_or_dst() -> BoxedStrategy<Field> {
+    prop_oneof![Just(Field::Switch), Just(Field::Dst)].boxed()
+}
+
+fn wide_pred() -> impl Strategy<Value = Pred> {
+    let leaf = (switch_or_dst(), wide_value()).prop_map(|(f, v)| Pred::Test(f, v));
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.prop_map(|a| a.not()),
+        ]
+    })
+}
+
+/// One term of a wide spine: mostly a rule shaped like a fabric
+/// down-rule, `filter g ; filter dst = b ; f := c`, whose guard `g` is a
+/// switch test, a random predicate or a negation; sometimes a bare
+/// random filter.
+fn wide_term() -> impl Strategy<Value = Policy> {
+    let guard = prop_oneof![
+        wide_value().prop_map(|a| Pred::test(Field::Switch, a)),
+        wide_value().prop_map(|a| Pred::test(Field::Switch, a).not()),
+        wide_pred(),
+        wide_pred().prop_map(|g| g.not()),
+    ];
+    let rule = ((guard, wide_value()), (switch_or_dst(), wide_value()))
+        .prop_map(|((g, b), (f, c))| {
+            Policy::filter(g)
+                .seq(Policy::filter(Pred::test(Field::Dst, b)))
+                .seq(Policy::assign(f, c))
+        })
+        .boxed();
+    prop_oneof![
+        rule.clone(),
+        rule.clone(),
+        rule,
+        wide_pred().prop_map(Policy::filter),
+    ]
+}
+
+/// The terms of a wide union spine: 8-24 of them.
+fn wide_terms() -> impl Strategy<Value = Vec<Policy>> {
+    proptest::collection::vec(wide_term(), 8..25)
+}
+
+fn wide_pkt() -> impl Strategy<Value = Packet> {
+    (wide_value(), wide_value())
+        .prop_map(|(sw, dst)| Packet::of(&[(Field::Switch, sw), (Field::Dst, dst)]))
 }
 
 fn pkt() -> impl Strategy<Value = Packet> {
@@ -296,4 +380,107 @@ proptest! {
         let _ = ar.spp_star(s);
         prop_assert!(ar.check_invariants().is_ok(), "invariants: {:?}", ar.check_invariants());
     }
+
+    /// On wide spines the backends agree on equivalence: a spine and its
+    /// reversal are equivalent, and a spine missing one term is judged
+    /// alike by both, with a witness that really distinguishes.
+    #[test]
+    fn wide_rows_agree_on_equivalence(terms in wide_terms(), k in 0usize..24) {
+        let p = Policy::any(terms.iter().cloned());
+        let reversed = Policy::any(terms.iter().rev().cloned());
+        prop_assert!(equivalent_with(Backend::Symbolic, &p, &reversed), "p={}", p);
+        let k = k % terms.len();
+        let q = Policy::any(terms.iter().enumerate().filter(|(i, _)| *i != k).map(|(_, t)| t.clone()));
+        let sym = equivalent_with(Backend::Symbolic, &p, &q);
+        prop_assert_eq!(sym, equivalent_with(Backend::Enumerative, &p, &q), "p={}, q={}", p, q);
+        if !sym {
+            let w = counterexample_with(Backend::Symbolic, &p, &q)
+                .expect("inequivalent policies must yield a witness");
+            prop_assert_ne!(eval_packet(&p, w), eval_packet(&q, w), "witness {:?}", w);
+        }
+    }
+
+    /// On wide spines the symbolic evaluator agrees with the denotational
+    /// one, images through the transformer equal images by structural
+    /// recursion, and the arena stays canonical.
+    #[test]
+    fn wide_rows_eval_and_images_match(terms in wide_terms(), x in wide_pkt(), a in wide_pred()) {
+        let p = Policy::any(terms);
+        let mut ar = Arena::for_policies(&[&p]);
+        let t = ar.spp_from_policy(&p).expect("dup-free");
+        let sym: BTreeSet<Packet> = ar
+            .spp_eval(t, &ar.values_of_packet(&x))
+            .iter()
+            .map(|v| ar.packet_of_values(v))
+            .collect();
+        prop_assert_eq!(sym, eval_packet(&p, x), "policy {}", p);
+        let vals = ar.values_of_packet(&x);
+        let sets = [ar.sp_from_pred(&a), ar.sp_singleton(&vals)];
+        for s in sets {
+            let fwd = ar.push_policy(s, &p);
+            prop_assert_eq!(fwd, ar.push(s, t), "push through {}", p);
+            let bwd = ar.pre_policy(&p, s);
+            prop_assert_eq!(bwd, ar.pre(t, s), "pre through {}", p);
+        }
+        prop_assert!(ar.check_invariants().is_ok(), "invariants: {:?}", ar.check_invariants());
+    }
+
+    /// On wide spines symbolic reachability and witness paths agree with
+    /// the enumerative BFS.
+    #[test]
+    fn wide_rows_agree_on_reach(terms in wide_terms(), xs in proptest::collection::vec(wide_pkt(), 1..4), g in wide_pred()) {
+        let p = Policy::any(terms);
+        let init: BTreeSet<Packet> = xs.into_iter().collect();
+        prop_assert_eq!(can_reach(&p, &init, &g), can_reach_enumerative(&p, &init, &g), "step={}", p);
+        check_witness(&p, &init, &g, witness_path(&p, &init, &g))?;
+    }
+}
+
+/// Over `u64` tests at the ends of the range (the shape `pda-analyze`
+/// builds from exact-match cells) the sets form a boolean algebra, and a
+/// witness of a complement avoids every tested value.
+#[test]
+fn u64_extremes_obey_the_boolean_algebra() {
+    let mut ar = Arena::new(2);
+    let vals = [0, u64::MAX - 1, u64::MAX];
+    let mut sets = vec![Sp::EMPTY, Sp::FULL];
+    for f in 0..2 {
+        for &v in &vals {
+            sets.push(ar.sp_test(f, v));
+        }
+    }
+    let (a0, a1) = (sets[2], sets[6]);
+    let both = ar.sp_intersect(a0, a1);
+    let either = ar.sp_union(sets[3], sets[7]);
+    sets.extend([both, either]);
+    for &a in &sets {
+        let na = ar.sp_complement(a);
+        assert_eq!(ar.sp_complement(na), a);
+        assert_eq!(ar.sp_union(a, na), Sp::FULL);
+        assert_eq!(ar.sp_intersect(a, na), Sp::EMPTY);
+        for &b in &sets {
+            let ab = ar.sp_union(a, b);
+            assert_eq!(ab, ar.sp_union(b, a));
+            let a_and_b = ar.sp_intersect(a, b);
+            assert_eq!(a_and_b, ar.sp_intersect(b, a));
+            assert_eq!(ar.sp_union(a, a_and_b), a, "absorption");
+            let nb = ar.sp_complement(b);
+            let not_ab = ar.sp_complement(ab);
+            assert_eq!(not_ab, ar.sp_intersect(na, nb), "De Morgan");
+            for &c in &sets {
+                let bc = ar.sp_union(b, c);
+                let lhs = ar.sp_intersect(a, bc);
+                let ac = ar.sp_intersect(a, c);
+                assert_eq!(lhs, ar.sp_union(a_and_b, ac), "distributivity");
+            }
+        }
+    }
+    let tested = sets[2..8]
+        .iter()
+        .fold(Sp::EMPTY, |acc, &s| ar.sp_union(acc, s));
+    let rest = ar.sp_complement(tested);
+    let w = ar.sp_witness(rest).expect("the complement is not empty");
+    assert!(w.iter().all(|x| !vals.contains(x)), "witness {w:?}");
+    assert!(ar.sp_contains(rest, &w) && !ar.sp_contains(tested, &w));
+    ar.check_invariants().unwrap();
 }

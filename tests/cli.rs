@@ -211,6 +211,40 @@ fn netkat_reach_rejects_dup_policy() {
     );
 }
 
+/// Text nested far past each parser's bound is a parse error (exit 1),
+/// not a stack overflow (exit 134).
+#[test]
+fn deeply_nested_text_is_an_error_not_a_crash() {
+    let deep = |levels: usize, open: &str, inner: &str, close: &str| {
+        format!("{}{inner}{}", open.repeat(levels), close.repeat(levels))
+    };
+    let cases = [
+        vec!["netkat".to_string(), deep(16_000, "(", "id", ")")],
+        vec![
+            "parse".to_string(),
+            format!("*bank: {}", deep(20_000, "@p1 [", "attest p1 sys", "]")),
+        ],
+        vec![
+            "hybrid".to_string(),
+            format!("*rp: {}", deep(20_000, "(", "@p1 [attest p1 sys]", ")")),
+        ],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_pda"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "pda {}", args[0]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error:"), "pda {}: {stderr}", args[0]);
+        assert!(
+            stderr.contains("nesting deeper than"),
+            "pda {}: {stderr}",
+            args[0]
+        );
+    }
+}
+
 #[test]
 fn netkat_slice_subcommand() {
     let (ok, stdout, _) = pda(&[
