@@ -8,7 +8,6 @@ use pda_copland::adversary::{analyze, AdversaryModel};
 use pda_copland::ast::examples as copland_examples;
 use pda_copland::parser::parse_request;
 use pda_core::prelude::*;
-use pda_core::usecases::enroll_golden;
 use pda_crypto::digest::Digest;
 use pda_crypto::lamport::LamportSecretKey;
 use pda_crypto::merkle::{merkle_verify, MerkleSigner};
@@ -25,7 +24,7 @@ use pda_netsim::{
 };
 use pda_pera::config::{DetailLevel, EvidenceComposition, PeraConfig, Sampling};
 use pda_pera::switch::PeraSwitch;
-use pda_pera::{AdmissionPolicy, FailMode};
+use pda_pera::{reference_digest, AdmissionPolicy, FailMode};
 use pda_telemetry::json::Json;
 use pda_telemetry::{percentile, Telemetry};
 use std::collections::BTreeSet;
@@ -327,8 +326,7 @@ pub fn exp_fig2(path_lengths: &[usize]) -> Table {
                 ("records", &chain.len()),
                 (
                     "ok",
-                    &pda_core::appraise_chain(&chain, &net.sim.registry, &golden, Nonce(1), true)
-                        .is_ok(),
+                    &appraise_chain(&chain, &net.sim.registry, &golden, Nonce(1), true).is_ok(),
                 ),
             ]);
         }
@@ -617,35 +615,31 @@ pub fn exp_uc3(legit: u64, attack: u64) -> Table {
     let config = PeraConfig::default().with_sampling(Sampling::PerPacket);
     let net = linear_path(3, &config, &[]);
     let golden = enroll_golden(&net.sim, &[DetailLevel::Hardware, DetailLevel::Program]);
-    let mut gate = EvidenceGate::new(golden, net.sim.registry);
+    let registry = net.sim.registry;
 
     let mut legit_admitted = 0u64;
     for i in 0..legit {
         let mut net = linear_path(3, &config, &[]);
         net.send_attested(Nonce(100 + i), EvidenceMode::InBand, b"legit!!!");
-        let chain = net.server_chains()[0].chain.clone();
-        if gate.admit(Some(&chain), Nonce(100 + i)) {
+        let chain = &net.server_chains()[0].chain;
+        if appraise_chain(chain, &registry, &golden, Nonce(100 + i), true).is_ok() {
             legit_admitted += 1;
         }
     }
     let mut attack_admitted = 0u64;
-    for i in 0..attack {
-        // Attackers alternate: no evidence / forged self-signed chain.
-        let admitted = if i % 2 == 0 {
-            gate.admit(None, Nonce(0))
-        } else {
-            let mut signer = Signer::new(SigScheme::Hmac, [0xEE; 32], 0);
-            let forged = pda_pera::evidence::EvidenceRecord::create(
-                "sw1",
-                vec![(DetailLevel::Program, Digest::of(b"claimed-clean"))],
-                Nonce(9999 + i),
-                Digest::ZERO,
-                &mut signer,
-            )
-            .unwrap();
-            gate.admit(Some(&[forged]), Nonce(9999 + i))
-        };
-        if admitted {
+    // Attackers alternate: no evidence (dropped unappraised) / forged
+    // self-signed chain.
+    for i in (0..attack).filter(|i| i % 2 == 1) {
+        let mut signer = Signer::new(SigScheme::Hmac, [0xEE; 32], 0);
+        let forged = pda_pera::evidence::EvidenceRecord::create(
+            "sw1",
+            vec![(DetailLevel::Program, Digest::of(b"claimed-clean"))],
+            Nonce(9999 + i),
+            Digest::ZERO,
+            &mut signer,
+        )
+        .unwrap();
+        if appraise_chain(&[forged], &registry, &golden, Nonce(9999 + i), true).is_ok() {
             attack_admitted += 1;
         }
     }
@@ -1048,7 +1042,6 @@ fn e15_run(
     let mut sw = PeraSwitch::new("sw", "hw", programs::forwarding(&[(0, 0, 1)]), config)
         .with_scheme(scheme, 12)
         .with_telemetry(tel.clone());
-    let hw_id = sw.hardware_id.clone();
 
     let t0 = Instant::now();
     if batch > 1 {
@@ -1079,16 +1072,7 @@ fn e15_run(
                 // eagerly and only then consulted the cache, so hits
                 // saved nothing. Re-pay that cost per record.
                 for level in DETAILS {
-                    std::hint::black_box(match level {
-                        DetailLevel::Hardware => Digest::of_parts(&[b"hw:", hw_id.as_bytes()]),
-                        DetailLevel::Program => sw.program.digest(),
-                        DetailLevel::Tables => sw.program.tables_digest(),
-                        DetailLevel::LintVerdict => {
-                            pda_analyze::analyze_default(&sw.program).verdict_digest()
-                        }
-                        DetailLevel::ProgState => Digest::of(&sw.regs.canonical_bytes()),
-                        DetailLevel::Packets => Digest::of(&p[..]),
-                    });
+                    std::hint::black_box(reference_digest(&sw.program, &sw.hardware_id, level));
                 }
             }
         }

@@ -128,33 +128,37 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn first_positional(args: &[String]) -> Result<&str, String> {
-    args.iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .ok_or_else(|| "missing input".to_string())
-}
+/// The flags that take no value; every other `--flag` consumes the
+/// argument after it.
+const BARE_FLAGS: [&str; 6] = [
+    "--check",
+    "--oob",
+    "--pointwise",
+    "--corrupt",
+    "--rogue",
+    "--no-keep-alive",
+];
 
-/// First positional argument, skipping the values of `valued` flags so
-/// `--addr 127.0.0.1:7421 health` resolves to `health`.
-fn positional_after_flags<'a>(args: &'a [String], valued: &[&str]) -> Result<&'a str, String> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a.starts_with("--") {
-            if valued.contains(&a) {
-                i += 1;
-            }
-        } else {
-            return Ok(a);
+/// The positional arguments, in order: everything that is neither a
+/// flag nor a valued flag's value, wherever the flags stand, so
+/// `--control us '<request>'` and `--addr H:P health` find the request
+/// and the action.
+fn positionals(args: &[String]) -> impl Iterator<Item = &str> {
+    let mut skip_value = false;
+    args.iter().map(String::as_str).filter(move |a| {
+        if std::mem::take(&mut skip_value) {
+            return false;
         }
-        i += 1;
-    }
-    Err("missing action".to_string())
+        if a.starts_with("--") {
+            skip_value = !BARE_FLAGS.contains(a);
+            return false;
+        }
+        true
+    })
 }
 
 fn cmd_parse(args: &[String]) -> Result<(), String> {
-    let src = first_positional(args)?;
+    let src = positionals(args).next().ok_or("missing input")?;
     let req = parse_request(src).map_err(|e| e.to_string())?;
     println!("parsed:   {}", pretty_request(&req));
     println!("rp:       {}", req.rp);
@@ -169,7 +173,7 @@ fn cmd_parse(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let src = first_positional(args)?;
+    let src = positionals(args).next().ok_or("missing input")?;
     let control = flag_value(args, "--control").unwrap_or("us");
     let goal = flag_value(args, "--goal").unwrap_or("exts");
     let req = parse_request(src).map_err(|e| e.to_string())?;
@@ -192,7 +196,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_hybrid(args: &[String]) -> Result<(), String> {
-    let src = first_positional(args)?;
+    let src = positionals(args).next().ok_or("missing input")?;
     let p = parse_hybrid(src).map_err(|e| e.to_string())?;
     println!("rp:         {}", p.rp);
     println!("params:     {:?}", p.params);
@@ -244,7 +248,7 @@ fn parse_params(args: &[String]) -> Vec<(String, String)> {
 }
 
 fn do_resolve(args: &[String]) -> Result<pda_hybrid::Resolved, String> {
-    let src = first_positional(args)?;
+    let src = positionals(args).next().ok_or("missing input")?;
     let policy = parse_hybrid(src).map_err(|e| e.to_string())?;
     let path = parse_path(flag_value(args, "--path").unwrap_or(""))?;
     let params = parse_params(args);
@@ -294,7 +298,7 @@ fn cmd_wire(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_decode(args: &[String]) -> Result<(), String> {
-    let hex_in = first_positional(args)?;
+    let hex_in = positionals(args).next().ok_or("missing input")?;
     let bytes = pda_crypto::hex_decode(hex_in.trim())
         .ok_or("not hex: want an even number of hex digits")?;
     let p = wire::decode(&bytes).map_err(|e| e.to_string())?;
@@ -392,7 +396,7 @@ fn cmd_netkat(args: &[String]) -> Result<(), String> {
 
 /// Legacy form: `pda netkat '<policy>' [--equiv '<policy>']`.
 fn cmd_netkat_legacy(args: &[String]) -> Result<(), String> {
-    let src = first_positional(args)?;
+    let src = positionals(args).next().ok_or("missing input")?;
     let p = pda_netkat::parse_policy(src).map_err(|e| e.to_string())?;
     println!("parsed: {p}");
     println!("size:   {} nodes, dup: {}", p.size(), p.has_dup());
@@ -416,24 +420,6 @@ fn netkat_backend(args: &[String]) -> Result<pda_netkat::Backend, String> {
         "enum" => Ok(pda_netkat::Backend::Enumerative),
         other => Err(format!("unknown --backend `{other}` (want sym | enum)")),
     }
-}
-
-/// Positional (non-flag) arguments; `--check` is a bare flag, every other
-/// `--flag` consumes the following value.
-fn netkat_positionals(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--check" {
-            i += 1;
-        } else if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            out.push(args[i].as_str());
-            i += 1;
-        }
-    }
-    out
 }
 
 fn cmd_netkat_equiv(args: &[String]) -> Result<(), String> {
@@ -462,7 +448,7 @@ fn cmd_netkat_equiv(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     }
-    let pos = netkat_positionals(args);
+    let pos: Vec<_> = positionals(args).collect();
     let [p_src, q_src] = pos[..] else {
         return Err("netkat equiv wants two policies (or --check)".into());
     };
@@ -507,7 +493,8 @@ fn parse_packet_spec(spec: &str) -> Result<pda_netkat::Packet, String> {
 
 fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
     let backend = netkat_backend(args)?;
-    let step = pda_netkat::parse_policy(first_positional(args)?).map_err(|e| e.to_string())?;
+    let step = pda_netkat::parse_policy(positionals(args).next().ok_or("missing input")?)
+        .map_err(|e| e.to_string())?;
     if step.has_dup() {
         return Err("reachability works on the dup-free fragment".into());
     }
@@ -541,7 +528,8 @@ fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
 fn cmd_netkat_slice(args: &[String]) -> Result<(), String> {
     use pda_netkat::{Field, Policy, Pred};
     let backend = netkat_backend(args)?;
-    let p = pda_netkat::parse_policy(first_positional(args)?).map_err(|e| e.to_string())?;
+    let p = pda_netkat::parse_policy(positionals(args).next().ok_or("missing input")?)
+        .map_err(|e| e.to_string())?;
     let sw: u32 = flag_value(args, "--switch")
         .ok_or("netkat slice wants --switch N")?
         .parse()
@@ -577,7 +565,7 @@ fn cmd_netkat_slice(args: &[String]) -> Result<(), String> {
 
 fn cmd_lint(args: &[String]) -> Result<(), String> {
     use pda_analyze::{analyze_default, corpus, Severity};
-    let target = first_positional(args)?;
+    let target = positionals(args).next().ok_or("missing input")?;
     let format = flag_value(args, "--format").unwrap_or("human");
     if !matches!(format, "human" | "json") {
         return Err(format!("unknown --format `{format}` (want human | json)"));
@@ -794,20 +782,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --addr (want host:port)".to_string())?;
     let client = SvcClient::new(addr).with_keep_alive(!has_flag(args, "--no-keep-alive"));
-    let action = positional_after_flags(
-        args,
-        &[
-            "--addr",
-            "--nonce",
-            "--hops",
-            "--packets",
-            "--expect",
-            "--subject",
-            "--limit",
-            "--epochs",
-            "--rogue-every",
-        ],
-    )?;
+    let action = positionals(args).next().ok_or("missing action")?;
     let nonce: u64 = flag_value(args, "--nonce")
         .unwrap_or("1")
         .parse()
@@ -887,7 +862,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
 
 /// Render a flight-recorder JSONL dump as per-trace span trees.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let path = first_positional(args)?;
+    let path = positionals(args).next().ok_or("missing input")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let filter = flag_value(args, "--trace")
         .map(|s| {

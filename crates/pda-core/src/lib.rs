@@ -17,9 +17,10 @@
 //! | [`pda_pera`] | PERA: PISA extended with RA (Figs. 2-4) |
 //! | [`pda_netsim`] | deterministic discrete-event network simulator |
 //!
-//! This crate adds the relying-party-side glue: golden-value chain
-//! appraisal ([`golden`]) and executable versions of the paper's five
-//! use cases ([`usecases`]).
+//! This crate adds executable versions of the paper's five use cases
+//! ([`usecases`]) and the `pda` CLI. Golden-value chain appraisal lives
+//! in [`pda_pera::golden`], simulator enrollment in
+//! [`pda_netsim::enroll_golden`]; the prelude re-exports both.
 //!
 //! ## Quickstart
 //!
@@ -44,23 +45,16 @@
 
 pub mod usecases;
 
-// Golden-value chain appraisal moved down into `pda-pera` so the
-// long-running appraisal service (`pda-svc`) can use it without
-// depending on this facade crate; these re-exports keep the historical
-// `pda_core::golden::*` paths working.
-pub use pda_pera::golden;
-pub use pda_pera::golden::{appraise_chain, ChainAppraisalFailure, GoldenStore};
 pub use usecases::{
     enroll_golden, uc1_configuration_assurance, uc2_path_authentication, uc5_cross_attestation,
-    AuditCommitment, AuditTrail, CrossAttestation, EvidenceGate, PathAuthScore,
+    AuditCommitment, AuditTrail, CrossAttestation, PathAuthScore,
 };
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use crate::golden::{appraise_chain, ChainAppraisalFailure, GoldenStore};
     pub use crate::usecases::{
         enroll_golden, uc1_configuration_assurance, uc2_path_authentication, uc5_cross_attestation,
-        AuditTrail, CrossAttestation, EvidenceGate,
+        AuditTrail, CrossAttestation,
     };
     pub use pda_copland::adversary::{analyze, AdversaryModel, Verdict};
     pub use pda_copland::parser::parse_request;
@@ -72,7 +66,8 @@ pub mod prelude {
     pub use pda_hybrid::resolve::{resolve, Composition, NodeInfo};
     pub use pda_netsim::{linear_path, EvidenceMode, SimPacket, Simulator};
     pub use pda_pera::config::{DetailLevel, EvidenceComposition, PeraConfig, Sampling};
-    pub use pda_pera::evidence::verify_chain;
+    pub use pda_pera::evidence::{verify_chain, ChainFailure};
+    pub use pda_pera::golden::{appraise_chain, GoldenStore};
     pub use pda_pera::switch::PeraSwitch;
     pub use pda_ra::protocol::run_request;
     pub use pda_ra::runtime::{Environment, PlaceRuntime};

@@ -4,13 +4,15 @@
 //! and returns a structured outcome the examples, tests, and benches
 //! assert on.
 
-use crate::golden::{appraise_chain, ChainAppraisalFailure, GoldenStore};
 use pda_crypto::digest::Digest;
 use pda_crypto::keyreg::KeyRegistry;
 use pda_crypto::merkle::{merkle_proof_verify, MerkleProof, MerkleTree};
 use pda_crypto::nonce::Nonce;
-use pda_pera::config::DetailLevel;
-use pda_pera::evidence::EvidenceRecord;
+use pda_pera::evidence::{ChainFailure, EvidenceRecord};
+use pda_pera::golden::{appraise_chain, GoldenStore};
+
+/// Golden store construction: the simulator's enrollment loop.
+pub use pda_netsim::enroll_golden;
 
 /// UC1 — Configuration Assurance: does the evidence chain show every
 /// hop running its vetted program?
@@ -23,7 +25,7 @@ pub fn uc1_configuration_assurance(
     registry: &KeyRegistry,
     golden: &GoldenStore,
     nonce: Nonce,
-) -> Result<usize, Vec<ChainAppraisalFailure>> {
+) -> Result<usize, Vec<ChainFailure>> {
     appraise_chain(chain, registry, golden, nonce, true)?;
     Ok(chain.len())
 }
@@ -75,47 +77,6 @@ pub fn uc2_path_authentication(
             matched as f64 / enrolled.len() as f64
         },
         chain_valid,
-    }
-}
-
-/// UC3 — Path evidence as an authorization tag: the DDoS-mitigation
-/// gate. "While under attack, a network could drop traffic for which it
-/// lacks path-based evidence."
-pub struct EvidenceGate {
-    /// Only admit traffic whose chain passes golden appraisal.
-    pub golden: GoldenStore,
-    /// Verification keys.
-    pub registry: KeyRegistry,
-    /// Admitted / rejected counters.
-    pub admitted: u64,
-    /// Rejected packet count.
-    pub rejected: u64,
-}
-
-impl EvidenceGate {
-    /// New gate.
-    pub fn new(golden: GoldenStore, registry: KeyRegistry) -> EvidenceGate {
-        EvidenceGate {
-            golden,
-            registry,
-            admitted: 0,
-            rejected: 0,
-        }
-    }
-
-    /// Admit or drop one packet's evidence. `None` chain = no evidence.
-    pub fn admit(&mut self, chain: Option<&[EvidenceRecord]>, nonce: Nonce) -> bool {
-        let ok = match chain {
-            None => false,
-            Some([]) => false,
-            Some(c) => appraise_chain(c, &self.registry, &self.golden, nonce, true).is_ok(),
-        };
-        if ok {
-            self.admitted += 1;
-        } else {
-            self.rejected += 1;
-        }
-        ok
     }
 }
 
@@ -226,34 +187,11 @@ pub fn uc5_cross_attestation(
     }
 }
 
-/// Golden store construction helper: enroll every PERA switch of a
-/// simulator at the given detail levels, reading current (trusted-setup)
-/// values.
-pub fn enroll_golden(sim: &pda_netsim::Simulator, levels: &[DetailLevel]) -> GoldenStore {
-    let mut golden = GoldenStore::new();
-    for node in &sim.topo.nodes {
-        if let pda_netsim::DeviceKind::Pera(sw) = &node.kind {
-            for &level in levels {
-                let d = match level {
-                    DetailLevel::Hardware => Digest::of_parts(&[b"hw:", sw.hardware_id.as_bytes()]),
-                    DetailLevel::Program => sw.program.digest(),
-                    DetailLevel::Tables => sw.program.tables_digest(),
-                    DetailLevel::LintVerdict => {
-                        pda_analyze::analyze_default(&sw.program).verdict_digest()
-                    }
-                    DetailLevel::ProgState | DetailLevel::Packets => continue,
-                };
-                golden.expect(&node.name, level, d);
-            }
-        }
-    }
-    golden
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pda_crypto::sig::{SigScheme, Signer};
+    use pda_pera::config::DetailLevel;
 
     fn mk_chain(names: &[&str], nonce: Nonce) -> (Vec<EvidenceRecord>, KeyRegistry, GoldenStore) {
         let mut reg = KeyRegistry::new();
@@ -322,13 +260,25 @@ mod tests {
     #[test]
     fn uc3_gate_admits_evidence_rejects_bare_traffic() {
         let (chain, reg, golden) = mk_chain(&["sw1", "sw2"], Nonce(1));
-        let mut gate = EvidenceGate::new(golden, reg);
-        assert!(gate.admit(Some(&chain), Nonce(1)));
-        assert!(!gate.admit(None, Nonce(1)));
-        assert!(!gate.admit(Some(&[]), Nonce(1)));
+        // The UC3 gate is `appraise_chain` over the evidence a packet
+        // carries; bare traffic has none and is dropped unappraised.
+        let (mut admitted, mut rejected) = (0, 0);
+        let mut admit = |evidence: Option<&[EvidenceRecord]>, nonce| {
+            let ok = matches!(evidence, Some(c) if !c.is_empty()
+                && appraise_chain(c, &reg, &golden, nonce, true).is_ok());
+            if ok {
+                admitted += 1;
+            } else {
+                rejected += 1;
+            }
+            ok
+        };
+        assert!(admit(Some(&chain), Nonce(1)));
+        assert!(!admit(None, Nonce(1)));
+        assert!(!admit(Some(&[]), Nonce(1)));
         // Replay under a different nonce rejected:
-        assert!(!gate.admit(Some(&chain), Nonce(2)));
-        assert_eq!((gate.admitted, gate.rejected), (1, 3));
+        assert!(!admit(Some(&chain), Nonce(2)));
+        assert_eq!((admitted, rejected), (1, 3));
     }
 
     #[test]

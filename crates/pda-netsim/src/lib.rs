@@ -31,5 +31,5 @@ pub use faults::{
 };
 pub use packet::{AttestState, EvidenceMode, SimPacket};
 pub use scenarios::{linear_path, linear_path_bw, test_packet, LinearPath};
-pub use sim::{Delivery, SimStats, Simulator, CONTROL_LATENCY, MAX_HOPS};
+pub use sim::{enroll_golden, Delivery, SimStats, Simulator, CONTROL_LATENCY, MAX_HOPS};
 pub use topology::{DeviceKind, Node, NodeId, SimTime, Topology};

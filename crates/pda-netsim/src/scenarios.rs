@@ -171,6 +171,30 @@ mod tests {
         );
     }
 
+    /// What a switch attests and what enrollment expects come from one
+    /// digest rule: a clean path attesting every static level appraises
+    /// with zero failures against the store enrolled from it.
+    #[test]
+    fn attested_static_levels_match_enrollment() {
+        use crate::sim::enroll_golden;
+        use pda_pera::config::DetailLevel::{Hardware, LintVerdict, Program, Tables};
+        use pda_pera::golden::appraise_chain;
+        let levels = [Hardware, Program, Tables, LintVerdict];
+        let config = PeraConfig::default()
+            .with_details(&levels)
+            .with_sampling(Sampling::PerPacket);
+        let mut lp = linear_path(3, &config, &[]);
+        let golden = enroll_golden(&lp.sim, &levels);
+        lp.send_attested(Nonce(4), EvidenceMode::InBand, b"hello!!!");
+        let chain = &lp.server_chains()[0].chain;
+        assert_eq!(chain.len(), 3);
+        assert!(chain.iter().all(|r| r.details.len() == levels.len()));
+        assert_eq!(
+            appraise_chain(chain, &lp.sim.registry, &golden, Nonce(4), true),
+            Ok(())
+        );
+    }
+
     #[test]
     fn plain_traffic_flows_without_evidence() {
         let mut lp = linear_path(2, &PeraConfig::default(), &[]);

@@ -9,7 +9,9 @@ use crate::faults::{FaultPlan, FaultPlane, TxFate};
 use crate::packet::{EvidenceMode, SimPacket};
 use crate::topology::{DeviceKind, NodeId, SimTime, Topology};
 use pda_crypto::keyreg::{KeyRegistry, PrincipalId};
+use pda_pera::config::DetailLevel;
 use pda_pera::evidence::EvidenceRecord;
+use pda_pera::golden::GoldenStore;
 use pda_pera::verify_unit::{AdmissionPolicy, VerifyUnit};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -462,6 +464,19 @@ impl Simulator {
     pub fn evidence_at(&self, node: NodeId) -> &[EvidenceRecord] {
         self.collected.get(&node).map(Vec::as_slice).unwrap_or(&[])
     }
+}
+
+/// Enroll golden values for every PERA switch of `sim` at `levels`:
+/// trusted setup reading each switch's current values
+/// ([`GoldenStore::enroll`]).
+pub fn enroll_golden(sim: &Simulator, levels: &[DetailLevel]) -> GoldenStore {
+    let mut golden = GoldenStore::new();
+    for node in &sim.topo.nodes {
+        if let DeviceKind::Pera(sw) = &node.kind {
+            golden.enroll(sw, levels);
+        }
+    }
+    golden
 }
 
 #[cfg(test)]

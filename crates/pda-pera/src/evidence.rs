@@ -303,7 +303,8 @@ impl fmt::Display for EvidenceRecord {
     }
 }
 
-/// Why a chain failed verification.
+/// Why a chain failed verification ([`verify_chain`]) or golden-value
+/// appraisal ([`crate::golden::appraise_chain`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChainFailure {
     /// A record's chain value doesn't match its own contents.
@@ -328,6 +329,26 @@ pub enum ChainFailure {
         /// Index in the chain.
         index: usize,
     },
+    /// A switch attested a digest different from its golden value —
+    /// the UC1 "wrong dataplane program" detection
+    /// ([`crate::golden::appraise_chain`]).
+    ValueMismatch {
+        /// The switch.
+        switch: String,
+        /// Which detail level disagreed.
+        level: DetailLevel,
+        /// What it attested.
+        observed: Digest,
+        /// What the operator expected.
+        expected: Digest,
+    },
+    /// A switch on the path has no golden value at a level it attested.
+    NoExpectation {
+        /// The switch.
+        switch: String,
+        /// The unset level.
+        level: DetailLevel,
+    },
 }
 
 impl fmt::Display for ChainFailure {
@@ -343,6 +364,20 @@ impl fmt::Display for ChainFailure {
                 write!(f, "record {index}: bad signature from {switch}")
             }
             ChainFailure::WrongNonce { index } => write!(f, "record {index}: wrong nonce"),
+            ChainFailure::ValueMismatch {
+                switch,
+                level,
+                observed,
+                expected,
+            } => write!(
+                f,
+                "{switch}: attested {level} {} but golden is {}",
+                observed.short(),
+                expected.short()
+            ),
+            ChainFailure::NoExpectation { switch, level } => {
+                write!(f, "{switch}: no golden value for {level}")
+            }
         }
     }
 }

@@ -1,20 +1,42 @@
-//! Golden-value appraisal of hop-evidence chains: the relying-party
-//! side checks that verify not just *who* signed, but *what* they
-//! attested — detecting the UC1 program swap.
+//! Reference ("golden") values and appraisal of hop-evidence chains
+//! against them: the relying-party side checks not just *who* signed,
+//! but *what* they attested — detecting the UC1 program swap. The switch
+//! measures and [`GoldenStore::enroll`] enrolls through one digest rule,
+//! [`reference_digest`], so the two cannot drift apart.
 
 use crate::config::DetailLevel;
 use crate::evidence::{verify_chain, ChainFailure, EvidenceRecord};
+use crate::switch::PeraSwitch;
 use pda_crypto::digest::Digest;
 use pda_crypto::keyreg::KeyRegistry;
 use pda_crypto::nonce::Nonce;
+use pda_dataplane::pipeline::DataplaneProgram;
 use std::collections::HashMap;
-use std::fmt;
+
+/// The digest a switch running `program` on hardware `hardware_id`
+/// attests at a static detail level (Hardware, Program, Tables,
+/// LintVerdict). `None` for ProgState and Packets, which change per
+/// packet and so have no reference value.
+pub fn reference_digest(
+    program: &DataplaneProgram,
+    hardware_id: &str,
+    level: DetailLevel,
+) -> Option<Digest> {
+    Some(match level {
+        DetailLevel::Hardware => Digest::of_parts(&[b"hw:", hardware_id.as_bytes()]),
+        DetailLevel::Program => program.digest(),
+        DetailLevel::Tables => program.tables_digest(),
+        DetailLevel::LintVerdict => pda_analyze::analyze_default(program).verdict_digest(),
+        DetailLevel::ProgState | DetailLevel::Packets => return None,
+    })
+}
 
 /// Expected attestation values per switch.
 #[derive(Clone, Debug, Default)]
 pub struct GoldenStore {
-    /// (switch, detail) → expected digest.
-    expected: HashMap<(String, DetailLevel), Digest>,
+    /// Switch → one expected-digest slot per detail level, indexed by
+    /// its position on the detail axis.
+    expected: HashMap<String, [Option<Digest>; DetailLevel::ALL.len()]>,
 }
 
 impl GoldenStore {
@@ -25,60 +47,24 @@ impl GoldenStore {
 
     /// Record the expected digest for a switch's detail level.
     pub fn expect(&mut self, switch: &str, level: DetailLevel, digest: Digest) {
-        self.expected.insert((switch.to_string(), level), digest);
+        self.expected.entry(switch.to_string()).or_default()[level as usize] = Some(digest);
+    }
+
+    /// Enroll `switch`, under its own name, at each of `levels`: trusted
+    /// setup reading its current values through [`reference_digest`].
+    /// Levels without a reference value are skipped, and the analyzer
+    /// runs only when `levels` holds LintVerdict.
+    pub fn enroll(&mut self, switch: &PeraSwitch, levels: &[DetailLevel]) {
+        for &level in levels {
+            if let Some(d) = reference_digest(&switch.program, &switch.hardware_id, level) {
+                self.expect(&switch.name, level, d);
+            }
+        }
     }
 
     /// Look up an expectation.
     pub fn expected(&self, switch: &str, level: DetailLevel) -> Option<Digest> {
-        self.expected.get(&(switch.to_string(), level)).copied()
-    }
-}
-
-/// Chain appraisal failures (superset of [`ChainFailure`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChainAppraisalFailure {
-    /// Cryptographic chain failure.
-    Chain(ChainFailure),
-    /// A switch attested a digest different from the golden value — the
-    /// UC1 "wrong dataplane program" detection.
-    ValueMismatch {
-        /// The switch.
-        switch: String,
-        /// Which detail level disagreed.
-        level: DetailLevel,
-        /// What it attested.
-        observed: Digest,
-        /// What the operator expected.
-        expected: Digest,
-    },
-    /// A switch on the path has no golden record at a required level.
-    NoExpectation {
-        /// The switch.
-        switch: String,
-        /// The unset level.
-        level: DetailLevel,
-    },
-}
-
-impl fmt::Display for ChainAppraisalFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChainAppraisalFailure::Chain(c) => write!(f, "{c}"),
-            ChainAppraisalFailure::ValueMismatch {
-                switch,
-                level,
-                observed,
-                expected,
-            } => write!(
-                f,
-                "{switch}: attested {level} {} but golden is {}",
-                observed.short(),
-                expected.short()
-            ),
-            ChainAppraisalFailure::NoExpectation { switch, level } => {
-                write!(f, "{switch}: no golden value for {level}")
-            }
-        }
+        self.expected.get(switch)?[level as usize]
     }
 }
 
@@ -91,35 +77,34 @@ pub fn appraise_chain(
     golden: &GoldenStore,
     nonce: Nonce,
     chained: bool,
-) -> Result<(), Vec<ChainAppraisalFailure>> {
-    let mut failures: Vec<ChainAppraisalFailure> = Vec::new();
-    if let Err(errs) = verify_chain(records, registry, nonce, chained) {
-        failures.extend(errs.into_iter().map(ChainAppraisalFailure::Chain));
-    }
+) -> Result<(), Vec<ChainFailure>> {
+    let mut failures = verify_chain(records, registry, nonce, chained)
+        .err()
+        .unwrap_or_default();
     for r in records {
-        for (level, observed) in &r.details {
-            match golden.expected(&r.switch, *level) {
-                None if *level == DetailLevel::Packets || *level == DetailLevel::ProgState => {
-                    // Zero/low-inertia values have no stable golden form;
-                    // their presence in the signed chain is the guarantee.
-                }
-                None if *level == DetailLevel::LintVerdict => {
-                    // A lint verdict needs no enrolled golden value to be
-                    // useful: `pda_ra::semantic::RequireLintClean` can
-                    // re-derive and judge it from the claimed program.
-                    // When the operator *does* enroll one (the verdict
-                    // digest of the blessed program), it is compared like
-                    // any other level below.
-                }
-                None => failures.push(ChainAppraisalFailure::NoExpectation {
+        let slots = golden.expected.get(r.switch.as_str());
+        for &(level, observed) in &r.details {
+            match slots.and_then(|s| s[level as usize]) {
+                // ProgState and Packets have no stable golden form; their
+                // presence in the signed chain is the guarantee. A lint
+                // verdict needs no enrolled value to be useful:
+                // `pda_ra::semantic::RequireLintClean` can re-derive and
+                // judge it from the claimed program. When the operator
+                // *does* enroll one (the verdict digest of the blessed
+                // program), it is compared like any other level.
+                None if matches!(
+                    level,
+                    DetailLevel::ProgState | DetailLevel::Packets | DetailLevel::LintVerdict
+                ) => {}
+                None => failures.push(ChainFailure::NoExpectation {
                     switch: r.switch.clone(),
-                    level: *level,
+                    level,
                 }),
-                Some(expected) if expected != *observed => {
-                    failures.push(ChainAppraisalFailure::ValueMismatch {
+                Some(expected) if expected != observed => {
+                    failures.push(ChainFailure::ValueMismatch {
                         switch: r.switch.clone(),
-                        level: *level,
-                        observed: *observed,
+                        level,
+                        observed,
                         expected,
                     })
                 }
@@ -179,7 +164,7 @@ mod tests {
         let errs = appraise_chain(&[r], &reg, &golden, Nonce(1), true).unwrap_err();
         assert!(errs
             .iter()
-            .any(|e| matches!(e, ChainAppraisalFailure::ValueMismatch { .. })));
+            .any(|e| matches!(e, ChainFailure::ValueMismatch { .. })));
     }
 
     #[test]
@@ -189,7 +174,7 @@ mod tests {
         let errs = appraise_chain(&[r], &reg, &GoldenStore::new(), Nonce(1), true).unwrap_err();
         assert!(errs
             .iter()
-            .any(|e| matches!(e, ChainAppraisalFailure::NoExpectation { .. })));
+            .any(|e| matches!(e, ChainFailure::NoExpectation { .. })));
     }
 
     #[test]
@@ -222,7 +207,7 @@ mod tests {
         let errs = appraise_chain(&[r], &reg, &golden, Nonce(1), true).unwrap_err();
         assert!(errs.iter().any(|e| matches!(
             e,
-            ChainAppraisalFailure::ValueMismatch {
+            ChainFailure::ValueMismatch {
                 level: DetailLevel::LintVerdict,
                 ..
             }
@@ -237,9 +222,8 @@ mod tests {
         golden.expect("sw1", DetailLevel::Program, d);
         let reg = registry_for(&["sw1"]);
         let errs = appraise_chain(&[r], &reg, &golden, Nonce(1), true).unwrap_err();
-        assert!(errs.iter().any(|e| matches!(
-            e,
-            ChainAppraisalFailure::Chain(ChainFailure::BrokenLink { .. })
-        )));
+        assert!(errs
+            .iter()
+            .any(|e| matches!(e, ChainFailure::BrokenLink { .. })));
     }
 }

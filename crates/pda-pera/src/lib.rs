@@ -15,7 +15,9 @@
 //!   invalidated by program reloads, table updates, and register writes.
 //!
 //! Verification of hop-evidence chains (linkage, signatures, nonce,
-//! tamper detection) is in [`evidence::verify_chain`].
+//! tamper detection) is in [`evidence::verify_chain`]; reference
+//! values — the digest rule, enrollment, and appraisal against them —
+//! are in [`golden`].
 
 pub mod cache;
 pub mod config;
@@ -27,7 +29,7 @@ pub mod verify_unit;
 pub use cache::{CacheStats, EvidenceCache};
 pub use config::{DetailLevel, EvidenceComposition, PeraConfig, Sampling};
 pub use evidence::{assemble_chain, verify_chain, ChainFailure, EvidenceRecord, PendingRecord};
-pub use golden::{appraise_chain, ChainAppraisalFailure, GoldenStore};
+pub use golden::{appraise_chain, reference_digest, GoldenStore};
 pub use switch::{PeraBatchOutput, PeraOutput, PeraStats, PeraSwitch};
 pub use verify_unit::{
     AdmissionPolicy, FailMode, Verdict as AdmissionVerdict, VerifyStats, VerifyUnit,

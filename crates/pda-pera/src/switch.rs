@@ -5,6 +5,7 @@
 use crate::cache::{CacheStats, EvidenceCache};
 use crate::config::{DetailLevel, EvidenceComposition, PeraConfig, Sampling};
 use crate::evidence::{EvidenceRecord, PendingRecord};
+use crate::golden::reference_digest;
 use pda_crypto::digest::Digest;
 use pda_crypto::nonce::Nonce;
 use pda_crypto::sig::{SigScheme, Signature, Signer, VerifyKey};
@@ -557,10 +558,11 @@ fn flow_key(phv: &Phv) -> FlowKey {
 /// regression tests rely on this to detect any future reintroduction of
 /// eager measurement ahead of the cache lookup.
 ///
-/// `lint_out` receives the full analysis report when (and only when)
-/// the `LintVerdict` level is measured, so `measure_details` can surface
-/// the findings through the books and the audit log without re-running
-/// the analyzer.
+/// Static levels go through [`reference_digest`], the rule enrollment
+/// reads. `lint_out` receives the full analysis report when (and only
+/// when) the `LintVerdict` level is measured, so `measure_details` can
+/// surface the findings through the books and the audit log without
+/// re-running the analyzer.
 fn measure_level(
     program: &DataplaneProgram,
     regs: &Registers,
@@ -571,18 +573,16 @@ fn measure_level(
     lint_out: &mut Option<pda_analyze::AnalysisReport>,
 ) -> Digest {
     *measurements += 1;
-    match level {
-        DetailLevel::Hardware => Digest::of_parts(&[b"hw:", hardware_id.as_bytes()]),
-        DetailLevel::Program => program.digest(),
-        DetailLevel::Tables => program.tables_digest(),
-        DetailLevel::LintVerdict => {
-            let report = pda_analyze::analyze_default(program);
-            let d = report.verdict_digest();
-            *lint_out = Some(report);
-            d
-        }
-        DetailLevel::ProgState => Digest::of(&regs.canonical_bytes()),
-        DetailLevel::Packets => Digest::of(packet),
+    if level == DetailLevel::LintVerdict {
+        let report = pda_analyze::analyze_default(program);
+        let d = report.verdict_digest();
+        *lint_out = Some(report);
+        return d;
+    }
+    match reference_digest(program, hardware_id, level) {
+        Some(d) => d,
+        None if level == DetailLevel::ProgState => Digest::of(&regs.canonical_bytes()),
+        None => Digest::of(packet),
     }
 }
 

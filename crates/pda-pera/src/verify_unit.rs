@@ -16,11 +16,10 @@
 
 use crate::config::DetailLevel;
 use crate::evidence::{verify_chain, EvidenceRecord};
-use pda_crypto::digest::Digest;
+use crate::golden::GoldenStore;
 use pda_crypto::keyreg::KeyRegistry;
 use pda_crypto::nonce::Nonce;
 use pda_telemetry::{AuditEvent, Telemetry};
-use std::collections::HashMap;
 use std::fmt;
 
 /// How the gate treats evidence that is *absent* — plausibly lost in
@@ -50,9 +49,9 @@ pub struct AdmissionPolicy {
     pub min_hops: usize,
     /// Detail levels every record must carry.
     pub required_details: Vec<DetailLevel>,
-    /// Golden values to pin (switch name → expected program digest);
-    /// empty map = signatures and linkage only.
-    pub expected_programs: HashMap<String, Digest>,
+    /// Program digests to pin, read at the Program level only; an
+    /// empty store = signatures and linkage only.
+    pub expected_programs: GoldenStore,
     /// Switch names that must appear somewhere in the chain (the UC3
     /// "crossed a specific series of appliances" test; empty = any).
     pub required_waypoints: Vec<String>,
@@ -65,7 +64,7 @@ impl Default for AdmissionPolicy {
         AdmissionPolicy {
             min_hops: 1,
             required_details: vec![DetailLevel::Program],
-            expected_programs: HashMap::new(),
+            expected_programs: GoldenStore::new(),
             required_waypoints: Vec::new(),
             fail_mode: FailMode::FailClosed,
         }
@@ -126,7 +125,8 @@ impl Verdict {
     }
 }
 
-/// Verify-unit statistics.
+/// Verify-unit statistics: the unit's only books. The
+/// `pera.enforce.*` registry counters are published from them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyStats {
     /// Packets whose chains were checked.
@@ -139,6 +139,17 @@ pub struct VerifyStats {
     /// open on loss-consistent missing evidence.
     pub fail_open_admits: u64,
 }
+
+/// Reads one field of the books.
+type StatsField = fn(&VerifyStats) -> u64;
+
+/// Each `pera.enforce.*` registry counter and the [`VerifyStats`]
+/// field it publishes.
+const PUBLISHED: [(&str, StatsField); 3] = [
+    ("pera.enforce.admitted", |s| s.admitted),
+    ("pera.enforce.rejected", |s| s.rejected),
+    ("pera.enforce.fail_open", |s| s.fail_open_admits),
+];
 
 /// The in-switch verify unit.
 #[derive(Clone, Default)]
@@ -176,8 +187,8 @@ impl VerifyUnit {
         }
     }
 
-    /// Attach a telemetry handle: every verdict then bumps
-    /// `pera.enforce.admitted`/`pera.enforce.rejected` and appends an
+    /// Attach a telemetry handle: every verdict then publishes the
+    /// [`VerifyStats`] it moved to `pera.enforce.*` and appends an
     /// [`AuditEvent::Enforcement`] record naming this unit.
     pub fn set_telemetry(&mut self, tel: Telemetry, name: impl Into<String>) {
         self.telemetry = tel;
@@ -197,28 +208,21 @@ impl VerifyUnit {
     /// [`VerifyStats::fail_open_admits`]); cryptographically invalid
     /// evidence is rejected in either mode.
     pub fn check(&mut self, chain: Option<&[EvidenceRecord]>, nonce: Option<Nonce>) -> Verdict {
-        self.stats.checked += 1;
         let raw = self.evaluate(chain, nonce);
         let fail_open_admit =
             !raw.admits() && raw.loss_consistent() && self.policy.fail_mode == FailMode::FailOpen;
         let verdict = if fail_open_admit { Verdict::Admit } else { raw };
-        if verdict.admits() {
-            self.stats.admitted += 1;
-            if fail_open_admit {
-                self.stats.fail_open_admits += 1;
-            }
-        } else {
-            self.stats.rejected += 1;
-        }
+        let before = self.stats;
+        self.stats.checked += 1;
+        self.stats.admitted += u64::from(verdict.admits());
+        self.stats.rejected += u64::from(!verdict.admits());
+        self.stats.fail_open_admits += u64::from(fail_open_admit);
         if let Some(reg) = self.telemetry.registry() {
-            reg.counter(if verdict.admits() {
-                "pera.enforce.admitted"
-            } else {
-                "pera.enforce.rejected"
-            })
-            .inc();
-            if fail_open_admit {
-                reg.counter("pera.enforce.fail_open").inc();
+            for (name, read) in PUBLISHED {
+                let gained = read(&self.stats) - read(&before);
+                if gained > 0 {
+                    reg.counter(name).add(gained);
+                }
             }
         }
         self.telemetry.audit_with(|| AuditEvent::Enforcement {
@@ -261,12 +265,14 @@ impl VerifyUnit {
                     return Verdict::MissingDetail(level);
                 }
             }
-            if let Some(expected) = self.policy.expected_programs.get(&record.switch) {
-                if record.detail(DetailLevel::Program) != Some(*expected) {
-                    return Verdict::WrongProgram {
-                        switch: record.switch.clone(),
-                    };
-                }
+            let pinned = self
+                .policy
+                .expected_programs
+                .expected(&record.switch, DetailLevel::Program);
+            if pinned.is_some() && record.detail(DetailLevel::Program) != pinned {
+                return Verdict::WrongProgram {
+                    switch: record.switch.clone(),
+                };
             }
         }
         for wp in &self.policy.required_waypoints {
@@ -281,6 +287,7 @@ impl VerifyUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pda_crypto::digest::Digest;
     use pda_crypto::keyreg::PrincipalId;
     use pda_crypto::sig::{SigScheme, Signer};
 
@@ -451,6 +458,25 @@ mod tests {
                 ("edge".into(), false, Some("NoEvidence".into())),
             ]
         );
+
+        // Under FailOpen, loss-consistent admits are published too: two
+        // short-evidence admits, one replay dropped.
+        let tel = Telemetry::collecting();
+        unit.policy.min_hops = 3;
+        unit.policy.fail_mode = FailMode::FailOpen;
+        unit.set_telemetry(tel.clone(), "edge");
+        unit.check(Some(&chain), Some(Nonce(1)));
+        unit.check(None, None);
+        unit.policy.min_hops = 2;
+        unit.check(Some(&chain), Some(Nonce(2)));
+        let reg = tel.registry().unwrap();
+        assert_eq!(unit.stats.fail_open_admits, 2);
+        assert_eq!(
+            reg.counter("pera.enforce.fail_open").get(),
+            unit.stats.fail_open_admits
+        );
+        assert_eq!(reg.counter("pera.enforce.admitted").get(), 2);
+        assert_eq!(reg.counter("pera.enforce.rejected").get(), 1);
     }
 
     #[test]
@@ -472,8 +498,8 @@ mod tests {
     #[test]
     fn pinned_program_enforced() {
         let (chain, reg) = chain_and_registry(&["sw1"], Nonce(1));
-        let mut expected = HashMap::new();
-        expected.insert("sw1".to_string(), Digest::of(b"different"));
+        let mut expected = GoldenStore::new();
+        expected.expect("sw1", DetailLevel::Program, Digest::of(b"different"));
         let mut unit = VerifyUnit::new(
             reg,
             AdmissionPolicy {

@@ -250,7 +250,6 @@ pub fn appraise_records(
     subject: &str,
 ) -> AppraisalResult {
     use pda_pera::evidence::ChainFailure;
-    use pda_pera::golden::ChainAppraisalFailure;
 
     let mut span = telemetry.span("ra.appraise_records");
     if span.is_active() {
@@ -275,58 +274,49 @@ pub fn appraise_records(
         checks: records.len() as u64 * 4
             + records.iter().map(|r| r.details.len() as u64).sum::<u64>(),
     };
-    if let Err(errs) =
+    let failures =
         pda_pera::golden::appraise_chain(records, registry, golden, expected_nonce, chained)
-    {
-        for e in errs {
-            result.fail(match e {
-                ChainAppraisalFailure::Chain(ChainFailure::BadSignature { index, switch }) => {
-                    if registry.contains(&switch.as_str().into()) {
-                        Failure::BadSignature {
-                            place: place_of(index),
-                        }
-                    } else {
-                        Failure::UnknownSigner {
-                            place: Place::new(switch),
-                        }
-                    }
+            .err()
+            .unwrap_or_default();
+    for e in failures {
+        result.fail(match e {
+            ChainFailure::BadSignature { index, switch }
+                if registry.contains(&switch.as_str().into()) =>
+            {
+                Failure::BadSignature {
+                    place: place_of(index),
                 }
-                ChainAppraisalFailure::Chain(ChainFailure::WrongNonce { index }) => {
-                    Failure::WrongNonce {
-                        got: records.get(index).map(|r| r.nonce),
-                        expected: expected_nonce,
-                    }
-                }
-                ChainAppraisalFailure::Chain(ChainFailure::BrokenChainValue { index }) => {
-                    Failure::HashMismatch {
-                        place: place_of(index),
-                    }
-                }
-                ChainAppraisalFailure::Chain(ChainFailure::BrokenLink { index }) => {
-                    Failure::ShapeMismatch {
-                        expected: "hop-linked evidence chain".to_string(),
-                        got: format!("record {index} does not link to its predecessor"),
-                    }
-                }
-                ChainAppraisalFailure::ValueMismatch {
-                    switch,
-                    level,
-                    observed,
-                    expected,
-                } => Failure::CorruptMeasurement {
-                    target: level.to_string(),
-                    target_place: Place::new(switch),
-                    observed,
-                    expected,
-                },
-                ChainAppraisalFailure::NoExpectation { switch, level } => {
-                    Failure::UnknownComponent {
-                        target: level.to_string(),
-                        target_place: Place::new(switch),
-                    }
-                }
-            });
-        }
+            }
+            ChainFailure::BadSignature { switch, .. } => Failure::UnknownSigner {
+                place: Place::new(switch),
+            },
+            ChainFailure::WrongNonce { index } => Failure::WrongNonce {
+                got: records.get(index).map(|r| r.nonce),
+                expected: expected_nonce,
+            },
+            ChainFailure::BrokenChainValue { index } => Failure::HashMismatch {
+                place: place_of(index),
+            },
+            ChainFailure::BrokenLink { index } => Failure::ShapeMismatch {
+                expected: "hop-linked evidence chain".to_string(),
+                got: format!("record {index} does not link to its predecessor"),
+            },
+            ChainFailure::ValueMismatch {
+                switch,
+                level,
+                observed,
+                expected,
+            } => Failure::CorruptMeasurement {
+                target: level.to_string(),
+                target_place: Place::new(switch),
+                observed,
+                expected,
+            },
+            ChainFailure::NoExpectation { switch, level } => Failure::UnknownComponent {
+                target: level.to_string(),
+                target_place: Place::new(switch),
+            },
+        });
     }
     audit_verdict(telemetry, subject, Some(expected_nonce), &result);
     result

@@ -7,9 +7,8 @@
 //! are deterministic functions of the switch name, so each side
 //! rebuilds the identical enrollment from the topology shape alone.
 
-use pda_crypto::digest::Digest;
 use pda_crypto::keyreg::KeyRegistry;
-use pda_netsim::{linear_path, DeviceKind, LinearPath};
+use pda_netsim::{enroll_golden, linear_path, LinearPath};
 use pda_pera::config::{DetailLevel, PeraConfig, Sampling};
 use pda_pera::GoldenStore;
 
@@ -22,21 +21,10 @@ pub fn standard_fleet(hops: usize) -> LinearPath {
 }
 
 /// Enroll golden values for every PERA switch in the fleet at the
-/// levels the default config attests (Hardware, Program) — trusted
-/// setup reading current values, mirroring `pda-core`'s enrollment.
+/// levels the default config attests (Hardware, Program): the
+/// simulator's [`enroll_golden`] at those levels.
 pub fn enroll_fleet_golden(fleet: &LinearPath) -> GoldenStore {
-    let mut golden = GoldenStore::new();
-    for node in &fleet.sim.topo.nodes {
-        if let DeviceKind::Pera(sw) = &node.kind {
-            golden.expect(
-                &node.name,
-                DetailLevel::Hardware,
-                Digest::of_parts(&[b"hw:", sw.hardware_id.as_bytes()]),
-            );
-            golden.expect(&node.name, DetailLevel::Program, sw.program.digest());
-        }
-    }
-    golden
+    enroll_golden(&fleet.sim, &[DetailLevel::Hardware, DetailLevel::Program])
 }
 
 /// The fleet's key registry (deterministic: rebuilt identically by
@@ -62,5 +50,19 @@ mod tests {
             }
         }
         assert_eq!(fleet_registry(&a).len(), fleet_registry(&b).len());
+    }
+
+    #[test]
+    fn fleet_enrollment_is_the_shared_loop_at_hardware_and_program() {
+        let fleet = standard_fleet(3);
+        let ours = enroll_fleet_golden(&fleet);
+        let shared = enroll_golden(&fleet.sim, &[DetailLevel::Hardware, DetailLevel::Program]);
+        for sw in ["sw1", "sw2", "sw3"] {
+            for level in DetailLevel::ALL {
+                let enrolled = matches!(level, DetailLevel::Hardware | DetailLevel::Program);
+                assert_eq!(ours.expected(sw, level).is_some(), enrolled, "{sw} {level}");
+                assert_eq!(ours.expected(sw, level), shared.expected(sw, level));
+            }
+        }
     }
 }

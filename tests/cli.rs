@@ -55,6 +55,36 @@ fn resolve_binds_and_skips() {
     assert!(stdout.contains(r#"skipped:  ["old"]"#), "{stdout}");
 }
 
+/// Flags may come before the input: a valued flag's value is never
+/// read as the request or policy.
+#[test]
+fn analyze_and_resolve_accept_flags_first() {
+    let (ok, stdout, stderr) = pda(&[
+        "analyze",
+        "--control",
+        "us",
+        "--goal",
+        "exts",
+        "*bank : @ks [av us bmon] +~+ @us [bmon us exts]",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("prior-corruption"), "{stdout}");
+    assert!(stdout.contains("repair(bmon)"), "{stdout}");
+
+    let (ok, stdout, stderr) = pda(&[
+        "resolve",
+        "--path",
+        "sw1:ra,key;old;sw2:ra,key;laptop:ra,key",
+        "--param",
+        "n=9",
+        "--pointwise",
+        "*b<n> : forall hop, client : (@hop [K |> attest(n) -> !] -+> @A [appraise]) *=> @client [K |> !]",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains(r#""client": "laptop""#), "{stdout}");
+    assert!(stdout.contains(r#"skipped:  ["old"]"#), "{stdout}");
+}
+
 #[test]
 fn wire_and_decode_round_trip() {
     let (ok, hex, _) = pda(&[

@@ -39,9 +39,7 @@ fn uc1_end_to_end_clean_and_attacked() {
     let mismatches: Vec<_> = failures
         .iter()
         .filter_map(|f| match f {
-            ChainAppraisalFailure::ValueMismatch { switch, level, .. } => {
-                Some((switch.as_str(), *level))
-            }
+            ChainFailure::ValueMismatch { switch, level, .. } => Some((switch.as_str(), *level)),
             _ => None,
         })
         .collect();
@@ -97,12 +95,7 @@ fn replayed_chain_rejected_under_new_nonce() {
     let errs = appraise_chain(&chain, &net.sim.registry, &golden, Nonce(11), true).unwrap_err();
     let nonce_failures = errs
         .iter()
-        .filter(|f| {
-            matches!(
-                f,
-                ChainAppraisalFailure::Chain(ChainFailure::WrongNonce { .. })
-            )
-        })
+        .filter(|f| matches!(f, ChainFailure::WrongNonce { .. }))
         .count();
     assert_eq!(nonce_failures, 3);
 }
