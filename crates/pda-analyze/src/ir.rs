@@ -71,7 +71,7 @@ pub fn action_decides(a: &Action) -> bool {
 /// Every action a table can run: the default plus each entry's.
 pub fn table_actions(t: &Table) -> Vec<&Action> {
     let mut out = vec![&t.default_action];
-    out.extend(t.entries.iter().map(|e| &e.action));
+    out.extend(t.entries().iter().map(|e| &e.action));
     out
 }
 

@@ -1,5 +1,5 @@
 //! The six analysis passes. Each takes the program plus shared
-//! [`ParserFacts`](crate::ir::ParserFacts) and pushes [`Diagnostic`]s.
+//! [`ParserFacts`] and pushes [`Diagnostic`]s.
 //!
 //! Code plan (stable — appraisers and golden snapshots depend on it):
 //!
@@ -363,7 +363,7 @@ pub fn totality_pass(
                 }
             }
         }
-        let inert = stage.table.entries.is_empty()
+        let inert = stage.table.entries().is_empty()
             && stage
                 .table
                 .default_action
@@ -545,12 +545,12 @@ fn cell_sp(ar: &mut Arena, col: u16, cell: &KeyCell) -> Option<Sp> {
 pub fn symbolic_pass(program: &DataplaneProgram, out: &mut Vec<Diagnostic>) {
     for (i, stage) in program.stages.iter().enumerate() {
         let table = &stage.table;
-        if table.entries.is_empty() {
+        if table.entries().is_empty() {
             continue;
         }
         let mut ar = Arena::new(table.key.len() as u16);
         let guards: Vec<Option<Sp>> = table
-            .entries
+            .entries()
             .iter()
             .map(|e| {
                 let mut g = Sp::FULL;
@@ -562,17 +562,17 @@ pub fn symbolic_pass(program: &DataplaneProgram, out: &mut Vec<Diagnostic>) {
             })
             .collect();
         let rank: Vec<(i32, u32)> = table
-            .entries
+            .entries()
             .iter()
             .map(|e| (e.priority, e.key.iter().map(KeyCell::specificity).sum()))
             .collect();
 
-        for (idx, e) in table.entries.iter().enumerate() {
+        for (idx, e) in table.entries().iter().enumerate() {
             let Some(g) = guards[idx] else {
                 continue; // not claimable without an exact guard
             };
             let mut shadow = Sp::EMPTY;
-            for j in 0..table.entries.len() {
+            for j in 0..table.entries().len() {
                 let dominates = rank[j] > rank[idx] || (rank[j] == rank[idx] && j < idx);
                 if j != idx && dominates {
                     if let Some(gj) = guards[j] {

@@ -222,6 +222,15 @@ mod tests {
     }
 
     #[test]
+    fn uc1_empty_chain_is_not_assurance() {
+        let (_, reg, golden) = mk_chain(&["sw1", "sw2"], Nonce(1));
+        assert_eq!(
+            uc1_configuration_assurance(&[], &reg, &golden, Nonce(1)),
+            Err(vec![ChainFailure::EmptyChain])
+        );
+    }
+
+    #[test]
     fn uc2_scores_partial_paths() {
         let (chain, reg, _) = mk_chain(&["sw1", "sw2", "sw3"], Nonce(1));
         let exact = uc2_path_authentication(
@@ -261,11 +270,12 @@ mod tests {
     fn uc3_gate_admits_evidence_rejects_bare_traffic() {
         let (chain, reg, golden) = mk_chain(&["sw1", "sw2"], Nonce(1));
         // The UC3 gate is `appraise_chain` over the evidence a packet
-        // carries; bare traffic has none and is dropped unappraised.
+        // carries; bare traffic has none and is dropped unappraised, and
+        // an empty chain fails appraisal.
         let (mut admitted, mut rejected) = (0, 0);
         let mut admit = |evidence: Option<&[EvidenceRecord]>, nonce| {
-            let ok = matches!(evidence, Some(c) if !c.is_empty()
-                && appraise_chain(c, &reg, &golden, nonce, true).is_ok());
+            let ok = matches!(evidence, Some(c)
+                if appraise_chain(c, &reg, &golden, nonce, true).is_ok());
             if ok {
                 admitted += 1;
             } else {
@@ -312,6 +322,9 @@ mod tests {
         assert!(uc5_cross_attestation(&host_ok, &chain, &reg, &golden, Nonce(1)).cleared());
         assert!(!uc5_cross_attestation(&host_bad, &chain, &reg, &golden, Nonce(1)).cleared());
         assert!(!uc5_cross_attestation(&host_ok, &chain, &reg, &golden, Nonce(2)).cleared());
+        // A packet that carried no evidence does not clear the network side.
+        let bare = uc5_cross_attestation(&host_ok, &[], &reg, &golden, Nonce(1));
+        assert!(bare.host_ok && !bare.network_ok && !bare.cleared());
     }
 
     #[test]

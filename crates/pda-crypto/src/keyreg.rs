@@ -7,9 +7,12 @@
 //! by the operator", liftable "by an auditor's request or court order".
 
 use crate::digest::Digest;
-use crate::sig::{verify, Signature, VerifyKey};
+use crate::hmac::HmacKeySchedule;
+use crate::sig::{verify_scheduled, Signature, VerifyKey};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 /// A principal identity (device serial, process name, place name).
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,6 +43,13 @@ impl From<&str> for PrincipalId {
     }
 }
 
+/// Lets the registry be asked by `&str` without building an id.
+impl Borrow<str> for PrincipalId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 /// Error from registry operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryError {
@@ -60,10 +70,19 @@ impl fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
+/// A principal's registered key, with the HMAC key schedule built once
+/// at registration (`None` for the other schemes), so that verifying a
+/// tag costs two SHA-256 compressions rather than four.
+#[derive(Clone)]
+struct Registered {
+    key: VerifyKey,
+    hmac: Option<HmacKeySchedule>,
+}
+
 /// Registry of verification keys and pseudonyms.
 #[derive(Clone, Default)]
 pub struct KeyRegistry {
-    keys: HashMap<PrincipalId, VerifyKey>,
+    keys: HashMap<PrincipalId, Registered>,
     /// pseudonym -> real principal (the "liftable" mapping held by the
     /// operator; appraisers without audit authority never see it).
     pseudonyms: HashMap<String, PrincipalId>,
@@ -88,28 +107,51 @@ impl KeyRegistry {
 
     /// Register (or replace) the key for a principal.
     pub fn register(&mut self, who: PrincipalId, key: VerifyKey) {
-        self.keys.insert(who, key);
+        let hmac = match &key {
+            VerifyKey::Hmac(k) => Some(HmacKeySchedule::new(k)),
+            _ => None,
+        };
+        self.keys.insert(who, Registered { key, hmac });
     }
 
-    /// Fetch a principal's key.
-    pub fn key_of(&self, who: &PrincipalId) -> Result<&VerifyKey, RegistryError> {
+    fn registered<Q>(&self, who: &Q) -> Result<&Registered, RegistryError>
+    where
+        PrincipalId: Borrow<Q>,
+        Q: Hash + Eq + fmt::Display + ?Sized,
+    {
         self.keys
             .get(who)
-            .ok_or_else(|| RegistryError::UnknownPrincipal(who.clone()))
+            .ok_or_else(|| RegistryError::UnknownPrincipal(PrincipalId::new(who.to_string())))
     }
 
-    /// Verify `sig` over `msg` as produced by `who`.
-    pub fn verify_as(
-        &self,
-        who: &PrincipalId,
-        msg: &[u8],
-        sig: &Signature,
-    ) -> Result<bool, RegistryError> {
-        Ok(verify(self.key_of(who)?, msg, sig))
+    /// Fetch a principal's key (by [`PrincipalId`] or by `&str`).
+    pub fn key_of<Q>(&self, who: &Q) -> Result<&VerifyKey, RegistryError>
+    where
+        PrincipalId: Borrow<Q>,
+        Q: Hash + Eq + fmt::Display + ?Sized,
+    {
+        Ok(&self.registered(who)?.key)
     }
 
-    /// Is a key registered for `who`?
-    pub fn contains(&self, who: &PrincipalId) -> bool {
+    /// Verify `sig` over `msg` as produced by `who` (by [`PrincipalId`]
+    /// or by `&str`). Agrees with [`crate::sig::verify`] under the
+    /// registered key; HMAC tags are recomputed from the stored key
+    /// schedule and compared in constant time.
+    pub fn verify_as<Q>(&self, who: &Q, msg: &[u8], sig: &Signature) -> Result<bool, RegistryError>
+    where
+        PrincipalId: Borrow<Q>,
+        Q: Hash + Eq + fmt::Display + ?Sized,
+    {
+        let r = self.registered(who)?;
+        Ok(verify_scheduled(&r.key, r.hmac.as_ref(), msg, sig))
+    }
+
+    /// Is a key registered for `who` (by [`PrincipalId`] or by `&str`)?
+    pub fn contains<Q>(&self, who: &Q) -> bool
+    where
+        PrincipalId: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.keys.contains_key(who)
     }
 
@@ -166,7 +208,7 @@ mod tests {
         let mut signer = Signer::new(SigScheme::Hmac, [3u8; 32], 0);
         let sig = signer.sign(b"claim").unwrap();
         assert!(matches!(
-            reg.verify_as(&"ghost".into(), b"claim", &sig),
+            reg.verify_as("ghost", b"claim", &sig),
             Err(RegistryError::UnknownPrincipal(_))
         ));
     }

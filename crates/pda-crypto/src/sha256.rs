@@ -121,15 +121,20 @@ impl Sha256 {
     /// Finish and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian message length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding, written straight into the block buffer: 0x80, zeros
+        // up to byte 56 of a block (spilling into a second block when the
+        // tail leaves no room), then the 64-bit big-endian message length.
+        let tail = self.buf_len;
+        self.buf[tail] = 0x80;
+        self.buf[tail + 1..].fill(0);
+        if tail >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 64];
         }
-        // Manual: appending length must not double-count into self.len,
-        // but at this point the length suffix no longer matters.
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buf;
+        self.compress(&block);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {

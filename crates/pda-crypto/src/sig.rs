@@ -17,7 +17,7 @@
 
 use crate::batch::BatchLeaf;
 use crate::digest::Digest;
-use crate::hmac::{ct_eq, hmac_sha256, HmacKeySchedule};
+use crate::hmac::{ct_eq, HmacKeySchedule};
 use crate::lamport::{lamport_verify, LamportPublicKey, LamportSecretKey, LamportSignature};
 use crate::merkle::{merkle_proof_verify, merkle_verify, MerkleSignature, MerkleSigner, MssError};
 use std::fmt;
@@ -459,8 +459,27 @@ impl Signer {
 /// Nested batches (a batch anchored by another batch) are rejected —
 /// amortization must bottom out in one real signing operation.
 pub fn verify(key: &VerifyKey, msg: &[u8], sig: &Signature) -> bool {
+    verify_scheduled(key, None, msg, sig)
+}
+
+/// [`verify`] given the HMAC key schedule of `key`, when the caller
+/// keeps one (as [`crate::keyreg::KeyRegistry`] does): an HMAC tag then
+/// costs two compressions instead of four. Without one, the schedule
+/// is built for this call.
+pub(crate) fn verify_scheduled(
+    key: &VerifyKey,
+    schedule: Option<&HmacKeySchedule>,
+    msg: &[u8],
+    sig: &Signature,
+) -> bool {
     match (key, sig) {
-        (VerifyKey::Hmac(k), Signature::Hmac(tag)) => ct_eq(&hmac_sha256(k, msg), tag),
+        (VerifyKey::Hmac(k), Signature::Hmac(tag)) => {
+            let mac = match schedule {
+                Some(ks) => ks.mac(msg),
+                None => HmacKeySchedule::new(k).mac(msg),
+            };
+            ct_eq(&mac, tag)
+        }
         (VerifyKey::Lamport(keys), Signature::Lamport { index, sig }) => keys
             .get(*index as usize)
             .is_some_and(|pk| lamport_verify(pk, msg, sig)),
@@ -468,7 +487,7 @@ pub fn verify(key: &VerifyKey, msg: &[u8], sig: &Signature) -> bool {
         (key, Signature::Batch(b)) => {
             !matches!(b.commit.root_sig, Signature::Batch(_))
                 && merkle_proof_verify(&b.commit.root, msg, &b.proof)
-                && verify(key, b.commit.root.as_bytes(), &b.commit.root_sig)
+                && verify_scheduled(key, schedule, b.commit.root.as_bytes(), &b.commit.root_sig)
         }
         _ => false, // scheme mismatch
     }

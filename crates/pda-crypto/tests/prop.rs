@@ -2,11 +2,12 @@
 
 use pda_crypto::digest::Digest;
 use pda_crypto::hmac::{ct_eq, hmac_sha256};
+use pda_crypto::keyreg::{KeyRegistry, PrincipalId};
 use pda_crypto::lamport::{lamport_verify, LamportSecretKey};
 use pda_crypto::merkle::{merkle_proof_verify, merkle_verify, MerkleSigner, MerkleTree};
 use pda_crypto::nonce::{Nonce, ReplayWindow};
 use pda_crypto::sha256::Sha256;
-use pda_crypto::sig::{verify, SigScheme, Signer};
+use pda_crypto::sig::{verify, SigScheme, Signature, Signer};
 use proptest::prelude::*;
 
 proptest! {
@@ -115,6 +116,62 @@ proptest! {
             let sig = signer.sign(&msg).unwrap();
             prop_assert!(verify(&vk, &msg, &sig), "{scheme}");
             prop_assert!(!verify(&vk, &other, &sig), "{scheme}");
+        }
+    }
+
+    /// A registry's verdict (HMAC through its stored key schedule) is
+    /// `sig::verify`'s under the registered key, for every scheme, plain
+    /// and batch signatures, the signer's and another principal's key,
+    /// and good and tampered messages and signatures.
+    #[test]
+    fn registry_verification_matches_sig_verify(
+        seed in any::<[u8; 32]>(),
+        other_seed in any::<[u8; 32]>(),
+        msg in proptest::collection::vec(any::<u8>(), 0..96),
+        other in proptest::collection::vec(any::<u8>(), 0..96),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+    ) {
+        for scheme in SigScheme::ALL {
+            let mut signer = Signer::new(scheme, seed, 2);
+            let mut registry = KeyRegistry::new();
+            registry.register(PrincipalId::new("sw"), signer.verify_key(4));
+            registry.register(
+                PrincipalId::new("peer"),
+                Signer::new(scheme, other_seed, 2).verify_key(4),
+            );
+            let mut sigs = vec![signer.sign(&msg).unwrap()];
+            sigs.extend(signer.sign_batch(&[&msg, &other]).unwrap());
+            // Tampered copies: one bit flipped in the wire encoding, kept
+            // when it still decodes.
+            for i in 0..sigs.len() {
+                for &(at, bit) in &flips {
+                    let mut wire = Vec::new();
+                    sigs[i].write_wire(&mut wire);
+                    let n = wire.len();
+                    wire[at % n] ^= 1 << bit;
+                    if let Some((t, _)) = Signature::read_wire(&wire) {
+                        sigs.push(t);
+                    }
+                }
+            }
+            for who in ["sw", "peer"] {
+                let key = registry.key_of(who).unwrap();
+                for m in [&msg, &other] {
+                    for s in &sigs {
+                        prop_assert_eq!(
+                            registry.verify_as(who, m, s),
+                            Ok(verify(key, m, s)),
+                            "{} as {}", scheme, who
+                        );
+                        prop_assert_eq!(
+                            registry.verify_as(&PrincipalId::new(who), m, s),
+                            Ok(verify(key, m, s))
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(registry.verify_as("sw", &msg, &sigs[0]), Ok(true));
+            prop_assert!(registry.verify_as("ghost", &msg, &sigs[0]).is_err());
         }
     }
 

@@ -1,6 +1,22 @@
 //! Match-action tables: exact, LPM, and ternary matching over PHV
 //! fields, with priority-ordered entries and default actions — the
 //! "Match" half of a PISA stage.
+//!
+//! A lookup returns the matching entry of highest priority, then
+//! highest summed [`KeyCell::specificity`], then earliest insertion.
+//! It does not test every entry. [`Table::insert`] files each entry in
+//! a *tuple space* (Srinivasan, Suri & Varghese, SIGCOMM '99; the scheme
+//! behind Open vSwitch's classifier): entries sharing a priority, a
+//! summed specificity and a per-column care mask form one tuple, which
+//! keeps its entries' masked-key hashes, each with the entry's insertion
+//! index, in sorted order. [`Table::lookup`] walks the tuples from the
+//! highest (priority, specificity) down, hashes the PHV's key values
+//! under each tuple's masks, binary-searches that hash, and confirms a
+//! candidate with the entry's own cells, so a hash collision costs a
+//! comparison, never a wrong answer. The first hit fixes the winning
+//! level; the other tuples at that level are probed for an earlier
+//! insertion, and the walk stops. A stage therefore costs one probe per
+//! tuple it visits, however many entries each tuple holds.
 
 use crate::actions::Action;
 use crate::phv::Phv;
@@ -74,6 +90,21 @@ impl KeyCell {
             KeyCell::Any => 0,
         }
     }
+
+    /// The bits this cell compares, as `(care mask, key under the
+    /// mask)`: a value `v` matches exactly when `v & mask` equals the
+    /// key. An LPM mask stops at 32 bits whatever the prefix length.
+    fn masked(&self) -> (u64, u64) {
+        match self {
+            KeyCell::Exact(k) => (u64::MAX, *k),
+            KeyCell::Lpm { value, prefix_len } => {
+                let mask = prefix_mask(*prefix_len);
+                (u64::from(mask), u64::from(value & mask))
+            }
+            KeyCell::Ternary { value, mask } => (*mask, value & mask),
+            KeyCell::Any => (0, 0),
+        }
+    }
 }
 
 fn prefix_mask(len: u8) -> u32 {
@@ -103,10 +134,37 @@ pub struct Table {
     pub name: String,
     /// Key columns.
     pub key: Vec<KeyCol>,
-    /// Entries, insertion-ordered.
-    pub entries: Vec<Entry>,
+    /// Entries, insertion-ordered. Private so that every entry goes
+    /// through [`Table::insert`], which keeps `tuples` in step.
+    entries: Vec<Entry>,
     /// Action on miss.
     pub default_action: Action,
+    /// The tuple space over `entries`, in descending (priority,
+    /// specificity) order; tuples of one level in order of creation.
+    tuples: Vec<Tuple>,
+}
+
+/// The entries sharing one priority, summed specificity and per-column
+/// care mask.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Tuple {
+    /// (priority, summed specificity).
+    level: (i32, u32),
+    /// One care mask per key cell.
+    masks: Box<[u64]>,
+    /// `(masked-key hash, insertion index)` of each entry, ascending.
+    slots: Vec<(u32, u32)>,
+}
+
+/// The odd multiplier of [`key_hash`] (rustc's FxHasher constant).
+const MIX: u64 = 0x517c_c1b7_2722_0a95;
+
+/// Hash of one key's masked column values: the high half of a
+/// multiply-rotate mix, as in rustc's FxHasher. Equal keys hash equal;
+/// a collision between different keys only adds a candidate to confirm.
+fn key_hash(masked: impl Iterator<Item = u64>) -> u32 {
+    let h = masked.fold(0u64, |h, v| (h.rotate_left(5) ^ v).wrapping_mul(MIX));
+    (h >> 32) as u32
 }
 
 /// Error from entry insertion.
@@ -134,7 +192,13 @@ impl Table {
             key,
             entries: Vec::new(),
             default_action,
+            tuples: Vec::new(),
         }
+    }
+
+    /// The entries, in insertion order.
+    pub fn entries(&self) -> &[Entry] {
+        &self.entries
     }
 
     /// Insert an entry, validating cell kinds against the columns.
@@ -168,8 +232,45 @@ impl Table {
                 });
             }
         }
+        let index = u32::try_from(self.entries.len())
+            .expect("a table holds fewer than 2^32 entries: each takes over 50 bytes");
+        self.file(&entry, index);
         self.entries.push(entry);
         Ok(())
+    }
+
+    /// Add entry `index` to its tuple, creating the tuple after the
+    /// others of its level when it is the first of its masks.
+    fn file(&mut self, entry: &Entry, index: u32) {
+        let level = (
+            entry.priority,
+            entry.key.iter().map(KeyCell::specificity).sum::<u32>(),
+        );
+        let masks = || entry.key.iter().map(|c| c.masked().0);
+        let first = self.tuples.partition_point(|t| t.level > level);
+        let same = self.tuples[first..].partition_point(|t| t.level == level);
+        let at = match self.tuples[first..first + same]
+            .iter()
+            .position(|t| t.masks.iter().copied().eq(masks()))
+        {
+            Some(i) => first + i,
+            None => {
+                self.tuples.insert(
+                    first + same,
+                    Tuple {
+                        level,
+                        masks: masks().collect(),
+                        slots: Vec::new(),
+                    },
+                );
+                first + same
+            }
+        };
+        let slots = &mut self.tuples[at].slots;
+        // The newest index sorts after every slot of an equal hash.
+        let hash = key_hash(entry.key.iter().map(|c| c.masked().1));
+        let pos = slots.partition_point(|&(h, _)| h <= hash);
+        slots.insert(pos, (hash, index));
     }
 
     /// Look up the best-matching entry's action for the PHV. Returns the
@@ -177,22 +278,27 @@ impl Table {
     /// not the PHV, so the caller may execute it on that same PHV.
     pub fn lookup(&self, phv: &Phv) -> &Action {
         let values: Vec<u64> = self.key.iter().map(|c| phv.get(&c.field)).collect();
-        let mut best: Option<(i32, u32, usize)> = None; // (priority, specificity, index)
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.key.iter().zip(&values).all(|(cell, v)| cell.matches(*v)) {
-                let spec: u32 = e.key.iter().map(KeyCell::specificity).sum();
-                // Earlier insertion wins ties, so use > (not >=) against
-                // (priority, spec) and compare index ascending.
-                let cand = (e.priority, spec, i);
-                best = match best {
-                    None => Some(cand),
-                    Some(b) if (cand.0, cand.1) > (b.0, b.1) => Some(cand),
-                    Some(b) => Some(b),
-                };
+        // The earliest matching entry so far, and its tuple's level.
+        let mut best: Option<(u32, (i32, u32))> = None;
+        for t in &self.tuples {
+            if best.is_some_and(|(_, level)| level != t.level) {
+                break; // lower levels cannot beat a hit
+            }
+            let hash = key_hash(values.iter().zip(&*t.masks).map(|(v, m)| v & m));
+            let from = t.slots.partition_point(|&(h, _)| h < hash);
+            for &(h, i) in &t.slots[from..] {
+                if h != hash || best.is_some_and(|(b, _)| b < i) {
+                    break;
+                }
+                let e = &self.entries[i as usize];
+                if e.key.iter().zip(&values).all(|(cell, v)| cell.matches(*v)) {
+                    best = Some((i, t.level));
+                    break;
+                }
             }
         }
         match best {
-            Some((_, _, i)) => &self.entries[i].action,
+            Some((i, _)) => &self.entries[i as usize].action,
             None => &self.default_action,
         }
     }
@@ -436,6 +542,104 @@ mod tests {
         })
         .unwrap();
         assert_ne!(t2.canonical_bytes(), before);
+    }
+
+    fn one_col(kind: MatchKind) -> Table {
+        Table::new(
+            "t",
+            vec![KeyCol {
+                field: "x".into(),
+                kind,
+            }],
+            act(0),
+        )
+    }
+
+    fn add(t: &mut Table, cell: KeyCell, priority: i32, tag: u64) {
+        t.insert(Entry {
+            key: vec![cell],
+            priority,
+            action: act(tag),
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn tuples_group_by_level_and_mask() {
+        let mut t = one_col(MatchKind::Ternary);
+        let cell = |value, mask| KeyCell::Ternary { value, mask };
+        add(&mut t, cell(0x1200, 0xff00), 0, 1);
+        add(&mut t, cell(0x34, 0xff), 0, 2);
+        add(&mut t, cell(0x5600, 0xff00), 0, 3);
+        add(&mut t, cell(0, 0), 0, 4);
+        add(&mut t, cell(7, u64::MAX), -1, 5);
+        add(&mut t, KeyCell::Any, 0, 6);
+        let shape: Vec<_> = t
+            .tuples
+            .iter()
+            .map(|g| {
+                let mut ids: Vec<u32> = g.slots.iter().map(|&(_, i)| i).collect();
+                ids.sort_unstable();
+                (g.level, &*g.masks, ids)
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            vec![
+                ((0, 8), &[0xff00][..], vec![0, 2]),
+                ((0, 8), &[0xff][..], vec![1]),
+                ((0, 0), &[0][..], vec![3, 5]),
+                ((-1, 64), &[u64::MAX][..], vec![4]),
+            ]
+        );
+    }
+
+    #[test]
+    fn same_level_tuples_yield_the_earliest_entry() {
+        // Entries 0 and 2 share a tuple, entry 1 has its own at the same
+        // level: a probe matching 1 and 2 must get 1, though the walk
+        // meets entry 2's tuple first.
+        let mut t = one_col(MatchKind::Ternary);
+        let cell = |value, mask| KeyCell::Ternary { value, mask };
+        add(&mut t, cell(0x1200, 0xff00), 0, 1);
+        add(&mut t, cell(0x34, 0xff), 0, 2);
+        add(&mut t, cell(0x5600, 0xff00), 0, 3);
+        assert_eq!(t.lookup(&phv_with("x", 0x5634)).name, "a2");
+        assert_eq!(t.lookup(&phv_with("x", 0x1234)).name, "a1");
+        assert_eq!(t.lookup(&phv_with("x", 0x5699)).name, "a3");
+        assert_eq!(t.lookup(&phv_with("x", 0x9999)).name, "a0");
+    }
+
+    #[test]
+    fn hash_collision_costs_a_comparison_not_a_wrong_answer() {
+        // MIX is odd, so it has an inverse mod 2^64 (Newton's iteration
+        // doubles the correct low bits each step); keys 0 and MIX⁻¹ mix
+        // to 0 and 1, whose high halves agree.
+        let mut inv = MIX;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(MIX.wrapping_mul(inv)));
+        }
+        assert_eq!(MIX.wrapping_mul(inv), 1);
+        assert_eq!(key_hash([0].into_iter()), key_hash([inv].into_iter()));
+        let mut t = one_col(MatchKind::Exact);
+        add(&mut t, KeyCell::Exact(0), 0, 1);
+        add(&mut t, KeyCell::Exact(inv), 0, 2);
+        assert_eq!(t.lookup(&phv_with("x", inv)).name, "a2");
+        assert_eq!(t.lookup(&phv_with("x", 0)).name, "a1");
+    }
+
+    #[test]
+    fn prefix_length_past_32_outranks_a_full_prefix() {
+        // Both masks stop at 32 bits; specificity counts the raw length.
+        let mut t = one_col(MatchKind::Lpm);
+        let lpm = |prefix_len| KeyCell::Lpm {
+            value: 0x0a00_0001,
+            prefix_len,
+        };
+        add(&mut t, lpm(32), 0, 1);
+        add(&mut t, lpm(40), 0, 2);
+        assert_eq!(t.lookup(&phv_with("x", 0x0a00_0001)).name, "a2");
+        assert_eq!(t.lookup(&phv_with("x", 0x0a00_0002)).name, "a0");
     }
 
     #[test]

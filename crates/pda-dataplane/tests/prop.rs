@@ -95,6 +95,131 @@ fn phv_op(names: usize) -> impl Strategy<Value = PhvOp> {
     })
 }
 
+/// Key columns the index differential draws from: two library fields
+/// and a user metadata field outside the container layout.
+const INDEX_FIELDS: [&str; 3] = ["ipv4.dst", "udp.dport", "meta.tag"];
+
+/// One drawn cell: value pick, prefix length, mask shape, and whether an
+/// LPM or ternary column gets a wildcard instead.
+type RawCell = (u64, u8, u8, u8);
+
+/// One drawn entry: priority, which earlier entry's key to repeat (a
+/// quarter of the draws; the rest build a fresh key), and one cell per
+/// column.
+type RawEntry = (u8, usize, Vec<RawCell>);
+
+/// The lookup being replaced by the tuple-space index: test every entry,
+/// keep the highest (priority, summed specificity), earliest inserted on
+/// a tie. Kept here as the reference.
+fn scan_lookup<'t>(table: &'t Table, phv: &Phv) -> &'t Action {
+    let matches = |cell: &KeyCell, v: u64| match cell {
+        KeyCell::Exact(k) => v == *k,
+        KeyCell::Lpm { value, prefix_len } => {
+            let len = u32::from(*prefix_len).min(32);
+            let mask = if len == 0 { 0 } else { u32::MAX << (32 - len) };
+            (v as u32) & mask == *value & mask
+        }
+        KeyCell::Ternary { value, mask } => v & mask == value & mask,
+        KeyCell::Any => true,
+    };
+    let values: Vec<u64> = table.key.iter().map(|c| phv.get(&c.field)).collect();
+    let mut best: Option<(i32, u32, usize)> = None;
+    for (i, e) in table.entries().iter().enumerate() {
+        if e.key.iter().zip(&values).all(|(cell, v)| matches(cell, *v)) {
+            let spec: u32 = e.key.iter().map(KeyCell::specificity).sum();
+            if best.is_none_or(|(p, s, _)| (e.priority, spec) > (p, s)) {
+                best = Some((e.priority, spec, i));
+            }
+        }
+    }
+    match best {
+        Some((_, _, i)) => &table.entries()[i].action,
+        None => &table.default_action,
+    }
+}
+
+/// The next entry of the differential table: a value from a four-value
+/// pool (so keys meet), nudged in its low byte; prefix lengths up to 40;
+/// ternary masks of several shapes; a repeated key when `copy` names an
+/// earlier entry.
+fn index_entry(kinds: &[u8], pool: &[u64; 4], made: &[Entry], raw: &RawEntry) -> Entry {
+    let (priority, copy, cells) = raw;
+    let key = match made.len() {
+        n if *copy < 64 && n > 0 => made[copy % n].key.clone(),
+        _ => kinds
+            .iter()
+            .zip(cells)
+            .map(|(kind, &(pick, len, shape, any))| {
+                let value = pool[(pick % 4) as usize] ^ ((pick >> 8) & 0xff);
+                match (kind, any % 4) {
+                    (0, _) => KeyCell::Exact(value),
+                    (_, 0) => KeyCell::Any,
+                    (1, _) => KeyCell::Lpm {
+                        value: value as u32,
+                        prefix_len: len,
+                    },
+                    // Equal-popcount masks put different tuples at one
+                    // level.
+                    _ => KeyCell::Ternary {
+                        value,
+                        mask: match shape % 6 {
+                            0 => u64::MAX,
+                            1 => 0,
+                            2 => u64::MAX << (len % 64),
+                            3 => 0xff,
+                            4 => 0xff00,
+                            _ => pick.rotate_left(17),
+                        },
+                    },
+                }
+            })
+            .collect(),
+    };
+    Entry {
+        key,
+        priority: i32::from(*priority) - 1,
+        action: Action::fwd(made.len() as u64),
+    }
+}
+
+/// The value a probe copies from a cell, and the bits the cell compares.
+fn cell_bits(cell: &KeyCell, fallback: u64) -> (u64, u64) {
+    match cell {
+        KeyCell::Exact(k) => (*k, u64::MAX),
+        KeyCell::Lpm { value, prefix_len } => {
+            let len = u32::from(*prefix_len).min(32);
+            let mask = if len == 0 { 0 } else { u32::MAX << (32 - len) };
+            (u64::from(*value), u64::from(mask))
+        }
+        KeyCell::Ternary { value, mask } => (*value, *mask),
+        KeyCell::Any => (fallback, 0),
+    }
+}
+
+/// A PHV near entry `pick`'s key, per column: the key itself, one bit
+/// flipped, the low byte changed, unrelated bits, or the key's compared
+/// bits over another entry's key (which can match both entries).
+fn index_probe(table: &Table, pool: &[u64; 4], pick: usize, noise: &[u64], mode: u8) -> Phv {
+    let entries = table.entries();
+    let cell = |i: usize, c: usize| match entries.len() {
+        0 => (pool[c % 4], 0),
+        n => cell_bits(&entries[i % n].key[c], pool[c % 4]),
+    };
+    let mut phv = Phv::new();
+    for (c, col) in table.key.iter().enumerate() {
+        let (base, care) = cell(pick, c);
+        let value = match mode % 5 {
+            0 => base,
+            1 => base ^ (1 << (noise[c] % 64)),
+            2 => base ^ (noise[c] & 0xff),
+            3 => noise[c],
+            _ => (base & care) | (cell(noise[0] as usize, c).0 & !care),
+        };
+        phv.set(&col.field, value);
+    }
+    phv
+}
+
 proptest! {
     /// parse → deparse is the identity on well-formed packets.
     #[test]
@@ -233,6 +358,64 @@ proptest! {
         let mut phv = pda_dataplane::Phv::new();
         phv.set("x", probe);
         prop_assert_eq!(&table.lookup(&phv).name, "fwd1");
+    }
+}
+
+proptest! {
+    // Cheap cases, and the same-level tie the index must settle across
+    // tuples needs a particular trio of entries: run many.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The tuple-space index picks the entry the linear scan picks, for
+    /// random tables mixing every match kind, with tied priorities,
+    /// repeated keys and prefix lengths past 32, before and after more
+    /// entries arrive (a control-plane `table_update` after traffic).
+    #[test]
+    fn indexed_lookup_matches_linear_scan(
+        kinds in proptest::collection::vec(0u8..3, 1..=3),
+        pool in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        raw in proptest::collection::vec(
+            (0u8..3, 0usize..256, proptest::collection::vec(
+                (any::<u64>(), 0u8..=40, 0u8..6, 0u8..4), 3,
+            )),
+            0..=64,
+        ),
+        cut in any::<usize>(),
+        probes in proptest::collection::vec(
+            (any::<usize>(), proptest::collection::vec(any::<u64>(), 3), 0u8..5),
+            1..64,
+        ),
+    ) {
+        let pool = [pool.0, pool.1, pool.2, pool.3];
+        let key = kinds
+            .iter()
+            .zip(INDEX_FIELDS)
+            .map(|(kind, field)| KeyCol {
+                field: field.into(),
+                kind: [MatchKind::Exact, MatchKind::Lpm, MatchKind::Ternary][*kind as usize],
+            })
+            .collect();
+        let mut table = Table::new("diff", key, Action::drop_());
+        let mut made: Vec<Entry> = Vec::new();
+        for r in &raw {
+            let e = index_entry(&kinds, &pool, &made, r);
+            made.push(e);
+        }
+        let cut = cut % (made.len() + 1);
+        for (phase, batch) in [&made[..cut], &made[cut..]].into_iter().enumerate() {
+            for e in batch {
+                table.insert(e.clone()).unwrap();
+            }
+            for (pick, noise, mode) in &probes {
+                let phv = index_probe(&table, &pool, *pick, noise, *mode);
+                let (got, want) = (table.lookup(&phv), scan_lookup(&table, &phv));
+                prop_assert!(
+                    std::ptr::eq(got, want),
+                    "phase {} of {} entries: index chose {}, scan {}, at {}",
+                    phase, table.entries().len(), got.name, want.name, phv
+                );
+            }
+        }
     }
 }
 

@@ -247,7 +247,7 @@ pub fn compile(policy: &Policy, name: &str) -> Result<DataplaneProgram, CompileE
                         src: "meta.ingress_port".to_string(),
                     });
                 }
-                Action::named(format!("rewrite_{}", table.entries.len()), prims)
+                Action::named(format!("rewrite_{}", table.entries().len()), prims)
             }
             n => {
                 return Err(CompileError::NonDeterministic {
@@ -413,17 +413,17 @@ fn table_policy(table: &Table) -> Result<Policy, CompileError> {
     // Entry guards as predicates, in lookup-precedence order: higher
     // (priority, specificity) first, insertion order breaking ties —
     // mirroring `Table::lookup`.
-    let mut order: Vec<usize> = (0..table.entries.len()).collect();
+    let mut order: Vec<usize> = (0..table.entries().len()).collect();
     let spec = |e: &Entry| -> u64 { e.key.iter().map(|c| u64::from(c.specificity())).sum() };
     order.sort_by_key(|&i| {
-        let e = &table.entries[i];
+        let e = &table.entries()[i];
         (std::cmp::Reverse(e.priority), std::cmp::Reverse(spec(e)), i)
     });
 
     let mut seen = Pred::False; // union of higher-precedence guards
     let mut arms: Vec<Policy> = Vec::new();
     for i in order {
-        let e = &table.entries[i];
+        let e = &table.entries()[i];
         let mut guard = Pred::True;
         for (col, cell) in table.key.iter().zip(&e.key) {
             guard = and_simpl(guard, cell_pred(col, cell)?);
@@ -649,11 +649,23 @@ mod tests {
         // Miscompile: flip the matched class to drop.
         let table = &mut prog.stages[0].table;
         let idx = table
-            .entries
+            .entries()
             .iter()
             .position(|e| e.action.name.starts_with("rewrite"))
             .expect("some class forwards");
-        table.entries[idx].action = Action::drop_();
+        let mut tampered = Table::new(
+            table.name.clone(),
+            table.key.clone(),
+            table.default_action.clone(),
+        );
+        for (i, e) in table.entries().iter().enumerate() {
+            let mut e = e.clone();
+            if i == idx {
+                e.action = Action::drop_();
+            }
+            tampered.insert(e).unwrap();
+        }
+        *table = tampered;
         let err = validate(&p, &prog).unwrap_err();
         let CompileError::ValidationFailed { witness } = err else {
             panic!("expected ValidationFailed, got {err}");

@@ -24,7 +24,7 @@
 //! separate them, and any assignment maps both to the same constant), so
 //! one representative suffices, and it must be chosen **outside** the
 //! mentioned set or it would alias a distinguishable value and mask
-//! differences. [`fresh_for`] pins this choice to the smallest value not
+//! differences. `fresh_for` pins this choice to the smallest value not
 //! mentioned for the field; the regression tests below cover the edge
 //! where mentioned values are adjacent to (or interleaved around) the
 //! chosen representative.

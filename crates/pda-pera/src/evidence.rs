@@ -349,6 +349,10 @@ pub enum ChainFailure {
         /// The unset level.
         level: DetailLevel,
     },
+    /// Golden-value appraisal was given no records at all — say every
+    /// record arrived as an orphan — so nothing on the path was shown
+    /// to run its vetted program.
+    EmptyChain,
 }
 
 impl fmt::Display for ChainFailure {
@@ -378,6 +382,7 @@ impl fmt::Display for ChainFailure {
             ChainFailure::NoExpectation { switch, level } => {
                 write!(f, "{switch}: no golden value for {level}")
             }
+            ChainFailure::EmptyChain => write!(f, "no evidence records to appraise"),
         }
     }
 }
@@ -403,7 +408,7 @@ pub fn verify_chain(
         if chained && r.prev != prev {
             failures.push(ChainFailure::BrokenLink { index });
         }
-        match registry.verify_as(&r.switch.as_str().into(), r.chain.as_bytes(), &r.sig) {
+        match registry.verify_as(r.switch.as_str(), r.chain.as_bytes(), &r.sig) {
             Ok(true) => {}
             _ => failures.push(ChainFailure::BadSignature {
                 index,

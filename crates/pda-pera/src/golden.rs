@@ -70,7 +70,8 @@ impl GoldenStore {
 
 /// Appraise an evidence chain end-to-end: cryptographic validity
 /// (linkage, signatures, nonce) plus golden-value comparison for every
-/// detail each record carries.
+/// detail each record carries. An empty chain fails with
+/// [`ChainFailure::EmptyChain`]: it shows no hop running anything.
 pub fn appraise_chain(
     records: &[EvidenceRecord],
     registry: &KeyRegistry,
@@ -78,6 +79,9 @@ pub fn appraise_chain(
     nonce: Nonce,
     chained: bool,
 ) -> Result<(), Vec<ChainFailure>> {
+    if records.is_empty() {
+        return Err(vec![ChainFailure::EmptyChain]);
+    }
     let mut failures = verify_chain(records, registry, nonce, chained)
         .err()
         .unwrap_or_default();
@@ -165,6 +169,20 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| matches!(e, ChainFailure::ValueMismatch { .. })));
+    }
+
+    #[test]
+    fn empty_chain_fails_appraisal() {
+        let mut golden = GoldenStore::new();
+        golden.expect("sw1", DetailLevel::Program, Digest::of(b"fw.p4"));
+        let reg = registry_for(&["sw1"]);
+        assert_eq!(
+            appraise_chain(&[], &reg, &golden, Nonce(1), true),
+            Err(vec![ChainFailure::EmptyChain])
+        );
+        // Bare verification has no policy on length; `VerifyUnit` keeps
+        // its own `min_hops`.
+        assert_eq!(verify_chain(&[], &reg, Nonce(1), true), Ok(()));
     }
 
     #[test]

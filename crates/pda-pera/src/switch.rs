@@ -1019,6 +1019,38 @@ mod tests {
     }
 
     #[test]
+    fn table_update_after_traffic_steers_the_next_packet() {
+        // Routes installed at runtime reach the lookup index: each more
+        // specific route for the packets' 10.0.0.1 takes over, a less
+        // specific one does not.
+        let mut sw = switch(PeraConfig::default().with_sampling(Sampling::PerPacket));
+        let port = |sw: &mut PeraSwitch| {
+            sw.process_packet(&pkt(1, 53), 0, Some((Nonce(1), Digest::ZERO)))
+                .unwrap()
+                .forward
+                .egress_port
+        };
+        assert_eq!(port(&mut sw), 1);
+        let routes = [
+            (0x0a00_0000, 8, 2, 2),
+            (0x0a00_0000, 24, 3, 3),
+            (0x0a00_0000, 16, 4, 3),
+        ];
+        for (value, prefix_len, to, expect) in routes {
+            sw.table_update(
+                "ipv4_lpm",
+                pda_dataplane::tables::Entry {
+                    key: vec![pda_dataplane::tables::KeyCell::Lpm { value, prefix_len }],
+                    priority: 0,
+                    action: pda_dataplane::actions::Action::fwd(to),
+                },
+            )
+            .unwrap();
+            assert_eq!(port(&mut sw), expect, "after /{prefix_len}");
+        }
+    }
+
+    #[test]
     fn chained_composition_links_records() {
         let mut sw = switch(
             PeraConfig::default()

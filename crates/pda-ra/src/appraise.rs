@@ -168,7 +168,7 @@ pub fn verify_signatures(ev: &Ev, registry: &KeyRegistry) -> bool {
     let mut ok = true;
     ev.walk(&mut |e| {
         if let Ev::Signature { place, sig, sub } = e {
-            match registry.verify_as(&place.0.as_str().into(), &sub.encode(), sig) {
+            match registry.verify_as(place.0.as_str(), &sub.encode(), sig) {
                 Ok(true) => {}
                 _ => ok = false,
             }
@@ -280,9 +280,7 @@ pub fn appraise_records(
             .unwrap_or_default();
     for e in failures {
         result.fail(match e {
-            ChainFailure::BadSignature { index, switch }
-                if registry.contains(&switch.as_str().into()) =>
-            {
+            ChainFailure::BadSignature { index, switch } if registry.contains(switch.as_str()) => {
                 Failure::BadSignature {
                     place: place_of(index),
                 }
@@ -315,6 +313,10 @@ pub fn appraise_records(
             ChainFailure::NoExpectation { switch, level } => Failure::UnknownComponent {
                 target: level.to_string(),
                 target_place: Place::new(switch),
+            },
+            ChainFailure::EmptyChain => Failure::ShapeMismatch {
+                expected: "hop-linked evidence chain".to_string(),
+                got: "no records".to_string(),
             },
         });
     }
@@ -413,10 +415,7 @@ fn walk(
                 });
                 return;
             }
-            match env
-                .registry
-                .verify_as(&place.0.as_str().into(), &sub.encode(), sig)
-            {
+            match env.registry.verify_as(place.0.as_str(), &sub.encode(), sig) {
                 Ok(true) => {}
                 Ok(false) => out.fail(Failure::BadSignature {
                     place: place.clone(),

@@ -241,7 +241,7 @@ mod tests {
             env.golden_sources[&(Place::new("Switch"), "Program".to_string())],
             Digest::of(b"fw-v5-binary")
         );
-        assert!(env.registry.contains(&"Switch".into()));
+        assert!(env.registry.contains("Switch"));
     }
 
     #[test]

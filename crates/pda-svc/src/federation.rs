@@ -243,4 +243,42 @@ mod tests {
         assert_eq!(Quorum::parse("x-of-3"), None);
         assert_eq!(Quorum::parse("twice"), None);
     }
+
+    #[test]
+    fn rogue_that_withholds_its_own_record_is_rejected() {
+        use crate::churn::rogue_reload;
+        use crate::fleet::{enroll_fleet_golden, fleet_registry, standard_fleet};
+        use pda_netsim::EvidenceMode;
+        use pda_pera::evidence::assemble_chain;
+
+        let clean = standard_fleet(3);
+        let (golden, registry) = (enroll_fleet_golden(&clean), fleet_registry(&clean));
+        let federation = Federation {
+            appraisers: ["a1", "a2", "a3"]
+                .map(|n| Appraiser::new(n, golden.clone(), registry.clone()))
+                .into(),
+            quorum: Quorum::Majority,
+        };
+        let mut fleet = standard_fleet(3);
+        rogue_reload(&mut fleet);
+        let (nonce, appraiser) = (Nonce(7), fleet.appraiser);
+        fleet.send_attested(nonce, EvidenceMode::OutOfBand { appraiser }, b"rogue");
+        let records = fleet.sim.evidence_at(appraiser).to_vec();
+        assert_eq!(records.len(), 3);
+        let tel = Telemetry::off();
+
+        // The whole chain shows the rogue program.
+        let (chain, _) = assemble_chain(records.clone());
+        assert!(!federation.appraise(&chain, nonce, true, &tel).ok);
+
+        // sw1 drops its own record: the others link to nothing, so the
+        // chain reassembles to no records and two orphans, which must
+        // not pass as clean.
+        let kept = records.into_iter().filter(|r| r.switch != "sw1").collect();
+        let (chain, orphans) = assemble_chain(kept);
+        assert_eq!((chain.len(), orphans.len()), (0, 2));
+        let verdict = federation.appraise(&chain, nonce, true, &tel);
+        assert!(!verdict.ok);
+        assert_eq!(verdict.yes, 0, "every member rejects: {:?}", verdict.causes);
+    }
 }

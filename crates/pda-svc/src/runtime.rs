@@ -6,7 +6,7 @@
 //! `Mutex<VecDeque>` guarded by a `Condvar`; a fixed pool of workers
 //! pops and serves them.
 //!
-//! Each connection is **persistent** by default: [`serve_connection`]
+//! Each connection is **persistent** by default: `serve_connection`
 //! loops over requests on one socket (HTTP/1.1 keep-alive), consuming
 //! exactly the bytes each request used so pipelined follow-ups parse
 //! from the same buffer. The loop closes the connection when the

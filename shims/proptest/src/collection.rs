@@ -4,7 +4,7 @@
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Sizes accepted by [`vec`]: an exact length or a half-open/inclusive range.
+/// Sizes accepted by [`vec()`]: an exact length or a half-open/inclusive range.
 pub trait SizeRange {
     /// Inclusive `(lo, hi)` length bounds.
     fn bounds(&self) -> (usize, usize);
