@@ -1,14 +1,14 @@
-//! Experiment implementations shared by the Criterion benches and the
-//! `harness` binary. Each `exp_*` function regenerates one paper
-//! artifact (figure, equation, or table row set) and returns it as a
-//! [`Table`]; the harness prints and serializes every table the same
-//! way, EXPERIMENTS.md records them.
+//! Experiment implementations behind the `harness` binary. Each `exp_*`
+//! function regenerates one paper artifact (figure, equation, or table
+//! row set) and returns it as a [`Table`]; the harness prints and
+//! serializes every table the same way, EXPERIMENTS.md records them.
 
 use pda_copland::adversary::{analyze, AdversaryModel};
 use pda_copland::ast::examples as copland_examples;
 use pda_copland::parser::parse_request;
 use pda_core::prelude::*;
 use pda_crypto::digest::Digest;
+use pda_crypto::hmac::HmacKeySchedule;
 use pda_crypto::lamport::LamportSecretKey;
 use pda_crypto::merkle::{merkle_verify, MerkleSigner};
 use pda_crypto::sha256::Sha256;
@@ -755,10 +755,12 @@ pub fn exp_uc1_detection(samplings: &[Sampling]) -> Table {
 // E11 — crypto primitive costs
 // ---------------------------------------------------------------------
 
-/// E11: rough single-threaded costs of the root-of-trust primitives
-/// (Criterion benches give the rigorous numbers; this feeds the harness
-/// table): mean `ns_per_op` over a loop, and the output or signature
-/// size where one applies.
+/// E11: single-threaded costs of the root-of-trust primitives: mean
+/// `ns_per_op` over a loop, and the output or signature size where one
+/// applies. The two 32-byte rows are per-record evidence signing, HMAC
+/// over a record digest with the key schedule recomputed per tag and
+/// precomputed once ([`HmacKeySchedule`]); they are cheap enough that
+/// each loop runs 16 × `iters` times.
 pub fn exp_crypto(iters: u32) -> Table {
     let mut t = Table::new("crypto", "E11: root-of-trust primitive costs");
     let mut row = |op: &str, ns_per_op: f64, size_bytes: usize| {
@@ -783,6 +785,20 @@ pub fn exp_crypto(iters: u32) -> Table {
         std::hint::black_box(pda_crypto::hmac::hmac_sha256(b"key", &data));
     }
     row("hmac-sha256 (1500B)", per_op(t0, iters), 32);
+
+    let (key, digest) = ([0x42u8; 32], [0x17u8; 32]);
+    let many = iters.saturating_mul(16);
+    let t0 = Instant::now();
+    for _ in 0..many {
+        std::hint::black_box(pda_crypto::hmac::hmac_sha256(&key, &digest));
+    }
+    row("hmac-sha256 (32B, fresh key)", per_op(t0, many), 32);
+    let schedule = HmacKeySchedule::new(&key);
+    let t0 = Instant::now();
+    for _ in 0..many {
+        std::hint::black_box(schedule.mac(&digest));
+    }
+    row("hmac-sha256 (32B, key schedule)", per_op(t0, many), 32);
 
     let (sk, pk) = LamportSecretKey::derive(&[7u8; 32], 0);
     let t0 = Instant::now();
@@ -872,7 +888,9 @@ pub fn exp_wire(path_lengths: &[usize]) -> Table {
 /// each leaf count the harness checks `fabric_step(n)` ≡
 /// `fabric_step_redundant(n)` (dead/duplicated/reordered clauses added)
 /// and spine-leaf reachability from leaf 1 to leaf `n`, timing both
-/// backends. The enumerative oracle only runs at sizes ≤ `enum_cap`
+/// backends, then times the symbolic `verified_slice_for_switch` for
+/// leaf 1, for the spine (switch 0) and for all `n + 1` switches in
+/// turn. The enumerative oracle only runs at sizes ≤ `enum_cap`
 /// (its columns are empty above): its cost is super-linear in mentioned
 /// constants and becomes impractical long before the symbolic
 /// backend's. `policy_size` is the step policy's AST size; both
@@ -882,6 +900,7 @@ pub fn exp_e19(sizes: &[usize], enum_cap: usize) -> Table {
     use pda_netkat::corpus::{fabric_step, fabric_step_redundant};
     use pda_netkat::equiv::{equivalent_with, Backend};
     use pda_netkat::reach::can_reach_enumerative;
+    use pda_netkat::specialize::verified_slice_for_switch;
 
     let mut t = Table::new(
         "e19",
@@ -924,6 +943,17 @@ pub fn exp_e19(sizes: &[usize], enum_cap: usize) -> Table {
             t0.elapsed().as_nanos() as u64
         });
 
+        let slice_ns = |switches: std::ops::RangeInclusive<u32>| {
+            let t0 = Instant::now();
+            for sw in switches {
+                std::hint::black_box(verified_slice_for_switch(&p, sw));
+            }
+            t0.elapsed().as_nanos() as u64
+        };
+        let sym_slice_leaf_ns = slice_ns(1..=1);
+        let sym_slice_spine_ns = slice_ns(0..=0);
+        let sym_all_slices_ns = slice_ns(0..=n as u32);
+
         if let Some(enum_ns) = enum_equiv_ns {
             speedup = Some((n, enum_ns as f64 / sym_equiv_ns.max(1) as f64));
         }
@@ -934,6 +964,9 @@ pub fn exp_e19(sizes: &[usize], enum_cap: usize) -> Table {
             ("enum_equiv_ns", &enum_equiv_ns),
             ("sym_reach_ns", &sym_reach_ns),
             ("enum_reach_ns", &enum_reach_ns),
+            ("sym_slice_leaf_ns", &sym_slice_leaf_ns),
+            ("sym_slice_spine_ns", &sym_slice_spine_ns),
+            ("sym_all_slices_ns", &sym_all_slices_ns),
             ("equivalent", &equivalent),
             ("reachable", &reachable),
         ]);

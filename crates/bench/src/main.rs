@@ -16,9 +16,9 @@
 //! `--bench-json <path>` additionally writes every table that ran as a
 //! `{experiment, git_rev, rows}` JSON document (see `Table::to_json`),
 //! so runs are diffable across commits; `BENCH_fig3.json`,
-//! `BENCH_e15.json`, `BENCH_e18.json` and `BENCH_e19.json` are such
-//! files. When several tables run (`e18` alone prints two), the file
-//! holds an array of their documents.
+//! `BENCH_crypto.json`, `BENCH_e15.json`, `BENCH_e18.json` and
+//! `BENCH_e19.json` are such files. When several tables run (`e18`
+//! alone prints two), the file holds an array of their documents.
 
 use bench::*;
 use pda_pera::config::Sampling;

@@ -99,7 +99,7 @@ fn diagnostics_match_the_golden_snapshot() {
     }
 }
 
-/// The acceptance criterion, stated directly over the snapshot corpus:
+/// The acceptance condition, stated directly over the snapshot corpus:
 /// every rogue builtin trips an Error-severity taint (PDA4xx) or
 /// symbolic-reachability (PDA5xx) diagnostic, every benign builtin
 /// emits nothing at Warning or above.

@@ -277,8 +277,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                 // `_` alone is Copy; `_` starting an identifier is fine too.
                 if bytes
                     .get(i + 1)
-                    .map(|b| (*b as char).is_alphanumeric() || *b == b'_')
-                    .unwrap_or(false)
+                    .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
                 {
                     let (ident, next) = lex_ident(src, i);
                     out.push(Spanned {
@@ -294,7 +293,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                     i += 1;
                 }
             }
-            c if c.is_alphabetic() => {
+            c if c.is_ascii_alphabetic() => {
                 let (ident, next) = lex_ident(src, i);
                 out.push(Spanned {
                     tok: Token::Ident(ident),
@@ -311,11 +310,15 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                 });
                 i = next;
             }
-            other => {
+            _ => {
+                // Every arm above consumes ASCII only, so `i` sits on a
+                // char boundary: name the whole (possibly multi-byte)
+                // character rather than its lead byte.
+                let other = src[i..].chars().next().unwrap_or(c);
                 return Err(LexError {
                     offset: i,
                     message: format!("unexpected character `{other}`"),
-                })
+                });
             }
         }
     }
@@ -325,13 +328,8 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
 fn lex_ident(src: &str, start: usize) -> (String, usize) {
     let bytes = src.as_bytes();
     let mut end = start;
-    while end < bytes.len() {
-        let c = bytes[end] as char;
-        if c.is_alphanumeric() || c == '_' || c == '.' {
-            end += 1;
-        } else {
-            break;
-        }
+    while end < bytes.len() && (bytes[end].is_ascii_alphanumeric() || b"_.".contains(&bytes[end])) {
+        end += 1;
     }
     (src[start..end].to_string(), end)
 }

@@ -180,3 +180,31 @@ fn eval_request_uses_nonce_only_when_declared() {
     assert_eq!(eval_request(&with), Evidence::Nonce);
     assert_eq!(eval_request(&without), Evidence::Empty);
 }
+
+/// Arbitrary text for the parser: runs of printable ASCII, Copland
+/// tokens, line breaks and multi-byte characters, in any order. U+0085
+/// and U+00A0 are among them because their UTF-8 continuation bytes
+/// are whitespace when read as Latin-1.
+fn text() -> impl Strategy<Value = String> {
+    let tokens: Vec<&str> = "* : , @ [ ] ( ) < > ! # {} -> +<+ -~- _ // bank p1 attest n _x 7"
+        .split(' ')
+        .collect();
+    let fragment = prop_oneof![
+        "[ -~]{1,4}",
+        (0..tokens.len()).prop_map(move |i| tokens[i].to_string()),
+        "[\n\té▶☃\u{85}\u{a0}𝄞]",
+    ];
+    proptest::collection::vec(fragment, 0..24).prop_map(|parts| parts.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Neither entry point panics on arbitrary text: non-ASCII input is
+    /// a parse error at its byte offset, like any other stray character.
+    #[test]
+    fn parsers_never_panic_on_arbitrary_text(src in text()) {
+        let _ = parse_request(&src);
+        let _ = parse_phrase(&src);
+    }
+}

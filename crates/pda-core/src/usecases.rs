@@ -1,7 +1,7 @@
 //! Executable versions of the paper's five motivating use cases (§2).
 //!
 //! Each helper wires the lower layers into the flow the paper narrates
-//! and returns a structured outcome the examples, tests, and benches
+//! and returns a structured outcome the examples, tests, and harness
 //! assert on.
 
 use pda_crypto::digest::Digest;

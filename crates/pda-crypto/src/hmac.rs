@@ -66,19 +66,6 @@ impl HmacKeySchedule {
         m.finalize()
     }
 
-    /// Midstate past the `key ⊕ ipad` block — feed message bytes from
-    /// here. Exposed so batch callers can push many messages through
-    /// [`crate::sha256::digest_many_from`] in one multi-lane pass.
-    pub fn inner_midstate(&self) -> Midstate {
-        self.inner_start
-    }
-
-    /// Midstate past the `key ⊕ opad` block — feed the inner digest from
-    /// here to finish a tag.
-    pub fn outer_midstate(&self) -> Midstate {
-        self.outer_start
-    }
-
     /// MAC `L` equal-length messages in one multi-lane pass, exactly
     /// matching [`HmacKeySchedule::mac`] per lane. Both HMAC passes (the
     /// message absorption and the outer finalization) run 8-wide, which

@@ -59,7 +59,12 @@ struct Scanner<'a> {
 impl<'a> Scanner<'a> {
     fn skip_ws(&mut self) {
         let bytes = self.src.as_bytes();
-        while self.pos < bytes.len() && (bytes[self.pos] as char).is_whitespace() {
+        // ASCII only: read as a `char`, a UTF-8 continuation byte such
+        // as 0x85 or 0xA0 would pass for whitespace.
+        while self.pos < bytes.len()
+            && bytes[self.pos].is_ascii()
+            && (bytes[self.pos] as char).is_whitespace()
+        {
             self.pos += 1;
         }
     }
@@ -94,13 +99,10 @@ impl<'a> Scanner<'a> {
         self.skip_ws();
         let start = self.pos;
         let bytes = self.src.as_bytes();
-        while self.pos < bytes.len() {
-            let c = bytes[self.pos] as char;
-            if c.is_alphanumeric() || c == '_' || c == '.' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while self.pos < bytes.len()
+            && (bytes[self.pos].is_ascii_alphanumeric() || b"_.".contains(&bytes[self.pos]))
+        {
+            self.pos += 1;
         }
         if self.pos == start {
             return Err(self.err("expected identifier"));

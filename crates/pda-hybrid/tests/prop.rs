@@ -4,6 +4,7 @@
 
 use pda_copland::ast::{Asp, Phrase};
 use pda_hybrid::ast::{table1, Guard};
+use pda_hybrid::parser::parse_hybrid;
 use pda_hybrid::resolve::{resolve, Composition, NodeInfo};
 use pda_hybrid::wire::{decode, encode, Flags, WireError, WirePolicy};
 use pda_hybrid::HopDirective;
@@ -340,5 +341,34 @@ mod pretty_rt {
                 .unwrap_or_else(|e| panic!("`{printed}` failed: {e}"));
             prop_assert_eq!(reparsed, p, "{}", printed);
         }
+    }
+}
+
+/// Arbitrary text for the parser: runs of printable ASCII, hybrid-policy
+/// tokens, line breaks and multi-byte characters, in any order. U+0085
+/// and U+00A0 are among them because their UTF-8 continuation bytes
+/// are whitespace when read as Latin-1.
+fn text() -> impl Strategy<Value = String> {
+    let tokens: Vec<&str> =
+        "* : , < > @ [ ] ( ) *=> -+> ++> --> |> ! # -> rp p1 forall K runs attest n"
+            .split(' ')
+            .collect();
+    let fragment = prop_oneof![
+        "[ -~]{1,4}",
+        (0..tokens.len()).prop_map(move |i| tokens[i].to_string()),
+        "[\n\té▶☃\u{85}\u{a0}𝄞]",
+    ];
+    proptest::collection::vec(fragment, 0..24).prop_map(|parts| parts.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `parse_hybrid` never panics on arbitrary text: non-ASCII input
+    /// is a parse error at its byte offset, like any other stray
+    /// character.
+    #[test]
+    fn parser_never_panics_on_arbitrary_text(src in text()) {
+        let _ = parse_hybrid(&src);
     }
 }

@@ -1,6 +1,7 @@
 //! Builtin policy corpus: named policy pairs with known equivalence
 //! verdicts, plus the synthetic spine–leaf fabric family used by the E19
-//! scaling experiment and the `netkat_symbolic` criterion group.
+//! scaling experiment (`harness e19`) and the `pdabench` `verify`
+//! workload.
 //!
 //! `pda netkat equiv --check` runs every pair through the selected
 //! backend and fails on any verdict mismatch — the CI `netkat` job pins

@@ -4,7 +4,7 @@
 
 use pda_netkat::ast::{Field, Packet, Policy, Pred};
 use pda_netkat::equiv::equivalent;
-use pda_netkat::parser::parse_policy;
+use pda_netkat::parser::{parse_policy, parse_pred};
 use pda_netkat::semantics::{eval_packet, eval_set};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -192,5 +192,33 @@ proptest! {
     fn specialize_never_grows(p in policy(), f in field(), v in 0u32..4) {
         let s = pda_netkat::specialize::specialize(&p, f, v);
         prop_assert!(s.size() <= p.size(), "{p} grew to {s}");
+    }
+}
+
+/// Arbitrary text for the parser: runs of printable ASCII, NetKAT
+/// tokens, line breaks and multi-byte characters, in any order. U+0085
+/// and U+00A0 are among them because their UTF-8 continuation bytes
+/// are whitespace when read as Latin-1.
+fn text() -> impl Strategy<Value = String> {
+    let tokens: Vec<&str> =
+        "+ ; * ! & | ( ) := = filter dup id drop true false sw pt dst 4294967296 7"
+            .split(' ')
+            .collect();
+    let fragment = prop_oneof![
+        "[ -~]{1,4}",
+        (0..tokens.len()).prop_map(move |i| tokens[i].to_string()),
+        "[\n\té▶☃\u{85}\u{a0}𝄞]",
+    ];
+    proptest::collection::vec(fragment, 0..24).prop_map(|parts| parts.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Neither entry point panics on arbitrary text.
+    #[test]
+    fn parsers_never_panic_on_arbitrary_text(src in text()) {
+        let _ = parse_policy(&src);
+        let _ = parse_pred(&src);
     }
 }

@@ -115,10 +115,8 @@ impl ControlRetryPolicy {
 pub struct FaultPlan {
     /// PRNG seed; the sole source of randomness in a faulted run.
     pub seed: u64,
-    /// Faults applied to every link direction without an override.
+    /// Faults applied to every link direction.
     pub default_link: LinkFaults,
-    /// Per-(sender, egress-port) overrides.
-    pub link_overrides: HashMap<(NodeId, u64), LinkFaults>,
     /// Independent loss probability on the out-of-band control channel.
     pub control_loss: f64,
     /// Retransmit policy compensating `control_loss`.
@@ -136,7 +134,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             default_link: LinkFaults::default(),
-            link_overrides: HashMap::new(),
             control_loss: 0.0,
             control_retry: ControlRetryPolicy::default(),
             link_down: HashMap::new(),
@@ -147,13 +144,6 @@ impl FaultPlan {
     /// Apply `faults` to every link direction by default.
     pub fn with_default_link(mut self, faults: LinkFaults) -> FaultPlan {
         self.default_link = faults;
-        self
-    }
-
-    /// Override the faults of one link direction (`node` sending out
-    /// `port`).
-    pub fn with_link(mut self, node: NodeId, port: u64, faults: LinkFaults) -> FaultPlan {
-        self.link_overrides.insert((node, port), faults);
         self
     }
 
@@ -256,14 +246,6 @@ impl FaultPlane {
         }
     }
 
-    fn faults_for(&self, node: NodeId, port: u64) -> LinkFaults {
-        self.plan
-            .link_overrides
-            .get(&(node, port))
-            .copied()
-            .unwrap_or(self.plan.default_link)
-    }
-
     /// Decide the fate of one transmission from `node` out of `port` at
     /// `now`. Draws from the PRNG in a fixed order (loss, corruption,
     /// duplication, jitter per copy) so the decision stream is a pure
@@ -275,7 +257,7 @@ impl FaultPlane {
                 return TxFate::LinkDown;
             }
         }
-        let f = self.faults_for(node, port);
+        let f = self.plan.default_link;
         if f.is_quiet() {
             return TxFate::Deliver {
                 extra: 0,

@@ -67,8 +67,6 @@ pub enum Failure {
         /// Nonce the appraiser issued.
         expected: Nonce,
     },
-    /// A nonce was replayed across appraisal requests.
-    ReplayedNonce(Nonce),
     /// A `#`-hash could not be matched against the recomputed expected
     /// digest (tampered pre-image or swapped attestation source).
     HashMismatch {
@@ -122,7 +120,6 @@ impl fmt::Display for Failure {
             Failure::WrongNonce { got, expected } => {
                 write!(f, "nonce mismatch: got {got:?}, expected {expected}")
             }
-            Failure::ReplayedNonce(n) => write!(f, "nonce {n} replayed"),
             Failure::HashMismatch { place } => {
                 write!(
                     f,
@@ -587,21 +584,10 @@ pub fn build_expected(
 mod tests {
     use super::*;
     use crate::protocol::run_request;
+    use crate::protocol::tests::bank_env;
     use crate::runtime::PlaceRuntime;
     use pda_copland::ast::examples;
     use pda_copland::evidence::eval_request;
-
-    fn bank_env() -> Environment {
-        let mut env = Environment::new();
-        env.add_place(PlaceRuntime::new("bank"));
-        env.add_place(PlaceRuntime::new("ks").with_component("av", b"av-v1"));
-        env.add_place(
-            PlaceRuntime::new("us")
-                .with_component("bmon", b"bmon-v1")
-                .with_component("exts", b"exts-clean"),
-        );
-        env
-    }
 
     #[test]
     fn clean_run_appraises_ok() {
@@ -795,141 +781,6 @@ mod tests {
             }
         }
         assert!(!verify_signatures(&tampered, &env.registry));
-    }
-}
-
-/// A stateful appraiser service: wraps [`fn@appraise`] with nonce replay
-/// protection and an audit log of results — the long-running Appraiser
-/// box of Fig. 1 rather than a one-shot check. Presenting the same
-/// nonce twice yields a [`Failure::ReplayedNonce`] even if the evidence
-/// itself is pristine.
-pub struct AppraiserService {
-    replay: pda_crypto::nonce::ReplayWindow,
-    /// Audit log: (nonce, passed) in appraisal order.
-    pub log: Vec<(Nonce, bool)>,
-}
-
-impl AppraiserService {
-    /// Create a service with the given replay-window capacity.
-    pub fn new(window: usize) -> AppraiserService {
-        AppraiserService {
-            replay: pda_crypto::nonce::ReplayWindow::new(window),
-            log: Vec::new(),
-        }
-    }
-
-    /// Appraise evidence for a *fresh* nonce; replays fail closed.
-    pub fn appraise_fresh(
-        &mut self,
-        ev: &Ev,
-        shape: &Shape,
-        env: &Environment,
-        nonce: Nonce,
-    ) -> AppraisalResult {
-        let mut result = if self.replay.check_and_record(nonce) {
-            appraise(ev, shape, env, Some(nonce))
-        } else {
-            let result = AppraisalResult {
-                ok: false,
-                failures: vec![Failure::ReplayedNonce(nonce)],
-                checks: 1,
-            };
-            // `appraise` never ran, so audit the replay rejection here.
-            audit_verdict(&env.telemetry, &brief(ev), Some(nonce), &result);
-            result
-        };
-        // Fail closed: a replayed nonce invalidates even clean evidence.
-        if result
-            .failures
-            .iter()
-            .any(|f| matches!(f, Failure::ReplayedNonce(_)))
-        {
-            result.ok = false;
-        }
-        self.log.push((nonce, result.ok));
-        result
-    }
-
-    /// Number of appraisals performed.
-    pub fn appraisals(&self) -> usize {
-        self.log.len()
-    }
-}
-
-#[cfg(test)]
-mod service_tests {
-    use super::*;
-    use crate::protocol::run_request;
-    use crate::runtime::PlaceRuntime;
-    use pda_copland::ast::examples;
-    use pda_copland::evidence::eval_request;
-
-    fn env() -> Environment {
-        let mut env = Environment::new();
-        env.add_place(PlaceRuntime::new("RP1"));
-        env.add_place(
-            PlaceRuntime::new("Switch")
-                .with_source("Hardware", b"hw")
-                .with_source("Program", b"fw.p4"),
-        );
-        env.add_place(PlaceRuntime::new("Appraiser"));
-        env
-    }
-
-    /// Replay rejections bypass `appraise` yet still hit the audit log.
-    #[test]
-    fn replay_rejection_audited() {
-        let tel = pda_telemetry::Telemetry::collecting();
-        let mut env = env().with_telemetry(tel.clone());
-        let req = examples::pera_out_of_band();
-        let shape = eval_request(&req);
-        let report = run_request(&req, &mut env, Some(Nonce(5))).unwrap();
-        let mut service = AppraiserService::new(16);
-        service.appraise_fresh(&report.evidence, &shape, &env, Nonce(5));
-        service.appraise_fresh(&report.evidence, &shape, &env, Nonce(5));
-        let audit = tel.audit_log().unwrap().records();
-        let causes: Vec<_> = audit
-            .iter()
-            .filter_map(|r| match &r.event {
-                pda_telemetry::AuditEvent::Appraisal { cause, .. } => Some(cause.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(causes.len(), 2);
-        assert_eq!(causes[0], None);
-        assert!(causes[1].as_deref().unwrap().contains("replayed"));
-    }
-
-    #[test]
-    fn fresh_nonce_passes_replay_fails() {
-        let mut env = env();
-        let req = examples::pera_out_of_band();
-        let shape = eval_request(&req);
-        let report = run_request(&req, &mut env, Some(Nonce(5))).unwrap();
-        let mut service = AppraiserService::new(16);
-        let first = service.appraise_fresh(&report.evidence, &shape, &env, Nonce(5));
-        assert!(first.ok, "{:?}", first.failures);
-        let second = service.appraise_fresh(&report.evidence, &shape, &env, Nonce(5));
-        assert!(!second.ok);
-        assert!(matches!(
-            second.failures[0],
-            Failure::ReplayedNonce(Nonce(5))
-        ));
-        assert_eq!(service.log, vec![(Nonce(5), true), (Nonce(5), false)]);
-    }
-
-    #[test]
-    fn distinct_nonces_independent() {
-        let mut env = env();
-        let req = examples::pera_out_of_band();
-        let shape = eval_request(&req);
-        let mut service = AppraiserService::new(16);
-        for n in 0..5u64 {
-            let report = run_request(&req, &mut env, Some(Nonce(n))).unwrap();
-            let r = service.appraise_fresh(&report.evidence, &shape, &env, Nonce(n));
-            assert!(r.ok, "nonce {n}: {:?}", r.failures);
-        }
-        assert_eq!(service.appraisals(), 5);
     }
 }
 

@@ -29,15 +29,11 @@
 pub mod appraise;
 pub mod evidence;
 pub mod protocol;
-pub mod retry;
 pub mod runtime;
 pub mod semantic;
 
-pub use appraise::{appraise, AppraisalResult, AppraiserService, Failure};
+pub use appraise::{appraise, AppraisalResult, Failure};
 pub use evidence::Ev;
-pub use protocol::{
-    run_phrase, run_request, run_request_retrying, ProtocolError, RunReport, RunStats,
-};
-pub use retry::{FlakyChannel, RetryPolicy, RetrySession};
+pub use protocol::{run_phrase, run_request, ProtocolError, RunReport, RunStats};
 pub use runtime::{Component, Environment, PlaceRuntime};
 pub use semantic::{RequireLintClean, SemanticAppraisal};

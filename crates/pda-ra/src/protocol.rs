@@ -9,7 +9,6 @@
 //! out-of-band) and E12 (wire overhead) report.
 
 use crate::evidence::Ev;
-use crate::retry::RetrySession;
 use crate::runtime::Environment;
 use pda_copland::ast::{Asp, Phrase, Place, Request, Sp};
 use pda_crypto::digest::Digest;
@@ -19,8 +18,7 @@ use std::fmt;
 /// Cost/traffic statistics for one protocol run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Protocol messages exchanged (one request + one reply per `@P`,
-    /// plus one per retransmitted leg under a retry session).
+    /// Protocol messages exchanged (one request + one reply per `@P`).
     pub messages: u64,
     /// Total evidence bytes carried by those messages.
     pub bytes: u64,
@@ -32,10 +30,6 @@ pub struct RunStats {
     pub hashes: u64,
     /// Service invocations.
     pub services: u64,
-    /// Message legs retransmitted after loss (retry sessions only).
-    pub retries: u64,
-    /// Total nanoseconds spent waiting in retransmit backoff.
-    pub backoff_ns: u64,
 }
 
 /// Errors during protocol execution.
@@ -56,9 +50,6 @@ pub enum ProtocolError {
     NothingStored(Nonce),
     /// A nonce-keyed service ran but the request has no nonce.
     NoNonce,
-    /// A message leg to/from the place was lost and the retry budget
-    /// ran out (only under a [`RetrySession`]).
-    Timeout(Place),
 }
 
 impl fmt::Display for ProtocolError {
@@ -71,9 +62,6 @@ impl fmt::Display for ProtocolError {
             ProtocolError::SigningFailed(p) => write!(f, "signing failed at {p}"),
             ProtocolError::NothingStored(n) => write!(f, "nothing stored under nonce {n}"),
             ProtocolError::NoNonce => write!(f, "nonce-keyed service without a request nonce"),
-            ProtocolError::Timeout(p) => {
-                write!(f, "message leg to {p} lost; retry budget exhausted")
-            }
         }
     }
 }
@@ -97,44 +85,13 @@ pub fn run_request(
     env: &mut Environment,
     nonce: Option<Nonce>,
 ) -> Result<RunReport, ProtocolError> {
-    let mut stats = RunStats::default();
-    let evidence = run_request_inner(req, env, nonce, &mut stats, None)?;
-    Ok(RunReport { evidence, stats })
-}
-
-/// [`run_request`] over a lossy transport: every `@P` request/reply leg
-/// passes through the session's [`crate::retry::FlakyChannel`], with
-/// lost legs retransmitted under the session's retry policy. A leg that
-/// exhausts its budget fails the run with [`ProtocolError::Timeout`].
-/// Either way the run's books are published to the session's
-/// `ra.retry.*` counters.
-pub fn run_request_retrying(
-    req: &Request,
-    env: &mut Environment,
-    nonce: Option<Nonce>,
-    session: &mut RetrySession,
-) -> Result<RunReport, ProtocolError> {
-    let mut stats = RunStats::default();
-    let evidence = run_request_inner(req, env, nonce, &mut stats, Some(&mut *session));
-    session.publish((stats, matches!(evidence, Err(ProtocolError::Timeout(_)))));
-    Ok(RunReport {
-        evidence: evidence?,
-        stats,
-    })
-}
-
-fn run_request_inner(
-    req: &Request,
-    env: &mut Environment,
-    nonce: Option<Nonce>,
-    stats: &mut RunStats,
-    retry: Option<&mut RetrySession>,
-) -> Result<Ev, ProtocolError> {
     let init = match (req.params.iter().any(|p| p == "n"), nonce) {
         (true, Some(n)) => Ev::Nonce(n),
         _ => Ev::Empty,
     };
-    eval(&req.phrase, &req.rp, init, env, nonce, stats, retry)
+    let mut stats = RunStats::default();
+    let evidence = eval(&req.phrase, &req.rp, init, env, nonce, &mut stats)?;
+    Ok(RunReport { evidence, stats })
 }
 
 /// Execute a bare phrase at `place`.
@@ -146,7 +103,7 @@ pub fn run_phrase(
     nonce: Option<Nonce>,
 ) -> Result<RunReport, ProtocolError> {
     let mut stats = RunStats::default();
-    let evidence = eval(phrase, place, init, env, nonce, &mut stats, None)?;
+    let evidence = eval(phrase, place, init, env, nonce, &mut stats)?;
     Ok(RunReport { evidence, stats })
 }
 
@@ -164,7 +121,6 @@ fn eval(
     env: &mut Environment,
     nonce: Option<Nonce>,
     stats: &mut RunStats,
-    mut retry: Option<&mut RetrySession>,
 ) -> Result<Ev, ProtocolError> {
     match phrase {
         Phrase::Asp(asp) => eval_asp(asp, place, e, env, nonce, stats),
@@ -172,53 +128,27 @@ fn eval(
             if !env.places.contains_key(q) {
                 return Err(ProtocolError::UnknownPlace(q.clone()));
             }
-            // Request message carries accrued evidence to q… Lost
-            // request legs retransmit *before* the remote phrase runs.
-            let req_bytes = e.wire_size() as u64;
+            // Request message carries accrued evidence to q…
             stats.messages += 1;
-            stats.bytes += req_bytes;
-            if let Some(session) = retry.as_deref_mut() {
-                session.leg(q, req_bytes, stats)?;
-            }
-            let out = eval(inner, q, e, env, nonce, stats, retry.as_deref_mut())?;
-            // …reply carries the result back. A lost reply re-sends the
-            // already-computed result; the remote phrase does not rerun.
-            let reply_bytes = out.wire_size() as u64;
+            stats.bytes += e.wire_size() as u64;
+            let out = eval(inner, q, e, env, nonce, stats)?;
+            // …reply carries the result back.
             stats.messages += 1;
-            stats.bytes += reply_bytes;
-            if let Some(session) = retry.as_deref_mut() {
-                session.leg(q, reply_bytes, stats)?;
-            }
+            stats.bytes += out.wire_size() as u64;
             Ok(out)
         }
         Phrase::Arrow(l, r) => {
-            let mid = eval(l, place, e, env, nonce, stats, retry.as_deref_mut())?;
-            eval(r, place, mid, env, nonce, stats, retry)
+            let mid = eval(l, place, e, env, nonce, stats)?;
+            eval(r, place, mid, env, nonce, stats)
         }
         Phrase::BrSeq(sl, sr, l, r) => {
-            let le = eval(
-                l,
-                place,
-                split(*sl, &e),
-                env,
-                nonce,
-                stats,
-                retry.as_deref_mut(),
-            )?;
-            let re = eval(r, place, split(*sr, &e), env, nonce, stats, retry)?;
+            let le = eval(l, place, split(*sl, &e), env, nonce, stats)?;
+            let re = eval(r, place, split(*sr, &e), env, nonce, stats)?;
             Ok(Ev::Seq(Box::new(le), Box::new(re)))
         }
         Phrase::BrPar(sl, sr, l, r) => {
-            let le = eval(
-                l,
-                place,
-                split(*sl, &e),
-                env,
-                nonce,
-                stats,
-                retry.as_deref_mut(),
-            )?;
-            let re = eval(r, place, split(*sr, &e), env, nonce, stats, retry)?;
+            let le = eval(l, place, split(*sl, &e), env, nonce, stats)?;
+            let re = eval(r, place, split(*sr, &e), env, nonce, stats)?;
             Ok(Ev::Par(Box::new(le), Box::new(re)))
         }
     }
@@ -469,40 +399,6 @@ pub(crate) mod tests {
             })
             .unwrap();
         assert_ne!(bmon_meas, Digest::of(b"bmon-v1"));
-    }
-
-    #[test]
-    fn retrying_run_matches_plain_run_on_perfect_channel() {
-        use crate::retry::{FlakyChannel, RetryPolicy, RetrySession};
-        let mut env = bank_env();
-        let plain = run_request(&examples::bank_eq2(), &mut env, None).unwrap();
-        let mut env2 = bank_env();
-        let mut session = RetrySession::new(RetryPolicy::default(), FlakyChannel::perfect());
-        let retried =
-            run_request_retrying(&examples::bank_eq2(), &mut env2, None, &mut session).unwrap();
-        assert_eq!(plain.stats, retried.stats, "perfect channel adds nothing");
-        assert_eq!(plain.evidence.digest(), retried.evidence.digest());
-    }
-
-    #[test]
-    fn lossy_channel_retries_and_total_loss_times_out() {
-        use crate::retry::{FlakyChannel, RetryPolicy, RetrySession};
-        // Moderate loss with the default budget: the run completes and
-        // the retransmissions are visible in the stats.
-        let mut env = bank_env();
-        let mut session = RetrySession::new(RetryPolicy::default(), FlakyChannel::new(11, 0.3));
-        let report =
-            run_request_retrying(&examples::bank_eq2(), &mut env, None, &mut session).unwrap();
-        let mut env2 = bank_env();
-        let clean = run_request(&examples::bank_eq2(), &mut env2, None).unwrap();
-        assert_eq!(report.evidence.digest(), clean.evidence.digest());
-        assert!(report.stats.messages >= clean.stats.messages);
-        // A dead channel with no budget fails with Timeout at the first @P.
-        let mut env3 = bank_env();
-        let mut dead = RetrySession::new(RetryPolicy::none(), FlakyChannel::new(0, 1.0));
-        let err =
-            run_request_retrying(&examples::bank_eq2(), &mut env3, None, &mut dead).unwrap_err();
-        assert!(matches!(err, ProtocolError::Timeout(_)));
     }
 
     #[test]

@@ -63,10 +63,14 @@ impl fmt::Display for Quorum {
     }
 }
 
+/// Prefix of every member's audit-log subject.
+const SUBJECT_PREFIX: &str = "svc/";
+
 /// One independent appraiser instance.
 pub struct Appraiser {
-    /// Instance name (audit-log subject is `svc/<name>`).
-    pub name: String,
+    /// Audit-log subject, `svc/<name>`, built once; [`Appraiser::name`]
+    /// reads the name back out of it, so the two cannot disagree.
+    subject: String,
     /// This instance's reference values.
     pub golden: GoldenStore,
     /// This instance's view of the fleet's verification keys.
@@ -77,10 +81,15 @@ impl Appraiser {
     /// Build an appraiser over its own copies of the reference state.
     pub fn new(name: impl Into<String>, golden: GoldenStore, registry: KeyRegistry) -> Appraiser {
         Appraiser {
-            name: name.into(),
+            subject: format!("{SUBJECT_PREFIX}{}", name.into()),
             golden,
             registry,
         }
+    }
+
+    /// Instance name (audit-log subject is `svc/<name>`).
+    pub fn name(&self) -> &str {
+        &self.subject[SUBJECT_PREFIX.len()..]
     }
 
     /// Corrupt this appraiser's golden store: overwrite one switch's
@@ -109,7 +118,7 @@ impl Appraiser {
             nonce,
             chained,
             telemetry,
-            &format!("svc/{}", self.name),
+            &self.subject,
         )
     }
 }
@@ -165,24 +174,24 @@ impl Federation {
         // at measurement time; each gets its own child span.
         let ctx = pda_telemetry::TraceCtx::for_nonce(nonce.0);
         for (i, a) in self.appraisers.iter().enumerate() {
-            let mut span = telemetry.span_with(|| format!("svc.appraiser.{}", a.name));
+            let mut span = telemetry.span_with(|| format!("svc.appraiser.{}", a.name()));
             if span.is_active() {
-                ctx.child(&a.name, i as u64).stamp(&mut span);
+                ctx.child(a.name(), i as u64).stamp(&mut span);
             }
             let r = a.appraise(records, nonce, chained, telemetry);
             checks += r.checks;
             if r.ok {
                 yes += 1;
             } else if let Some(f) = r.failures.first() {
-                causes.push(format!("{}: {f}", a.name));
+                causes.push(format!("{}: {f}", a.name()));
             }
-            votes.push((a.name.clone(), r.ok));
+            votes.push((a.name(), r.ok));
         }
         let ok = yes >= required;
         let dissenters: Vec<String> = votes
             .iter()
             .filter(|(_, v)| *v != ok)
-            .map(|(n, _)| n.clone())
+            .map(|(n, _)| n.to_string())
             .collect();
         if let Some(reg) = telemetry.registry() {
             reg.counter("svc.dissent").add(dissenters.len() as u64);

@@ -171,9 +171,8 @@ pub fn parse_response(text: &str) -> Result<Json, String> {
 /// Lower-case hex encoding of arbitrary bytes (evidence submission
 /// payloads travel as hex strings inside JSON). Delegates to the
 /// `pda-crypto` LUT encoder: evidence batches route up to ~16 MiB
-/// through here, and the old per-byte `format!("{b:02x}")` paid one
-/// heap allocation per byte (the `hex_encoding` criterion bench pins
-/// the delta).
+/// through here, and a per-byte `format!("{b:02x}")` would pay one
+/// heap allocation per byte.
 pub fn to_hex(bytes: &[u8]) -> String {
     pda_crypto::hex_encode(bytes)
 }

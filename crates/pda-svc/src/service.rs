@@ -124,11 +124,6 @@ impl AppraisalService {
         self
     }
 
-    /// The attached flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref()
-    }
-
     /// The service's telemetry handle.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry

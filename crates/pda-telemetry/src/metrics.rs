@@ -402,11 +402,6 @@ impl Registry {
             .insert(name.to_string(), help.to_string());
     }
 
-    /// The registered help text for `name`, if any.
-    pub fn help_text(&self, name: &str) -> Option<String> {
-        self.help.lock().unwrap().get(name).cloned()
-    }
-
     /// Names of all registered metrics, sorted.
     pub fn names(&self) -> Vec<String> {
         self.metrics.lock().unwrap().keys().cloned().collect()

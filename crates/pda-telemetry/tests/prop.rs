@@ -144,3 +144,30 @@ fn audit_event() -> BoxedStrategy<AuditEvent> {
     ]
     .boxed()
 }
+
+/// Arbitrary text for the parser: runs of printable ASCII, JSON and
+/// audit-record tokens, line breaks and multi-byte characters, in any
+/// order. U+0085 and U+00A0 are among them because their UTF-8
+/// continuation bytes are whitespace when read as Latin-1.
+fn text() -> impl Strategy<Value = String> {
+    let tokens: Vec<&str> =
+        r#"{ } [ ] " : , \ \u \ud83d \u00e9 "seq":0 "kind":"appraisal" "nonce": null true - 1e9"#
+            .split(' ')
+            .collect();
+    let fragment = prop_oneof![
+        "[ -~]{1,4}",
+        (0..tokens.len()).prop_map(move |i| tokens[i].to_string()),
+        "[\n\té▶☃\u{85}\u{a0}𝄞]",
+    ];
+    proptest::collection::vec(fragment, 0..24).prop_map(|parts| parts.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `parse_jsonl` never panics on arbitrary text.
+    #[test]
+    fn audit_parser_never_panics_on_arbitrary_text(src in text()) {
+        let _ = parse_jsonl(&src);
+    }
+}

@@ -121,6 +121,29 @@ fn decode_rejects_non_hex_without_panicking() {
 }
 
 #[test]
+fn non_ascii_text_is_an_error_not_a_crash() {
+    // Read as a Latin-1 `char`, a UTF-8 lead byte (0xC3 as `Ã`, 0xE2 as
+    // `â`) passes for an identifier character, and an identifier that
+    // ends after it splits the multi-byte character.
+    let cases = [
+        ["parse", "é"],
+        ["parse", "*bank : @ksé [!]"],
+        ["hybrid", "*RPP▶ #Q->)"],
+        ["hybrid", "*rp: @pé [!]"],
+        ["hybrid", "*rp:\u{a0}@p1 [!]"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_pda"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "pda {args:?}: {stderr}");
+        assert!(stderr.contains("error:"), "pda {args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn simulate_appraises() {
     let (ok, stdout, _) = pda(&["simulate", "--hops", "3", "--legacy", "1"]);
     assert!(ok);
