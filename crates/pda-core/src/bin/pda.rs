@@ -454,12 +454,13 @@ fn cmd_netkat_equiv(args: &[String]) -> Result<(), String> {
     };
     let p = pda_netkat::parse_policy(p_src).map_err(|e| e.to_string())?;
     let q = pda_netkat::parse_policy(q_src).map_err(|e| e.to_string())?;
-    if p.has_dup() || q.has_dup() {
-        return Err("equivalence works on the dup-free fragment".into());
-    }
     match pda_netkat::counterexample_with(backend, &p, &q) {
-        None => println!("equivalent: yes"),
-        Some(cx) => println!("equivalent: NO — counterexample {cx:?}"),
+        Ok(None) => println!("equivalent: yes"),
+        Ok(Some(cx)) => println!("equivalent: NO — counterexample {cx:?}"),
+        Err(pda_netkat::SymError::DupUnsupported) => {
+            return Err("equivalence works on the dup-free fragment".into())
+        }
+        Err(e) => return Err(e.to_string()),
     }
     Ok(())
 }
@@ -539,7 +540,7 @@ fn cmd_netkat_slice(args: &[String]) -> Result<(), String> {
     let verified = !p.has_dup()
         && match backend {
             pda_netkat::Backend::Symbolic => {
-                pda_netkat::counterexample_under(&guard, &p, &slice).is_none()
+                pda_netkat::counterexample_under(&guard, &p, &slice) == Ok(None)
             }
             pda_netkat::Backend::Enumerative => {
                 let guard = Policy::filter(guard);

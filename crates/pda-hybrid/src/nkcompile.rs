@@ -51,6 +51,7 @@ use pda_dataplane::pipeline::{DataplaneProgram, Stage};
 use pda_dataplane::tables::{Entry, KeyCell, KeyCol, MatchKind, Table};
 use pda_netkat::ast::{Field, Packet, Policy, Pred};
 use pda_netkat::semantics::eval_set;
+use pda_netkat::sym::SymError;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -498,12 +499,16 @@ pub fn reconstruct(prog: &DataplaneProgram) -> Result<Policy, CompileError> {
 /// Symbolic translation validation: check that `prog` implements
 /// `policy` on the `sw = 0` plane (the compiler evaluates the finite
 /// model at `sw = 0` and never emits switch-identity matches), returning
-/// a counterexample input on disagreement.
+/// a counterexample input on disagreement, [`CompileError::HasDup`] for a
+/// policy with `dup` and [`CompileError::Unvalidatable`] when the
+/// symbolic engine gives up.
 pub fn validate(policy: &Policy, prog: &DataplaneProgram) -> Result<(), CompileError> {
     let decoded = reconstruct(prog)?;
     match pda_netkat::equiv::counterexample_under(&Pred::test(Field::Switch, 0), policy, &decoded) {
-        None => Ok(()),
-        Some(witness) => Err(CompileError::ValidationFailed { witness }),
+        Ok(None) => Ok(()),
+        Ok(Some(witness)) => Err(CompileError::ValidationFailed { witness }),
+        Err(SymError::DupUnsupported) => Err(CompileError::HasDup),
+        Err(e @ SymError::StarBudget(_)) => Err(CompileError::Unvalidatable(e.to_string())),
     }
 }
 
@@ -590,6 +595,17 @@ mod tests {
         assert_eq!(
             compile(&Policy::assign(Field::Switch, 2), "t"),
             Err(CompileError::ModifiesSwitch)
+        );
+    }
+
+    #[test]
+    fn validating_a_policy_with_dup_is_an_error() {
+        let p = Policy::filter(Pred::test(Field::Dst, 10)).seq(Policy::assign(Field::Port, 3));
+        let prog = compile(&p, "t").unwrap();
+        assert_eq!(validate(&p, &prog), Ok(()));
+        assert_eq!(
+            validate(&p.clone().seq(Policy::Dup), &prog),
+            Err(CompileError::HasDup)
         );
     }
 

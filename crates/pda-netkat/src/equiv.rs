@@ -31,7 +31,7 @@
 
 use crate::ast::{Field, Packet, Policy, Pred};
 use crate::semantics::eval_set;
-use crate::sym;
+use crate::sym::{self, SymError};
 use std::collections::BTreeSet;
 
 /// Which decision procedure to run.
@@ -45,61 +45,83 @@ pub enum Backend {
 }
 
 /// Decide `p ≡ q` for dup-free policies with the symbolic backend.
-/// Panics on `dup` (histories are not compared by this routine).
+///
+/// # Panics
+///
+/// On a policy with `dup`: histories are not compared by this routine.
+/// [`counterexample_with`] returns the error instead.
 pub fn equivalent(p: &Policy, q: &Policy) -> bool {
     equivalent_with(Backend::Symbolic, p, q)
 }
 
 /// Find a packet on which the two (dup-free) policies disagree, using the
 /// symbolic backend.
+///
+/// # Panics
+///
+/// On a policy with `dup`, like [`equivalent`].
 pub fn counterexample(p: &Policy, q: &Policy) -> Option<Packet> {
-    counterexample_with(Backend::Symbolic, p, q)
+    counterexample_with(Backend::Symbolic, p, q).expect("counterexample needs dup-free policies")
 }
 
 /// Decide `p ≡ q` with an explicit backend choice.
+///
+/// # Panics
+///
+/// On a policy with `dup`, like [`equivalent`].
 pub fn equivalent_with(backend: Backend, p: &Policy, q: &Policy) -> bool {
-    counterexample_with(backend, p, q).is_none()
+    counterexample_with(backend, p, q)
+        .expect("equivalence needs dup-free policies")
+        .is_none()
 }
 
-/// Find a distinguishing packet with an explicit backend choice.
-pub fn counterexample_with(backend: Backend, p: &Policy, q: &Policy) -> Option<Packet> {
-    assert!(
-        !p.has_dup() && !q.has_dup(),
-        "equivalence checking is implemented for the dup-free fragment"
-    );
+/// Find a distinguishing packet with an explicit backend choice, or
+/// [`SymError::DupUnsupported`] when either policy contains `dup`.
+pub fn counterexample_with(
+    backend: Backend,
+    p: &Policy,
+    q: &Policy,
+) -> Result<Option<Packet>, SymError> {
     match backend {
         Backend::Symbolic => counterexample_under(&Pred::True, p, q),
-        Backend::Enumerative => counterexample_enumerative(p, q),
+        Backend::Enumerative if p.has_dup() || q.has_dup() => Err(SymError::DupUnsupported),
+        Backend::Enumerative => Ok(counterexample_enumerative(p, q)),
     }
 }
 
 /// A packet satisfying `guard` on which the two (dup-free) policies
 /// disagree: the symbolic [`counterexample`] of `filter guard ; p` and
-/// `filter guard ; q`. Both sides convert under the guard
+/// `filter guard ; q`, or [`SymError::DupUnsupported`] when either
+/// policy contains `dup`. Both sides convert under the guard
 /// ([`sym::Arena::spp_from_policy_under`]), so sub-policies the guard
-/// makes dead are never built. Panics on `dup`, like [`counterexample`].
-pub fn counterexample_under(guard: &Pred, p: &Policy, q: &Policy) -> Option<Packet> {
-    assert!(
-        !p.has_dup() && !q.has_dup(),
-        "equivalence checking is implemented for the dup-free fragment"
-    );
-    let mut ar = sym::Arena::for_policies(&[p, q]);
-    let g = ar.sp_from_pred(guard);
-    let a = ar
-        .spp_from_policy_under(g, p)
-        .expect("dup-free policy converts to a transformer");
-    let b = ar
-        .spp_from_policy_under(g, q)
-        .expect("dup-free policy converts to a transformer");
-    let witness = ar.distinguishing_input(a, b)?;
-    let pkt = ar.packet_of_values(&witness);
-    debug_assert!(guard.eval(&pkt), "the witness lies in the guard");
-    debug_assert_ne!(
-        eval_set(p, &BTreeSet::from([pkt])),
-        eval_set(q, &BTreeSet::from([pkt])),
-        "symbolic witness must distinguish the policies"
-    );
-    Some(pkt)
+/// makes dead are never built; under `true` the whole transformers are
+/// compiled and kept by the thread's session ([`sym::session_stats`]).
+pub fn counterexample_under(
+    guard: &Pred,
+    p: &Policy,
+    q: &Policy,
+) -> Result<Option<Packet>, SymError> {
+    let witness = sym::run(&[p, q], |s| {
+        if s.has_dup() {
+            return Err(SymError::DupUnsupported);
+        }
+        let g = s.arena().sp_from_pred(guard);
+        let a = s.transformer_under(g, 0)?;
+        let b = s.transformer_under(g, 1)?;
+        let ar = s.arena();
+        Ok(ar
+            .distinguishing_input(a, b)
+            .map(|w| ar.packet_of_values(&w)))
+    })?;
+    if let Some(pkt) = witness {
+        debug_assert!(guard.eval(&pkt), "the witness lies in the guard");
+        debug_assert_ne!(
+            eval_set(p, &BTreeSet::from([pkt])),
+            eval_set(q, &BTreeSet::from([pkt])),
+            "symbolic witness must distinguish the policies"
+        );
+    }
+    Ok(witness)
 }
 
 /// Decide `p ≡ q` with the enumerative finite-model oracle.
@@ -258,7 +280,9 @@ mod tests {
         let p = Policy::assign(Field::Port, 1);
         let q = Policy::assign(Field::Port, 2);
         for b in BACKENDS {
-            let cx = counterexample_with(b, &p, &q).expect("distinct mods must differ");
+            let cx = counterexample_with(b, &p, &q)
+                .expect("dup-free")
+                .expect("distinct mods must differ");
             let pin = BTreeSet::from([cx]);
             assert_ne!(eval_set(&p, &pin), eval_set(&q, &pin), "backend {b:?}");
         }
@@ -303,7 +327,9 @@ mod tests {
             .not());
         let q = f(Pred::test(Field::Src, 2));
         for b in BACKENDS {
-            let cx = counterexample_with(b, &p, &q).expect("must differ");
+            let cx = counterexample_with(b, &p, &q)
+                .expect("dup-free")
+                .expect("must differ");
             assert!(
                 cx.get(Field::Src) > 2,
                 "witness must use a value outside the mentioned run, got {cx:?}"

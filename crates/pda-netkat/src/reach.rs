@@ -13,20 +13,23 @@
 //!   switches along a forwarding path.
 //!
 //! Both queries default to the **symbolic** backend: a breadth-first
-//! search over symbolic packet-*set* frontiers ([`Arena`]). Each
-//! layer is the image of the last under the step policy, computed by
-//! structural recursion over the policy ([`Arena::push_policy`]),
-//! so the step's transformer is never built and a rule the frontier
-//! cannot match costs one empty intersection. Witness paths walk the
-//! BFS layers backwards through the preimage
-//! ([`Arena::pre_policy`]). `dup` only archives the packet into the
-//! history, so both queries treat it as the identity on the current
-//! packet. The original enumerative evaluators remain as `*_enumerative`
-//! and serve as the differential oracle.
+//! search over symbolic packet-*set* frontiers ([`Arena`]) in the
+//! thread's session ([`sym::session_stats`]). The first time the session
+//! sees a step, each layer is the image of the last computed by
+//! structural recursion over the policy ([`Arena::push_policy`]), so the
+//! step's transformer is never built and a rule the frontier cannot
+//! match costs one empty intersection. From the step's second use on,
+//! the session holds its compiled transformer and each layer is one
+//! [`Arena::push`]. Witness paths walk the BFS layers backwards through
+//! the preimage ([`Arena::pre_policy`] or [`Arena::pre`]). `dup` only
+//! archives the packet into the history, so both queries treat it as the
+//! identity on the current packet, and a step with `dup` is always
+//! searched by images. The original enumerative evaluators remain as
+//! `*_enumerative` and serve as the differential oracle.
 
 use crate::ast::{Field, Packet, Policy, Pred};
 use crate::semantics::eval_set;
-use crate::sym::{Arena, Sp};
+use crate::sym::{self, Arena, Query, Sp, Spp};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// All packets reachable from `init` under zero or more applications of
@@ -38,7 +41,7 @@ pub fn reachable(step: &Policy, init: &BTreeSet<Packet>) -> BTreeSet<Packet> {
 /// Does some packet in `init` eventually satisfy `goal` under `step*`?
 /// Symbolic: fixpoint over packet-set images.
 pub fn can_reach(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> bool {
-    search(step, init, goal).1.is_some()
+    sym::run(&[step], |s| search(s, step, init, goal).is_some())
 }
 
 /// Enumerative oracle for [`can_reach`].
@@ -46,11 +49,46 @@ pub fn can_reach_enumerative(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred
     reachable(step, init).iter().any(|p| goal.eval(p))
 }
 
-/// Symbolic BFS from `init` under `step`. Returns the arena and, when
-/// some packet reaches `goal`, the layers (`layers[i]` holds the packets
-/// first reached at distance `i`) and the goal packets of the last one.
-fn search(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> (Arena, Option<(Vec<Sp>, Sp)>) {
-    let mut ar = Arena::for_policies(&[step]);
+/// The image of a packet set under one step: through the compiled step
+/// when the session has one, else by structural recursion over the
+/// policy.
+#[derive(Clone, Copy)]
+struct Step<'p> {
+    policy: &'p Policy,
+    compiled: Option<Spp>,
+}
+
+impl Step<'_> {
+    fn push(self, ar: &mut Arena, s: Sp) -> Sp {
+        match self.compiled {
+            Some(t) => ar.push(s, t),
+            None => ar.push_policy(s, self.policy),
+        }
+    }
+
+    fn pre(self, ar: &mut Arena, s: Sp) -> Sp {
+        match self.compiled {
+            Some(t) => ar.pre(t, s),
+            None => ar.pre_policy(self.policy, s),
+        }
+    }
+}
+
+/// Symbolic BFS from `init` under `step` in the session's arena. When
+/// some packet reaches `goal`, returns the step's images, the layers
+/// (`layers[i]` holds the packets first reached at distance `i`) and the
+/// goal packets of the last one.
+fn search<'p>(
+    s: &mut Query<'_>,
+    step: &'p Policy,
+    init: &BTreeSet<Packet>,
+    goal: &Pred,
+) -> Option<(Step<'p>, Vec<Sp>, Sp)> {
+    let step = Step {
+        policy: step,
+        compiled: s.reach_step(0),
+    };
+    let ar = s.arena();
     let goal_sp = ar.sp_from_pred(goal);
     let mut acc = Sp::EMPTY;
     for pkt in init {
@@ -63,12 +101,12 @@ fn search(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> (Arena, Option
     loop {
         let hit = ar.sp_intersect(frontier, goal_sp);
         if !ar.sp_is_empty(hit) {
-            return (ar, Some((layers, hit)));
+            return Some((step, layers, hit));
         }
-        let next = ar.push_policy(frontier, step);
+        let next = step.push(ar, frontier);
         frontier = ar.sp_diff(next, acc);
         if ar.sp_is_empty(frontier) {
-            return (ar, None);
+            return None;
         }
         acc = ar.sp_union(acc, frontier);
         layers.push(frontier);
@@ -80,23 +118,25 @@ fn search(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> (Arena, Option
 /// Returns `None` when unreachable. Symbolic: BFS layers of packet-set
 /// images, reconstructed backwards through the preimage operator.
 pub fn witness_path(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> Option<Vec<Packet>> {
-    let (mut ar, found) = search(step, init, goal);
-    let (layers, hit) = found?;
-    // Backward reconstruction: pick a goal packet, then repeatedly pick a
-    // predecessor from the previous layer via the preimage.
-    let mut cur = ar.sp_witness(hit).expect("non-empty hit layer");
-    let mut path = vec![ar.packet_of_values(&cur)];
-    for &layer in layers.iter().rev().skip(1) {
-        let cur_sp = ar.sp_singleton(&cur);
-        let prev = ar.pre_policy(step, cur_sp);
-        let cand = ar.sp_intersect(prev, layer);
-        cur = ar
-            .sp_witness(cand)
-            .expect("every BFS layer packet has a predecessor in the prior layer");
-        path.push(ar.packet_of_values(&cur));
-    }
-    path.reverse();
-    Some(path)
+    sym::run(&[step], |s| {
+        let (step, layers, hit) = search(s, step, init, goal)?;
+        let ar = s.arena();
+        // Backward reconstruction: pick a goal packet, then repeatedly
+        // pick a predecessor from the previous layer via the preimage.
+        let mut cur = ar.sp_witness(hit).expect("non-empty hit layer");
+        let mut path = vec![ar.packet_of_values(&cur)];
+        for &layer in layers.iter().rev().skip(1) {
+            let cur_sp = ar.sp_singleton(&cur);
+            let prev = step.pre(ar, cur_sp);
+            let cand = ar.sp_intersect(prev, layer);
+            cur = ar
+                .sp_witness(cand)
+                .expect("every BFS layer packet has a predecessor in the prior layer");
+            path.push(ar.packet_of_values(&cur));
+        }
+        path.reverse();
+        Some(path)
+    })
 }
 
 /// Enumerative oracle for [`witness_path`] (explicit BFS with a

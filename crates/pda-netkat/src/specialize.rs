@@ -16,7 +16,7 @@
 //! diagnostics when a compiled program carries dead rules).
 
 use crate::ast::{Field, Policy, Pred};
-use crate::sym::{Arena, Spp};
+use crate::sym::{self, Spp, SymError};
 
 /// Specialize a predicate under the assumption `f = v`. Returns the
 /// simplified predicate.
@@ -128,12 +128,18 @@ pub fn slice_for_switch(p: &Policy, sw: u32) -> Policy {
 }
 
 /// Symbolically verify the slice soundness property:
-/// `filter f=v ; network ≡ filter f=v ; slice`. Dup-free only. Both
+/// `filter f=v ; network ≡ filter f=v ; slice`, or
+/// [`SymError::DupUnsupported`] when either policy contains `dup`. Both
 /// sides are converted under the guard
 /// ([`crate::equiv::counterexample_under`]), so the rules of other
 /// switches are never built.
-pub fn slice_equivalent(network: &Policy, slice: &Policy, f: Field, v: u32) -> bool {
-    crate::equiv::counterexample_under(&Pred::test(f, v), network, slice).is_none()
+pub fn slice_equivalent(
+    network: &Policy,
+    slice: &Policy,
+    f: Field,
+    v: u32,
+) -> Result<bool, SymError> {
+    Ok(crate::equiv::counterexample_under(&Pred::test(f, v), network, slice)?.is_none())
 }
 
 /// [`slice_for_switch`] with the soundness property discharged by the
@@ -142,7 +148,7 @@ pub fn slice_equivalent(network: &Policy, slice: &Policy, f: Field, v: u32) -> b
 /// sound — is returned instead of an unverified slice.
 pub fn verified_slice_for_switch(p: &Policy, sw: u32) -> Policy {
     let slice = slice_for_switch(p, sw);
-    if !p.has_dup() && slice_equivalent(p, &slice, Field::Switch, sw) {
+    if slice_equivalent(p, &slice, Field::Switch, sw) == Ok(true) {
         slice
     } else {
         p.clone()
@@ -153,10 +159,11 @@ pub fn verified_slice_for_switch(p: &Policy, sw: u32) -> Policy {
 /// drop every packet? Dead slices indicate unreachable switches in the
 /// network encoding (nothing the policy does at `sw` is observable).
 pub fn slice_is_dead(p: &Policy, sw: u32) -> bool {
-    let mut ar = Arena::for_policies(&[p]);
-    let g = ar.sp_from_pred(&Pred::test(Field::Switch, sw));
-    // A live `dup` cannot be decided symbolically: assume live.
-    ar.spp_from_policy_under(g, p) == Ok(Spp::ZERO)
+    sym::run(&[p], |s| {
+        let g = s.arena().sp_from_pred(&Pred::test(Field::Switch, sw));
+        // A live `dup` cannot be decided symbolically: assume live.
+        s.transformer_under(g, 0) == Ok(Spp::ZERO)
+    })
 }
 
 #[cfg(test)]
@@ -226,7 +233,10 @@ mod tests {
         let network = guarded(1, 10).union(guarded(2, 20)).union(guarded(3, 30));
         for sw in 0..4 {
             let slice = slice_for_switch(&network, sw);
-            assert!(slice_equivalent(&network, &slice, Field::Switch, sw));
+            assert_eq!(
+                slice_equivalent(&network, &slice, Field::Switch, sw),
+                Ok(true)
+            );
             assert_eq!(verified_slice_for_switch(&network, sw), slice);
         }
     }

@@ -82,6 +82,13 @@
 //! returns an error instead of looping if the budget is ever exceeded;
 //! iteration counts also feed the `netkat.sym.*` telemetry family via
 //! [`Arena::publish_telemetry`].
+//!
+//! # Sessions
+//!
+//! The query functions of this crate (`can_reach`, `witness_path`,
+//! `counterexample_under` and the functions built on it, `slice_is_dead`)
+//! run in a per-thread session rather than in an arena of their own; see
+//! the `session` module and [`session_stats`].
 
 use crate::ast::{Field, Packet, Policy, Pred};
 use std::collections::hash_map::RandomState;
@@ -89,6 +96,11 @@ use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, Hasher};
 use std::iter::Peekable;
 use std::rc::Rc;
+
+mod session;
+
+pub(crate) use session::{run, Query};
+pub use session::{session_node_count, session_stats};
 
 /// A symbolic packet set: an interned index into an [`Arena`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -129,17 +141,79 @@ impl SpNode {
     }
 }
 
-#[derive(PartialEq, Eq, Hash)]
+/// An SPP node. Its tested rows lie back to back in one slice, so a
+/// node is three allocations however many values it tests.
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct SppNode {
     field: u16,
-    branches: Vec<(u64, Vec<(u64, Spp)>)>,
-    muts: Vec<(u64, Spp)>,
+    /// Tested input values, ascending, each with the end of its row in
+    /// `outs`.
+    tested: Box<[(u64, u32)]>,
+    /// The tested rows, in the order of `tested`.
+    outs: Box<[(u64, Spp)]>,
+    muts: Box<[(u64, Spp)]>,
     id: Spp,
 }
 
 impl SppNode {
+    fn branches(&self) -> Branches<'_> {
+        Branches {
+            tested: &self.tested,
+            outs: &self.outs,
+        }
+    }
+
     fn row(&self, v: u64) -> Row<'_> {
-        Row::at(&self.branches, &self.muts, self.id, v)
+        Row::at(self.branches(), &self.muts, self.id, v)
+    }
+
+    /// Every child id, rows and `id` alike.
+    fn children(&self) -> impl Iterator<Item = Spp> + '_ {
+        let rows = self.outs.iter().chain(self.muts.iter());
+        rows.map(|e| e.1).chain(std::iter::once(self.id))
+    }
+
+    /// Rewrite every child id through `f`.
+    fn remap(&mut self, f: impl Fn(Spp) -> Spp) {
+        for e in self.outs.iter_mut().chain(self.muts.iter_mut()) {
+            e.1 = f(e.1);
+        }
+        self.id = f(self.id);
+    }
+}
+
+/// The tested rows of an SPP node, read where the node stores them.
+#[derive(Clone, Copy)]
+struct Branches<'a> {
+    tested: &'a [(u64, u32)],
+    outs: &'a [(u64, Spp)],
+}
+
+impl<'a> Branches<'a> {
+    const NONE: Branches<'static> = Branches {
+        tested: &[],
+        outs: &[],
+    };
+
+    /// Each tested value with its row, ascending by value.
+    fn iter(self) -> impl Iterator<Item = (u64, &'a [(u64, Spp)])> + 'a {
+        let outs = self.outs;
+        self.tested.iter().scan(0, move |start, &(v, end)| {
+            let row = &outs[*start as usize..end as usize];
+            *start = end;
+            Some((v, row))
+        })
+    }
+
+    /// The row of tested value `v`.
+    fn get(self, v: u64) -> Option<&'a [(u64, Spp)]> {
+        let i = self.tested.binary_search_by_key(&v, |t| t.0).ok()?;
+        let start = i.checked_sub(1).map_or(0, |j| self.tested[j].1);
+        Some(&self.outs[start as usize..self.tested[i].1 as usize])
+    }
+
+    fn keys(self) -> impl Iterator<Item = u64> + 'a {
+        self.tested.iter().map(|t| t.0)
     }
 }
 
@@ -179,15 +253,10 @@ impl<'a> Row<'a> {
     }
 
     /// The row of input `v` in a node with these parts.
-    fn at(
-        branches: &'a [(u64, Vec<(u64, Spp)>)],
-        muts: &'a [(u64, Spp)],
-        id: Spp,
-        v: u64,
-    ) -> Row<'a> {
-        match branches.binary_search_by_key(&v, |b| b.0) {
-            Ok(i) => Row::tested(&branches[i].1),
-            Err(_) => Row::default_at(muts, id, v),
+    fn at(branches: Branches<'a>, muts: &'a [(u64, Spp)], id: Spp, v: u64) -> Row<'a> {
+        match branches.get(v) {
+            Some(row) => Row::tested(row),
+            None => Row::default_at(muts, id, v),
         }
     }
 
@@ -232,8 +301,8 @@ struct SppRows {
 }
 
 impl SppRows {
-    fn branches(&self) -> &[(u64, Vec<(u64, Spp)>)] {
-        self.node.as_ref().map_or(&[], |n| &n.branches)
+    fn branches(&self) -> Branches<'_> {
+        self.node.as_ref().map_or(Branches::NONE, |n| n.branches())
     }
 
     fn muts(&self) -> &[(u64, Spp)] {
@@ -248,13 +317,6 @@ impl SppRows {
     fn row_or_default<'a>(&'a self, v: u64, tested: Option<&'a [(u64, Spp)]>) -> Row<'a> {
         tested.map_or_else(|| Row::default_at(self.muts(), self.id, v), Row::tested)
     }
-}
-
-/// Rows of `branches` as slices, for merging by input value.
-fn tested_rows(
-    branches: &[(u64, Vec<(u64, Spp)>)],
-) -> impl Iterator<Item = (u64, &[(u64, Spp)])> + '_ {
-    branches.iter().map(|(v, r)| (*v, r.as_slice()))
 }
 
 fn keys<T>(entries: &[(u64, T)]) -> impl Iterator<Item = u64> + '_ {
@@ -329,6 +391,12 @@ struct WordKeys {
     mul: u64,
 }
 
+impl Default for WordKeys {
+    fn default() -> WordKeys {
+        WordKeys::new()
+    }
+}
+
 impl WordKeys {
     fn new() -> WordKeys {
         let rs = RandomState::new();
@@ -393,8 +461,10 @@ impl Hasher for WordHasher {
     }
 }
 
-/// Operation counters for one arena; see [`Arena::stats`].
-#[derive(Clone, Copy, Default, Debug)]
+/// Operation counters of one arena ([`Arena::stats`]) or of this thread's
+/// session ([`session_stats`]). An arena leaves the session books at zero;
+/// the session sums its arenas' counters and keeps its own books.
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct SymStats {
     /// Memoized operation results served from cache.
     pub cache_hits: u64,
@@ -404,6 +474,31 @@ pub struct SymStats {
     pub star_iterations: u64,
     /// Number of star fixpoints computed.
     pub star_runs: u64,
+    /// Session queries answered from kept transformers alone.
+    pub warm_queries: u64,
+    /// Session queries that converted some policy from its syntax.
+    pub cold_queries: u64,
+    /// Transformers the session compiled to keep.
+    pub transformers_compiled: u64,
+    /// Transformers the session holds now.
+    pub transformers_kept: u64,
+    /// Scratch nodes removed when a query returned.
+    pub nodes_rolled_back: u64,
+    /// Rebuilds of an arena down to the nodes its kept transformers reach.
+    pub compactions: u64,
+    /// Policies, transformers and arenas dropped to stay within the
+    /// session's bounds.
+    pub evictions: u64,
+}
+
+impl SymStats {
+    /// Add `other`'s arena counters to these.
+    fn add_arena(&mut self, other: SymStats) {
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.star_iterations += other.star_iterations;
+        self.star_runs += other.star_runs;
+    }
 }
 
 /// Star budget used by the panicking convenience wrapper. Squaring reaches
@@ -462,7 +557,8 @@ impl std::error::Error for SymError {}
 /// [`Field`]s); `pda-analyze` reuses it over table key columns.
 ///
 /// Nodes are shared (`Rc`) between the id-indexed vectors and the intern
-/// tables, so an arena is not `Send`; each query builds its own.
+/// tables, so an arena is not `Send`; the crate's query functions keep
+/// theirs in a per-thread session.
 pub struct Arena {
     num_fields: u16,
     /// `order[slot]` = external field index stored at arena slot `slot`.
@@ -524,30 +620,24 @@ impl Arena {
     /// turns thousand-switch fabric dispatch from quadratic-size nodes
     /// into linear ones (experiment E19).
     pub fn for_policies(ps: &[&Policy]) -> Arena {
-        let mut assigned: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); Field::ALL.len()];
-        fn walk(p: &Policy, assigned: &mut [BTreeSet<u32>]) {
-            match p {
-                Policy::Mod(f, v) => {
-                    assigned[f.index()].insert(*v);
-                }
-                Policy::Union(l, r) | Policy::Seq(l, r) => {
-                    walk(l, assigned);
-                    walk(r, assigned);
-                }
-                Policy::Star(x) => walk(x, assigned),
-                Policy::Filter(_) | Policy::Dup => {}
-            }
-        }
+        let mut assigned = Vec::new();
+        let mut tokens = Vec::new();
         for p in ps {
-            walk(p, &mut assigned);
+            session::tokenize(p, &mut tokens, &mut assigned);
         }
-        let mut order: Vec<u16> = (0..Field::ALL.len() as u16).collect();
-        order.sort_by_key(|&f| (assigned[f as usize].len(), f));
+        assigned.sort_unstable();
+        assigned.dedup();
+        Arena::with_order(fan_out_order(&assigned))
+    }
+
+    /// A NetKAT arena with variable order `order` (`order[slot]` = the
+    /// field stored at that slot).
+    fn with_order(order: [u16; NETKAT_FIELDS]) -> Arena {
         let mut ar = Arena::for_netkat();
         for (slot, &f) in order.iter().enumerate() {
             ar.slot_of[f as usize] = slot as u16;
         }
-        ar.order = order;
+        ar.order = order.to_vec();
         ar
     }
 
@@ -627,6 +717,71 @@ impl Arena {
         r
     }
 
+    // ------------------------------------------------------------------
+    // Rollback and compaction (the session's scratch discipline)
+    // ------------------------------------------------------------------
+
+    /// The node counts a later [`Arena::rollback`] returns to.
+    fn mark(&self) -> (usize, usize) {
+        (self.sp_nodes.len(), self.spp_nodes.len())
+    }
+
+    /// Forget every node interned since `mark` and every memo entry
+    /// (entries may name those nodes, whose ids will be reused). Returns
+    /// the number of nodes removed.
+    fn rollback(&mut self, (sp, spp): (usize, usize)) -> usize {
+        let removed = self.sp_nodes.len() - sp + self.spp_nodes.len() - spp;
+        for n in self.sp_nodes.drain(sp..) {
+            self.sp_intern.remove(&*n);
+        }
+        for n in self.spp_nodes.drain(spp..) {
+            self.spp_intern.remove(&*n);
+        }
+        self.memo.clear();
+        removed
+    }
+
+    /// Keep only the SPP nodes reachable from `roots`, renumbered in id
+    /// order (children precede parents, so they stay field-ordered and
+    /// canonical), drop every SP node and memo entry, and rewrite `roots`
+    /// to the new ids. Returns the number of nodes dropped.
+    fn compact(&mut self, roots: &mut [Spp]) -> usize {
+        let n = self.spp_nodes.len();
+        let index = |x: Spp| (x.0 >= 2).then(|| (x.0 - 2) as usize);
+        let mut new_id = vec![0u32; n];
+        let mut stack: Vec<usize> = roots.iter().filter_map(|&r| index(r)).collect();
+        while let Some(i) = stack.pop() {
+            if new_id[i] == 0 {
+                new_id[i] = 1;
+                stack.extend(self.spp_nodes[i].children().filter_map(index));
+            }
+        }
+        let mut next = 2;
+        for id in new_id.iter_mut().filter(|id| **id != 0) {
+            *id = next;
+            next += 1;
+        }
+        let remap = |x: Spp| index(x).map_or(x, |i| Spp(new_id[i]));
+        let dropped = n - (next - 2) as usize + self.sp_nodes.len();
+        self.sp_intern.clear();
+        self.sp_nodes.clear();
+        self.spp_intern.clear();
+        self.memo.clear();
+        for (i, node) in std::mem::take(&mut self.spp_nodes).into_iter().enumerate() {
+            if new_id[i] != 0 {
+                let mut node = Rc::try_unwrap(node).unwrap_or_else(|n| SppNode::clone(&n));
+                node.remap(remap);
+                let node = Rc::new(node);
+                self.spp_nodes.push(Rc::clone(&node));
+                self.spp_intern.insert(node, new_id[i]);
+            }
+        }
+        for r in roots {
+            *r = remap(*r);
+        }
+        dropped
+    }
+
     fn mk_sp(&mut self, field: u16, mut branches: Vec<(u64, Sp)>, default: Sp) -> Sp {
         branches.retain(|b| b.1 != default);
         if branches.is_empty() {
@@ -639,27 +794,48 @@ impl Arena {
         })
     }
 
+    /// The canonical node testing `field` with the rows `tested` points
+    /// into `outs` (each tested value with the end of its row), the
+    /// untested row `muts` and `id`: `ZERO` outputs and rows equal to the
+    /// default row are dropped, and a node left with no rows is `id`.
     fn mk_spp(
         &mut self,
         field: u16,
-        mut branches: Vec<(u64, Vec<(u64, Spp)>)>,
+        mut tested: Vec<(u64, u32)>,
+        mut outs: Vec<(u64, Spp)>,
         mut muts: Vec<(u64, Spp)>,
         id: Spp,
     ) -> Spp {
         muts.retain(|m| m.1 != Spp::ZERO);
-        branches.retain_mut(|(v, row)| {
-            row.retain(|e| e.1 != Spp::ZERO);
-            !row.iter()
-                .copied()
-                .eq(Row::default_at(&muts, id, *v).iter())
-        });
-        if branches.is_empty() && muts.is_empty() {
+        let (mut rows, mut end, mut start) = (0, 0, 0);
+        for i in 0..tested.len() {
+            let (v, stop) = tested[i];
+            let row_start = end;
+            for j in start..stop as usize {
+                if outs[j].1 != Spp::ZERO {
+                    outs[end] = outs[j];
+                    end += 1;
+                }
+            }
+            start = stop as usize;
+            let row = &outs[row_start..end];
+            if row.iter().copied().eq(Row::default_at(&muts, id, v).iter()) {
+                end = row_start;
+            } else {
+                tested[rows] = (v, end as u32);
+                rows += 1;
+            }
+        }
+        tested.truncate(rows);
+        outs.truncate(end);
+        if tested.is_empty() && muts.is_empty() {
             return id;
         }
         self.intern_spp(SppNode {
             field,
-            branches,
-            muts,
+            tested: tested.into(),
+            outs: outs.into(),
+            muts: muts.into(),
             id,
         })
     }
@@ -892,24 +1068,24 @@ impl Arena {
     fn spp_union_rows(&mut self, a: Spp, b: Spp) -> Spp {
         let f = self.spp_field(a).min(self.spp_field(b));
         let (va, vb) = (self.spp_rows(a, f), self.spp_rows(b, f));
-        let mut branches = Vec::new();
-        for (v, ra, rb) in merge(tested_rows(va.branches()), tested_rows(vb.branches())) {
+        let (mut tested, mut outs) = (Vec::new(), Vec::new());
+        for (v, ra, rb) in merge(va.branches().iter(), vb.branches().iter()) {
             let (ra, rb) = (va.row_or_default(v, ra), vb.row_or_default(v, rb));
-            branches.push((v, self.row_union(ra, rb)));
+            self.row_union(ra, rb, &mut outs);
+            tested.push((v, row_end(&outs)));
         }
-        let muts = self.row_union(Row::tested(va.muts()), Row::tested(vb.muts()));
+        let mut muts = Vec::new();
+        self.row_union(Row::tested(va.muts()), Row::tested(vb.muts()), &mut muts);
         let id = self.spp_union(va.id, vb.id);
-        self.mk_spp(f, branches, muts, id)
+        self.mk_spp(f, tested, outs, muts, id)
     }
 
-    /// Two rows united output by output.
-    fn row_union(&mut self, a: Row<'_>, b: Row<'_>) -> Vec<(u64, Spp)> {
-        merge(a.iter(), b.iter())
-            .map(|(w, ca, cb)| {
-                let c = self.spp_union(ca.unwrap_or(Spp::ZERO), cb.unwrap_or(Spp::ZERO));
-                (w, c)
-            })
-            .collect()
+    /// Two rows united output by output, appended to `out`.
+    fn row_union(&mut self, a: Row<'_>, b: Row<'_>, out: &mut Vec<(u64, Spp)>) {
+        for (w, ca, cb) in merge(a.iter(), b.iter()) {
+            let c = self.spp_union(ca.unwrap_or(Spp::ZERO), cb.unwrap_or(Spp::ZERO));
+            out.push((w, c));
+        }
     }
 
     /// Sequential composition `a ; b`.
@@ -949,23 +1125,27 @@ impl Arena {
         // itself outputs (for those, "output = input" is reachable through
         // a mut chain, which the untested row cannot express).
         let tested = sorted_keys(
-            keys(va.branches())
+            va.branches()
+                .keys()
                 .chain(keys(va.muts()))
-                .chain(keys(vb.branches()))
+                .chain(vb.branches().keys())
                 .chain(keys(vb.muts()))
                 .chain(keys(&muts)),
         );
-        let mut branches = Vec::with_capacity(tested.len());
+        let (mut rows, mut outs, mut out) =
+            (Vec::with_capacity(tested.len()), Vec::new(), Vec::new());
         for v in tested {
-            let mut out = Vec::new();
+            out.clear();
             for (w, ca) in va.row(v).iter() {
                 for (z, cb) in vb.row(w).iter() {
                     out.push((z, self.spp_seq(ca, cb)));
                 }
             }
-            branches.push((v, self.join_by_value(out, Spp::ZERO, Arena::spp_union)));
+            out = self.join_by_value(out, Spp::ZERO, Arena::spp_union);
+            outs.extend_from_slice(&out);
+            rows.push((v, row_end(&outs)));
         }
-        self.mk_spp(f, branches, muts, id)
+        self.mk_spp(f, rows, outs, muts, id)
     }
 
     /// Kleene star `a*` with an explicit iteration budget; returns the
@@ -1011,20 +1191,21 @@ impl Arena {
         }
         Spp(self.memoized(Memo::SppTest(a.0), |ar| {
             let n = Rc::clone(&ar.sp_nodes[(a.0 - 2) as usize]);
-            let branches = n
+            let tested = (1..).zip(&n.branches).map(|(end, b)| (b.0, end)).collect();
+            let outs = n
                 .branches
                 .iter()
-                .map(|&(v, c)| (v, vec![(v, ar.spp_test(c))]))
+                .map(|&(v, c)| (v, ar.spp_test(c)))
                 .collect();
             let id = ar.spp_test(n.default);
-            ar.mk_spp(n.field, branches, Vec::new(), id).0
+            ar.mk_spp(n.field, tested, outs, Vec::new(), id).0
         }))
     }
 
     /// The transformer `field := value` (identity on the other fields).
     pub fn spp_assign(&mut self, field: u16, value: u64) -> Spp {
-        let branches = vec![(value, vec![(value, Spp::ONE)])];
-        self.mk_spp(field, branches, vec![(value, Spp::ONE)], Spp::ZERO)
+        let row = vec![(value, Spp::ONE)];
+        self.mk_spp(field, vec![(value, 1)], row.clone(), row, Spp::ZERO)
     }
 
     // ------------------------------------------------------------------
@@ -1047,7 +1228,7 @@ impl Arena {
         let (vs, vt) = (self.sp_rows(s, f), self.spp_rows(t, f));
         let mut tested = Vec::new();
         let mut images = Vec::new();
-        for (v, sv, row) in merge(vs.branches().iter().copied(), tested_rows(vt.branches())) {
+        for (v, sv, row) in merge(vs.branches().iter().copied(), vt.branches().iter()) {
             tested.push(v);
             let sv = sv.unwrap_or(vs.default);
             if sv == Sp::EMPTY {
@@ -1096,7 +1277,8 @@ impl Arena {
         let f = self.sp_field(s).min(self.spp_field(t));
         let (vs, vt) = (self.sp_rows(s, f), self.spp_rows(t, f));
         let tested = sorted_keys(
-            keys(vt.branches())
+            vt.branches()
+                .keys()
                 .chain(keys(vt.muts()))
                 .chain(keys(vs.branches())),
         );
@@ -1189,9 +1371,10 @@ impl Arena {
         }
         let (va, vb) = (self.spp_rows(a, f), self.spp_rows(b, f));
         let mut candidates = sorted_keys(
-            keys(va.branches())
+            va.branches()
+                .keys()
                 .chain(keys(va.muts()))
-                .chain(keys(vb.branches()))
+                .chain(vb.branches().keys())
                 .chain(keys(vb.muts())),
         );
         let fresh = fresh_value(|v| candidates.binary_search(&v).is_ok());
@@ -1227,14 +1410,14 @@ impl Arena {
             return; // ZERO unreachable for cleaned children; ONE: any input.
         }
         let n = &self.spp_nodes[(t.0 - 2) as usize];
-        for (v, m) in &n.branches {
+        for (v, m) in n.branches().iter() {
             if let Some(&(_, c)) = m.first() {
-                out[n.field as usize] = *v;
+                out[n.field as usize] = v;
                 self.some_input_into(c, out);
                 return;
             }
         }
-        let tested = |v: u64| n.branches.binary_search_by_key(&v, |b| b.0).is_ok();
+        let tested = |v: u64| n.branches().get(v).is_some();
         if let Some(&(w, c)) = n.muts.first() {
             out[n.field as usize] = fresh_value(|v| v == w || tested(v));
             self.some_input_into(c, out);
@@ -1539,11 +1722,15 @@ impl Arena {
         }
         for (i, n) in self.spp_nodes.iter().enumerate() {
             let id = Spp(u32::try_from(i + 2).expect("id fits"));
-            if n.branches.is_empty() && n.muts.is_empty() {
+            if n.tested.is_empty() && n.muts.is_empty() {
                 return Err(format!("spp {id:?}: collapsible node"));
             }
-            if !n.branches.windows(2).all(|w| w[0].0 < w[1].0) {
+            if !n.tested.windows(2).all(|w| w[0].0 < w[1].0) {
                 return Err(format!("spp {id:?}: branches not strictly sorted"));
+            }
+            let last = n.tested.last().map_or(0, |t| t.1 as usize);
+            if !n.tested.is_sorted_by_key(|t| t.1) || last != n.outs.len() {
+                return Err(format!("spp {id:?}: row ends do not partition the outputs"));
             }
             if !n.muts.windows(2).all(|w| w[0].0 < w[1].0) {
                 return Err(format!("spp {id:?}: muts not strictly sorted"));
@@ -1559,7 +1746,7 @@ impl Arena {
             if n.id != Spp::ZERO && self.spp_field(n.id) <= n.field {
                 return Err(format!("spp {id:?}: id violates field order"));
             }
-            for (v, m) in &n.branches {
+            for (v, m) in n.branches().iter() {
                 if !m.windows(2).all(|w| w[0].0 < w[1].0) {
                     return Err(format!("spp {id:?}: branch {v} map not sorted"));
                 }
@@ -1573,7 +1760,7 @@ impl Arena {
                 }
                 if m.iter()
                     .copied()
-                    .eq(Row::default_at(&n.muts, n.id, *v).iter())
+                    .eq(Row::default_at(&n.muts, n.id, v).iter())
                 {
                     return Err(format!("spp {id:?}: branch {v} equals effective default"));
                 }
@@ -1586,18 +1773,40 @@ impl Arena {
     }
 }
 
-/// The terms of a union spine `p₁ + … + pₙ`, however it is nested.
+/// Where a row appended last to `outs` ends.
+fn row_end(outs: &[(u64, Spp)]) -> u32 {
+    u32::try_from(outs.len()).expect("an SPP node's rows fit u32 offsets")
+}
+
+/// The number of NetKAT packet fields ([`Field::ALL`]).
+const NETKAT_FIELDS: usize = Field::ALL.len();
+
+/// The variable order [`Arena::for_policies`] picks for policies that
+/// assign the distinct, sorted `(field, value)` pairs in `assigned`:
+/// fields by ascending number of distinct assigned values, ties in
+/// declaration order.
+fn fan_out_order(assigned: &[(u16, u32)]) -> [u16; NETKAT_FIELDS] {
+    let mut fan_out = [0usize; NETKAT_FIELDS];
+    for &(f, _) in assigned {
+        fan_out[f as usize] += 1;
+    }
+    let mut order: [u16; NETKAT_FIELDS] = std::array::from_fn(|f| f as u16);
+    order.sort_by_key(|&f| (fan_out[f as usize], f));
+    order
+}
+
+/// The terms of a union spine `p₁ + … + pₙ`, however it is nested, left
+/// to right. The walk keeps its stack on the heap, so a chain of any
+/// length costs no call depth.
 fn union_terms(p: &Policy) -> Vec<&Policy> {
-    fn spine<'p>(p: &'p Policy, out: &mut Vec<&'p Policy>) {
+    let (mut out, mut stack) = (Vec::new(), vec![p]);
+    while let Some(p) = stack.pop() {
         if let Policy::Union(l, r) = p {
-            spine(l, out);
-            spine(r, out);
+            stack.extend([&**r, &**l]);
         } else {
             out.push(p);
         }
     }
-    let mut out = Vec::new();
-    spine(p, &mut out);
     out
 }
 

@@ -238,6 +238,7 @@ proptest! {
         prop_assert_eq!(sym, enu, "verdict split on p={}, q={}", p, q);
         if !sym {
             let w = counterexample_with(Backend::Symbolic, &p, &q)
+                .expect("dup-free")
                 .expect("inequivalent policies must yield a witness");
             prop_assert_ne!(
                 eval_packet(&p, w),
@@ -395,6 +396,7 @@ proptest! {
         prop_assert_eq!(sym, equivalent_with(Backend::Enumerative, &p, &q), "p={}, q={}", p, q);
         if !sym {
             let w = counterexample_with(Backend::Symbolic, &p, &q)
+                .expect("dup-free")
                 .expect("inequivalent policies must yield a witness");
             prop_assert_ne!(eval_packet(&p, w), eval_packet(&q, w), "witness {:?}", w);
         }
