@@ -945,7 +945,7 @@ pub fn exp_e19(sizes: &[usize], enum_cap: usize) -> Table {
     use pda_netkat::corpus::{
         fabric_step, fabric_step_broken, fabric_step_redundant, policy_pairs,
     };
-    use pda_netkat::equiv::{counterexample, equivalent_with, Backend};
+    use pda_netkat::equiv::{counterexample, counterexample_under, equivalent_enumerative};
     use pda_netkat::reach::can_reach_enumerative;
     use pda_netkat::specialize::verified_slice_for_switch;
     use pda_netkat::sym::{session_node_count, session_stats};
@@ -979,13 +979,14 @@ pub fn exp_e19(sizes: &[usize], enum_cap: usize) -> Table {
         let p = fabric_step(n as u32);
         let q = fabric_step_redundant(n as u32);
 
-        let (equivalent, sym_equiv_ns) = cold(|| equivalent_with(Backend::Symbolic, &p, &q));
+        let (equivalent, sym_equiv_ns) =
+            cold(|| counterexample_under(&Pred::True, &p, &q) == Ok(None));
         assert!(equivalent, "redundant fabric must stay equivalent");
 
         let enum_equiv_ns = (n <= enum_cap).then(|| {
             let t0 = Instant::now();
-            let e = equivalent_with(Backend::Enumerative, &p, &q);
-            assert!(e, "oracle must agree");
+            let e = equivalent_enumerative(&p, &q);
+            assert_eq!(e, Ok(true), "oracle must agree");
             t0.elapsed().as_nanos() as u64
         });
 

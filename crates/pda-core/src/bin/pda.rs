@@ -12,13 +12,12 @@
 //! pda simulate --hops N [--legacy i,j] [--oob] [--packets P]
 //!              [--telemetry json|prom|off]
 //!              run the linear scenario and appraise
-//! pda netkat   '<policy>' [--equiv '<policy>']  parse / compare NetKAT
-//! pda netkat   equiv '<p>' '<q>' [--backend sym|enum]
-//! pda netkat   equiv --check [--backend sym|enum]
+//! pda netkat   '<policy>'                    parse a NetKAT policy
+//! pda netkat   equiv '<p>' '<q>' | equiv --check
 //!              decide policy equivalence (corpus regression with --check)
 //! pda netkat   reach '<step>' --from 'sw=1,pt=0' --goal '<pred>'
-//!              [--backend sym|enum]          reachability + witness path
-//! pda netkat   slice '<policy>' --switch N [--backend sym|enum]
+//!                                            reachability + witness path
+//! pda netkat   slice '<policy>' --switch N
 //!              per-switch slice, soundness verified symbolically
 //! pda lint     <builtin|all> [--format json] [--check]
 //!              run the static analyzer over builtin dataplane programs
@@ -82,11 +81,10 @@ const USAGE: &str = "usage:
   pda decode   <hex-bytes>
   pda simulate --hops N [--legacy i,j] [--oob] [--packets P]
                [--telemetry json|prom|off]
-  pda netkat   '<policy>' [--equiv '<policy>']
-  pda netkat   equiv '<p>' '<q>' | equiv --check   [--backend sym|enum]
+  pda netkat   '<policy>'
+  pda netkat   equiv '<p>' '<q>' | equiv --check
   pda netkat   reach '<step>' --from 'sw=1,pt=0' --goal '<pred>'
-               [--backend sym|enum]
-  pda netkat   slice '<policy>' --switch N [--backend sym|enum]
+  pda netkat   slice '<policy>' --switch N
   pda lint     <builtin|all> [--format json] [--check]
   pda serve    [--port P] [--hops N] [--appraisers N]
                [--quorum majority|unanimous|K-of-N] [--corrupt] [--workers W]
@@ -390,44 +388,24 @@ fn cmd_netkat(args: &[String]) -> Result<(), String> {
         Some("equiv") => cmd_netkat_equiv(&args[1..]),
         Some("reach") => cmd_netkat_reach(&args[1..]),
         Some("slice") => cmd_netkat_slice(&args[1..]),
-        _ => cmd_netkat_legacy(args),
+        _ => cmd_netkat_parse(args),
     }
 }
 
-/// Legacy form: `pda netkat '<policy>' [--equiv '<policy>']`.
-fn cmd_netkat_legacy(args: &[String]) -> Result<(), String> {
+/// Parse-only form: `pda netkat '<policy>'`.
+fn cmd_netkat_parse(args: &[String]) -> Result<(), String> {
     let src = positionals(args).next().ok_or("missing input")?;
     let p = pda_netkat::parse_policy(src).map_err(|e| e.to_string())?;
     println!("parsed: {p}");
     println!("size:   {} nodes, dup: {}", p.size(), p.has_dup());
-    if let Some(other) = flag_value(args, "--equiv") {
-        let q = pda_netkat::parse_policy(other).map_err(|e| e.to_string())?;
-        if p.has_dup() || q.has_dup() {
-            return Err("equivalence works on the dup-free fragment".into());
-        }
-        match pda_netkat::counterexample(&p, &q) {
-            None => println!("equivalent: yes"),
-            Some(cx) => println!("equivalent: NO — counterexample {cx:?}"),
-        }
-    }
     Ok(())
 }
 
-/// `--backend sym|enum` (default: the symbolic decision procedure).
-fn netkat_backend(args: &[String]) -> Result<pda_netkat::Backend, String> {
-    match flag_value(args, "--backend").unwrap_or("sym") {
-        "sym" => Ok(pda_netkat::Backend::Symbolic),
-        "enum" => Ok(pda_netkat::Backend::Enumerative),
-        other => Err(format!("unknown --backend `{other}` (want sym | enum)")),
-    }
-}
-
 fn cmd_netkat_equiv(args: &[String]) -> Result<(), String> {
-    let backend = netkat_backend(args)?;
     if has_flag(args, "--check") {
         let mut bad = Vec::new();
         for pair in pda_netkat::corpus::policy_pairs() {
-            let got = pda_netkat::equivalent_with(backend, &pair.p, &pair.q);
+            let got = pda_netkat::equivalent(&pair.p, &pair.q);
             let ok = got == pair.equivalent;
             println!(
                 "{} {:30} expected {}, got {}",
@@ -454,7 +432,7 @@ fn cmd_netkat_equiv(args: &[String]) -> Result<(), String> {
     };
     let p = pda_netkat::parse_policy(p_src).map_err(|e| e.to_string())?;
     let q = pda_netkat::parse_policy(q_src).map_err(|e| e.to_string())?;
-    match pda_netkat::counterexample_with(backend, &p, &q) {
+    match pda_netkat::counterexample_under(&pda_netkat::Pred::True, &p, &q) {
         Ok(None) => println!("equivalent: yes"),
         Ok(Some(cx)) => println!("equivalent: NO — counterexample {cx:?}"),
         Err(pda_netkat::SymError::DupUnsupported) => {
@@ -493,7 +471,6 @@ fn parse_packet_spec(spec: &str) -> Result<pda_netkat::Packet, String> {
 }
 
 fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
-    let backend = netkat_backend(args)?;
     let step = pda_netkat::parse_policy(positionals(args).next().ok_or("missing input")?)
         .map_err(|e| e.to_string())?;
     if step.has_dup() {
@@ -507,13 +484,7 @@ fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let init = std::collections::BTreeSet::from([from]);
-    let path = match backend {
-        pda_netkat::Backend::Symbolic => pda_netkat::witness_path(&step, &init, &goal),
-        pda_netkat::Backend::Enumerative => {
-            pda_netkat::witness_path_enumerative(&step, &init, &goal)
-        }
-    };
-    match path {
+    match pda_netkat::witness_path(&step, &init, &goal) {
         Some(path) => {
             println!("reachable: yes ({} hops)", path.len() - 1);
             println!("switches:  {:?}", pda_netkat::switches_along(&path));
@@ -527,8 +498,7 @@ fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_netkat_slice(args: &[String]) -> Result<(), String> {
-    use pda_netkat::{Field, Policy, Pred};
-    let backend = netkat_backend(args)?;
+    use pda_netkat::{Field, Pred};
     let p = pda_netkat::parse_policy(positionals(args).next().ok_or("missing input")?)
         .map_err(|e| e.to_string())?;
     let sw: u32 = flag_value(args, "--switch")
@@ -537,19 +507,7 @@ fn cmd_netkat_slice(args: &[String]) -> Result<(), String> {
         .map_err(|_| "bad --switch value".to_string())?;
     let slice = pda_netkat::slice_for_switch(&p, sw);
     let guard = Pred::test(Field::Switch, sw);
-    let verified = !p.has_dup()
-        && match backend {
-            pda_netkat::Backend::Symbolic => {
-                pda_netkat::counterexample_under(&guard, &p, &slice) == Ok(None)
-            }
-            pda_netkat::Backend::Enumerative => {
-                let guard = Policy::filter(guard);
-                pda_netkat::equivalent_enumerative(
-                    &guard.clone().seq(p.clone()),
-                    &guard.seq(slice.clone()),
-                )
-            }
-        };
+    let verified = pda_netkat::counterexample_under(&guard, &p, &slice) == Ok(None);
     println!("slice:    {slice}");
     println!("size:     {} nodes (network: {})", slice.size(), p.size());
     println!("verified: {}", if verified { "yes" } else { "NO" });

@@ -285,6 +285,84 @@ impl Policy {
     }
 }
 
+/// A syntax tree whose drop keeps its stack on the heap: the derived glue
+/// recurses once per level, which a long chain overflows. Every child
+/// more than two levels deep moves onto a heap stack, a leaf taking its
+/// place, and is taken apart from there; the glue drops the rest, at
+/// most three levels deep, so a tree no deeper allocates nothing.
+trait Tree: Sized {
+    /// The leaf left in place of a child taken out.
+    const LEAF: Self;
+
+    /// The boxed children of a node: none for a leaf.
+    fn children(&mut self) -> (Option<&mut Box<Self>>, Option<&mut Box<Self>>);
+}
+
+/// Is `node` more than two levels deep: has it a child with children?
+fn deep<T: Tree>(node: &mut T) -> bool {
+    let (l, r) = node.children();
+    let branch = |c: &mut Box<T>| c.children().0.is_some();
+    l.is_some_and(branch) || r.is_some_and(branch)
+}
+
+/// Move each child of `node` more than two levels deep onto `stack`.
+fn take_deep<T: Tree>(node: &mut T, stack: &mut Vec<T>) {
+    let (l, r) = node.children();
+    for c in [l, r].into_iter().flatten() {
+        if deep(&mut **c) {
+            stack.push(std::mem::replace(&mut **c, T::LEAF));
+        }
+    }
+}
+
+fn drop_tree<T: Tree>(root: &mut T) {
+    let (l, r) = root.children();
+    let deep_child = |c: &mut Box<T>| deep(&mut **c);
+    if l.is_some_and(deep_child) || r.is_some_and(deep_child) {
+        let mut stack = Vec::new();
+        take_deep(root, &mut stack);
+        while let Some(mut node) = stack.pop() {
+            take_deep(&mut node, &mut stack);
+        }
+    }
+}
+
+impl Tree for Pred {
+    const LEAF: Pred = Pred::True;
+
+    fn children(&mut self) -> (Option<&mut Box<Pred>>, Option<&mut Box<Pred>>) {
+        match self {
+            Pred::And(l, r) | Pred::Or(l, r) => (Some(l), Some(r)),
+            Pred::Not(x) => (Some(x), None),
+            Pred::True | Pred::False | Pred::Test(..) => (None, None),
+        }
+    }
+}
+
+impl Drop for Pred {
+    fn drop(&mut self) {
+        drop_tree(self);
+    }
+}
+
+impl Tree for Policy {
+    const LEAF: Policy = Policy::Dup;
+
+    fn children(&mut self) -> (Option<&mut Box<Policy>>, Option<&mut Box<Policy>>) {
+        match self {
+            Policy::Union(l, r) | Policy::Seq(l, r) => (Some(l), Some(r)),
+            Policy::Star(x) => (Some(x), None),
+            Policy::Filter(_) | Policy::Mod(..) | Policy::Dup => (None, None),
+        }
+    }
+}
+
+impl Drop for Policy {
+    fn drop(&mut self) {
+        drop_tree(self);
+    }
+}
+
 impl fmt::Display for Pred {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -355,6 +433,24 @@ mod tests {
             assert_eq!(Field::from_name(f.name()), Some(f));
         }
         assert_eq!(Field::from_name("bogus"), None);
+    }
+
+    /// Dropping a 40,000-term `+` chain, `;` chain or `|` predicate
+    /// fits a 2 MiB stack, also in a debug build.
+    #[test]
+    fn deep_chains_drop_on_a_small_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let rule = |v| Policy::assign(Field::Port, v);
+                drop(Policy::any((0..40_000).map(rule)));
+                drop((1..40_000).map(rule).fold(rule(0), Policy::seq));
+                let test = |v| Pred::test(Field::Dst, v);
+                drop((1..40_000).map(test).fold(test(0), Pred::or));
+            })
+            .expect("spawn")
+            .join()
+            .expect("drops fit the stack");
     }
 
     #[test]

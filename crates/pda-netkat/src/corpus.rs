@@ -3,9 +3,10 @@
 //! scaling experiment (`harness e19`) and the `pdabench` `verify`
 //! workload.
 //!
-//! `pda netkat equiv --check` runs every pair through the selected
-//! backend and fails on any verdict mismatch — the CI `netkat` job pins
-//! the symbolic decision procedure against this corpus on every push.
+//! `pda netkat equiv --check` runs every pair through the symbolic
+//! decision procedure and fails on any verdict mismatch, and the test
+//! `corpus_verdicts_hold_on_both_backends` checks the pairs against the
+//! enumerative oracle too; the CI `netkat` job runs both on every push.
 
 use crate::ast::{Field, Policy, Pred};
 
@@ -188,26 +189,23 @@ pub fn policy_pairs() -> Vec<PolicyPair> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::equiv::{equivalent_enumerative, equivalent_with, Backend};
+    use crate::equiv::{equivalent, equivalent_enumerative};
 
     #[test]
     fn corpus_verdicts_hold_on_both_backends() {
         for pair in policy_pairs() {
             assert_eq!(
-                equivalent_with(Backend::Symbolic, &pair.p, &pair.q),
+                equivalent(&pair.p, &pair.q),
                 pair.equivalent,
                 "symbolic verdict mismatch on {}",
                 pair.name
             );
-            // The enumerative oracle only scales to the small entries.
-            if pair.p.size() + pair.q.size() < 200 {
-                assert_eq!(
-                    equivalent_enumerative(&pair.p, &pair.q),
-                    pair.equivalent,
-                    "enumerative verdict mismatch on {}",
-                    pair.name
-                );
-            }
+            assert_eq!(
+                equivalent_enumerative(&pair.p, &pair.q),
+                Ok(pair.equivalent),
+                "enumerative verdict mismatch on {}",
+                pair.name
+            );
         }
     }
 

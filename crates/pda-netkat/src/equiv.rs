@@ -1,17 +1,20 @@
 //! Equivalence checking for dup-free NetKAT policies.
 //!
-//! Two backends decide `p ≡ q`:
+//! Two procedures decide `p ≡ q`:
 //!
-//! * **Symbolic** (the default): both policies are converted to canonical
+//! * **Symbolic** ([`equivalent`], [`counterexample`] and
+//!   [`counterexample_under`]): both policies are converted to canonical
 //!   hash-consed transformers in one [`sym::Arena`]; equivalence is then
 //!   id equality and counterexamples fall out of the first structural
 //!   difference ([`sym::Arena::distinguishing_input`]). Scales to
 //!   thousand-switch fabrics (experiment E19).
-//! * **Enumerative** (the oracle): dup-free policies denote functions
-//!   `Packet → Set<Packet>`; the finite-model construction below
-//!   enumerates per-field domains and compares [`eval_set`] pointwise.
-//!   Kept as the independent differential-testing oracle for the
-//!   symbolic engine (`tests/sym_diff.rs`).
+//! * **Enumerative** ([`equivalent_enumerative`] and
+//!   [`counterexample_enumerative`], the oracle): dup-free policies
+//!   denote functions `Packet → Set<Packet>`; the finite-model
+//!   construction below enumerates per-field domains and compares
+//!   [`eval_set`] pointwise. Kept as the independent differential-testing
+//!   oracle for the symbolic engine (`tests/sym_diff.rs`) and as E19's
+//!   baseline.
 //!
 //! # Completeness of the enumerative finite model
 //!
@@ -34,24 +37,14 @@ use crate::semantics::eval_set;
 use crate::sym::{self, SymError};
 use std::collections::BTreeSet;
 
-/// Which decision procedure to run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Backend {
-    /// Canonical symbolic transformers ([`sym`]); the default.
-    #[default]
-    Symbolic,
-    /// Finite-model enumeration over [`eval_set`]; the oracle.
-    Enumerative,
-}
-
 /// Decide `p ≡ q` for dup-free policies with the symbolic backend.
 ///
 /// # Panics
 ///
 /// On a policy with `dup`: histories are not compared by this routine.
-/// [`counterexample_with`] returns the error instead.
+/// [`counterexample_under`] returns the error instead.
 pub fn equivalent(p: &Policy, q: &Policy) -> bool {
-    equivalent_with(Backend::Symbolic, p, q)
+    counterexample(p, q).is_none()
 }
 
 /// Find a packet on which the two (dup-free) policies disagree, using the
@@ -61,32 +54,7 @@ pub fn equivalent(p: &Policy, q: &Policy) -> bool {
 ///
 /// On a policy with `dup`, like [`equivalent`].
 pub fn counterexample(p: &Policy, q: &Policy) -> Option<Packet> {
-    counterexample_with(Backend::Symbolic, p, q).expect("counterexample needs dup-free policies")
-}
-
-/// Decide `p ≡ q` with an explicit backend choice.
-///
-/// # Panics
-///
-/// On a policy with `dup`, like [`equivalent`].
-pub fn equivalent_with(backend: Backend, p: &Policy, q: &Policy) -> bool {
-    counterexample_with(backend, p, q)
-        .expect("equivalence needs dup-free policies")
-        .is_none()
-}
-
-/// Find a distinguishing packet with an explicit backend choice, or
-/// [`SymError::DupUnsupported`] when either policy contains `dup`.
-pub fn counterexample_with(
-    backend: Backend,
-    p: &Policy,
-    q: &Policy,
-) -> Result<Option<Packet>, SymError> {
-    match backend {
-        Backend::Symbolic => counterexample_under(&Pred::True, p, q),
-        Backend::Enumerative if p.has_dup() || q.has_dup() => Err(SymError::DupUnsupported),
-        Backend::Enumerative => Ok(counterexample_enumerative(p, q)),
-    }
+    counterexample_under(&Pred::True, p, q).expect("equivalence needs dup-free policies")
 }
 
 /// A packet satisfying `guard` on which the two (dup-free) policies
@@ -124,9 +92,10 @@ pub fn counterexample_under(
     Ok(witness)
 }
 
-/// Decide `p ≡ q` with the enumerative finite-model oracle.
-pub fn equivalent_enumerative(p: &Policy, q: &Policy) -> bool {
-    counterexample_enumerative(p, q).is_none()
+/// Decide `p ≡ q` with the enumerative finite-model oracle, or
+/// [`SymError::DupUnsupported`] when either policy contains `dup`.
+pub fn equivalent_enumerative(p: &Policy, q: &Policy) -> Result<bool, SymError> {
+    Ok(counterexample_enumerative(p, q)?.is_none())
 }
 
 /// The fresh representative for a field: the smallest value not among the
@@ -140,8 +109,13 @@ fn fresh_for(mentioned: &[u32]) -> u32 {
 }
 
 /// Find a packet on which the two (dup-free) policies disagree by
-/// enumerating the finite model.
-pub fn counterexample_enumerative(p: &Policy, q: &Policy) -> Option<Packet> {
+/// enumerating the finite model, or [`SymError::DupUnsupported`] when
+/// either policy contains `dup`: the model compares packets, not
+/// histories.
+pub fn counterexample_enumerative(p: &Policy, q: &Policy) -> Result<Option<Packet>, SymError> {
+    if p.has_dup() || q.has_dup() {
+        return Err(SymError::DupUnsupported);
+    }
     let mut consts = Vec::new();
     p.constants(&mut consts);
     q.constants(&mut consts);
@@ -162,14 +136,14 @@ pub fn counterexample_enumerative(p: &Policy, q: &Policy) -> Option<Packet> {
 
     // Enumerate the cross product.
     let mut pkt = Packet::zero();
-    enumerate(&domains, 0, &mut pkt, &mut |candidate| {
+    Ok(enumerate(&domains, 0, &mut pkt, &mut |candidate| {
         let pin = BTreeSet::from([*candidate]);
         if eval_set(p, &pin) != eval_set(q, &pin) {
             Some(*candidate)
         } else {
             None
         }
-    })
+    }))
 }
 
 fn enumerate<T>(
@@ -195,16 +169,21 @@ mod tests {
     use super::*;
     use crate::ast::Pred;
 
-    const BACKENDS: [Backend; 2] = [Backend::Symbolic, Backend::Enumerative];
-
     fn f(p: Pred) -> Policy {
         Policy::filter(p)
     }
 
     fn both(expect: bool, p: &Policy, q: &Policy) {
-        for b in BACKENDS {
-            assert_eq!(equivalent_with(b, p, q), expect, "backend {b:?}");
-        }
+        assert_eq!(equivalent(p, q), expect, "symbolic");
+        assert_eq!(equivalent_enumerative(p, q), Ok(expect), "enumerative");
+    }
+
+    /// The witnesses of both procedures for `p` and `q`.
+    fn witnesses(p: &Policy, q: &Policy) -> [Result<Option<Packet>, SymError>; 2] {
+        [
+            counterexample_under(&Pred::True, p, q),
+            counterexample_enumerative(p, q),
+        ]
     }
 
     // Kleene-algebra-with-tests axioms, checked semantically.
@@ -279,12 +258,10 @@ mod tests {
     fn inequivalent_policies_yield_counterexample() {
         let p = Policy::assign(Field::Port, 1);
         let q = Policy::assign(Field::Port, 2);
-        for b in BACKENDS {
-            let cx = counterexample_with(b, &p, &q)
-                .expect("dup-free")
-                .expect("distinct mods must differ");
+        for cx in witnesses(&p, &q) {
+            let cx = cx.expect("dup-free").expect("distinct mods must differ");
             let pin = BTreeSet::from([cx]);
-            assert_ne!(eval_set(&p, &pin), eval_set(&q, &pin), "backend {b:?}");
+            assert_ne!(eval_set(&p, &pin), eval_set(&q, &pin), "witness {cx:?}");
         }
     }
 
@@ -326,10 +303,8 @@ mod tests {
             .or(Pred::test(Field::Src, 1))
             .not());
         let q = f(Pred::test(Field::Src, 2));
-        for b in BACKENDS {
-            let cx = counterexample_with(b, &p, &q)
-                .expect("dup-free")
-                .expect("must differ");
+        for cx in witnesses(&p, &q) {
+            let cx = cx.expect("dup-free").expect("must differ");
             assert!(
                 cx.get(Field::Src) > 2,
                 "witness must use a value outside the mentioned run, got {cx:?}"

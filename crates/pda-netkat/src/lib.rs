@@ -41,8 +41,8 @@ pub mod sym;
 
 pub use ast::{Field, Packet, Policy, Pred};
 pub use equiv::{
-    counterexample, counterexample_enumerative, counterexample_under, counterexample_with,
-    equivalent, equivalent_enumerative, equivalent_with, Backend,
+    counterexample, counterexample_enumerative, counterexample_under, equivalent,
+    equivalent_enumerative,
 };
 pub use parser::{parse_policy, parse_pred, NkParseError};
 pub use reach::{

@@ -25,7 +25,8 @@
 //! archives the packet into the history, so both queries treat it as the
 //! identity on the current packet, and a step with `dup` is always
 //! searched by images. The original enumerative evaluators remain as
-//! `*_enumerative` and serve as the differential oracle.
+//! `*_enumerative` and serve as the differential oracle; they read `dup`
+//! as the identity too ([`eval_set`]).
 
 use crate::ast::{Field, Packet, Policy, Pred};
 use crate::semantics::eval_set;

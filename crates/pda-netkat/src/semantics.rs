@@ -5,7 +5,8 @@
 //! * [`eval_packet`] — the *dup-free* semantics: a policy denotes a
 //!   function `Packet → Set<Packet>`. Exact and total for dup-free
 //!   policies (star computed as a least fixpoint over the finite set of
-//!   reachable packets).
+//!   reachable packets). [`eval_set`], which it calls, reads `dup` as the
+//!   identity, which is what reachability needs.
 //! * [`eval_history`] — the full semantics over packet *histories*
 //!   (`dup` records the current packet). Star is again a least fixpoint;
 //!   it terminates whenever the set of reachable histories is finite and
@@ -24,7 +25,11 @@ pub fn eval_packet(policy: &Policy, pkt: Packet) -> BTreeSet<Packet> {
     eval_set(policy, &BTreeSet::from([pkt]))
 }
 
-/// Evaluate a dup-free policy on a *set* of packets.
+/// Evaluate a policy on a *set* of packets. `dup` only archives the
+/// packet into the history, which this semantics does not keep, so it
+/// reads as the identity on the current packet, as symbolic reach does;
+/// the result is then the set of current packets [`eval_history`] ends
+/// with.
 pub fn eval_set(policy: &Policy, pkts: &BTreeSet<Packet>) -> BTreeSet<Packet> {
     match policy {
         Policy::Filter(a) => pkts.iter().copied().filter(|p| a.eval(p)).collect(),
@@ -51,7 +56,7 @@ pub fn eval_set(policy: &Policy, pkts: &BTreeSet<Packet>) -> BTreeSet<Packet> {
             }
             acc
         }
-        Policy::Dup => unreachable!("has_dup checked by entry points"),
+        Policy::Dup => pkts.clone(),
     }
 }
 

@@ -80,8 +80,7 @@
 //! packet space over those values) it is the Kleene closure. The budgeted
 //! variant [`Arena::spp_star_bounded`] surfaces the iteration count and
 //! returns an error instead of looping if the budget is ever exceeded;
-//! iteration counts also feed the `netkat.sym.*` telemetry family via
-//! [`Arena::publish_telemetry`].
+//! iteration counts are in [`Arena::stats`].
 //!
 //! # Sessions
 //!
@@ -391,12 +390,6 @@ struct WordKeys {
     mul: u64,
 }
 
-impl Default for WordKeys {
-    fn default() -> WordKeys {
-        WordKeys::new()
-    }
-}
-
 impl WordKeys {
     fn new() -> WordKeys {
         let rs = RandomState::new();
@@ -486,8 +479,10 @@ pub struct SymStats {
     pub nodes_rolled_back: u64,
     /// Rebuilds of an arena down to the nodes its kept transformers reach.
     pub compactions: u64,
-    /// Policies, transformers and arenas dropped to stay within the
-    /// session's bounds.
+    /// Times the session started over because a query left it past one
+    /// of its bounds (variable orders, counted policies, kept nodes), plus
+    /// transformers compiled to keep that exceeded the node bound alone
+    /// and were not kept.
     pub evictions: u64,
 }
 
@@ -661,24 +656,6 @@ impl Arena {
         self.spp_nodes.len()
     }
 
-    /// Publish arena statistics as the `netkat.sym.*` metric family.
-    pub fn publish_telemetry(&self, tel: &pda_telemetry::Telemetry) {
-        if let Some(reg) = tel.registry() {
-            reg.gauge("netkat.sym.sp_nodes")
-                .set(self.sp_nodes.len() as i64);
-            reg.gauge("netkat.sym.spp_nodes")
-                .set(self.spp_nodes.len() as i64);
-            reg.counter("netkat.sym.cache_hits")
-                .add(self.stats.cache_hits);
-            reg.counter("netkat.sym.cache_misses")
-                .add(self.stats.cache_misses);
-            reg.counter("netkat.sym.star_iterations")
-                .add(self.stats.star_iterations);
-            reg.counter("netkat.sym.star_runs")
-                .add(self.stats.star_runs);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Interning, memoization and canonical constructors
     // ------------------------------------------------------------------
@@ -741,6 +718,25 @@ impl Arena {
         removed
     }
 
+    /// 1 at the index of each SPP node `roots` reach, 0 elsewhere.
+    fn spp_reached(&self, roots: &[Spp]) -> Vec<u32> {
+        let index = |x: Spp| (x.0 >= 2).then(|| (x.0 - 2) as usize);
+        let mut reached = vec![0u32; self.spp_nodes.len()];
+        let mut stack: Vec<usize> = roots.iter().filter_map(|&r| index(r)).collect();
+        while let Some(i) = stack.pop() {
+            if reached[i] == 0 {
+                reached[i] = 1;
+                stack.extend(self.spp_nodes[i].children().filter_map(index));
+            }
+        }
+        reached
+    }
+
+    /// The number of SPP nodes `roots` reach: what compaction would keep.
+    fn spp_nodes_reached(&self, roots: &[Spp]) -> usize {
+        self.spp_reached(roots).iter().sum::<u32>() as usize
+    }
+
     /// Keep only the SPP nodes reachable from `roots`, renumbered in id
     /// order (children precede parents, so they stay field-ordered and
     /// canonical), drop every SP node and memo entry, and rewrite `roots`
@@ -748,14 +744,7 @@ impl Arena {
     fn compact(&mut self, roots: &mut [Spp]) -> usize {
         let n = self.spp_nodes.len();
         let index = |x: Spp| (x.0 >= 2).then(|| (x.0 - 2) as usize);
-        let mut new_id = vec![0u32; n];
-        let mut stack: Vec<usize> = roots.iter().filter_map(|&r| index(r)).collect();
-        while let Some(i) = stack.pop() {
-            if new_id[i] == 0 {
-                new_id[i] = 1;
-                stack.extend(self.spp_nodes[i].children().filter_map(index));
-            }
-        }
+        let mut new_id = self.spp_reached(roots);
         let mut next = 2;
         for id in new_id.iter_mut().filter(|id| **id != 0) {
             *id = next;

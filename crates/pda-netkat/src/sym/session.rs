@@ -3,8 +3,7 @@
 //! A controller asks many questions of one fabric: reach from every leaf,
 //! a slice per switch, equivalence after each rewrite. A session keeps,
 //! per thread, one [`Arena`] per variable order that holds a compiled
-//! transformer, under an exact structural key: the policy's syntax as a
-//! token string. A query runs in the arena for the order
+//! transformer. A query runs in the arena for the order
 //! [`Arena::for_policies`] picks for its policies, so its answers are
 //! those a fresh arena gives; only the work differs.
 //!
@@ -20,34 +19,37 @@
 //!   other than `true` always stays scratch and counts no use: it
 //!   converts only the part of the policy the guard leaves live, which
 //!   for a leaf's slice is a few nodes where the kept transformer of the
-//!   whole fabric has hundreds. A counted policy is known by a keyed hash
-//!   of its token string; the string itself is stored only with a kept
-//!   transformer, which is served on an exact match alone.
-//! * **Bounds.** At most [`MAX_ORDERS`] arenas, [`MAX_POLICIES`] counted
-//!   policies and [`MAX_KEPT_NODES`] kept nodes over all arenas; past a
-//!   bound the least recently used arena, policy or transformer goes, and
-//!   a transformer that does not fit alone is never kept again. Which
-//!   query came first never matters: a one-off pair with another variable
-//!   order lands in an arena of its own and evicts nothing.
+//!   whole fabric has hundreds.
+//! * **An exact key.** From the first query that counts a use of a
+//!   policy, the session keeps its syntax as a token string, one byte per
+//!   tag and small value, and finds it again by comparing token strings.
+//!   Slices count no use, so they take no entry.
+//! * **One bound rule.** When a query returns and the session holds more
+//!   than [`MAX_ORDERS`] arenas, [`MAX_POLICIES`] counted policies or
+//!   [`MAX_KEPT_NODES`] kept nodes over all its arenas, it starts over:
+//!   it forgets every policy and arena and keeps its books, and the
+//!   restart counts as an eviction. A transformer whose nodes alone
+//!   exceed [`MAX_KEPT_NODES`] is not kept, and reaches over its policy
+//!   search by images from then on. The bounds are safety limits, not a
+//!   cache policy: a `pdabench verify` round at 64 leaves uses 5 orders,
+//!   counts 28 policies (the fabric, its two rewrites and 25 distinct
+//!   corpus policies) and keeps 164 nodes, and no measured workload
+//!   evicts anything. A one-off pair with another variable order runs in
+//!   an arena of its own, which is dropped when the pair returns.
 //! * **Panics.** The session is taken out of its thread-local slot while
 //!   a query runs, so a query that panics drops it, and the next query
 //!   starts from an empty session.
 
-use super::{fan_out_order, Arena, Sp, Spp, SymError, SymStats, WordKeys, NETKAT_FIELDS};
+use super::{fan_out_order, Arena, Sp, Spp, SymError, SymStats};
 use crate::ast::{Policy, Pred};
 use std::cell::RefCell;
-use std::hash::BuildHasher;
 
-/// Arenas (variable orders) one session holds. A `pdabench verify` round
-/// at 64 leaves uses 5, the fabric family's among them.
+/// Arenas (variable orders) one session holds.
 const MAX_ORDERS: usize = 8;
-/// Policies whose uses one session counts. The same round counts 28:
-/// the fabric, its two rewrites and 25 distinct corpus policies (slices
-/// convert under a guard and are not counted).
+/// Policies whose uses one session counts.
 const MAX_POLICIES: usize = 64;
 /// Nodes the session keeps between queries, over all its arenas. The
-/// same round keeps 164; the 1024-leaf fabric's step alone is 2,051
-/// nodes. A transformer that does not fit is never kept again.
+/// 1024-leaf fabric's step alone is 2,051.
 const MAX_KEPT_NODES: usize = 1 << 12;
 
 thread_local! {
@@ -86,80 +88,47 @@ struct Session {
     known: Vec<Known>,
     /// Arenas that keep at least one transformer.
     slots: Vec<Slot>,
-    /// Queries run so far; the clock of the least-recently-used rules.
-    clock: u64,
     books: SymStats,
-    /// Ids handed to known policies so far.
-    ids: u64,
-    /// Keys for hashing token strings.
-    keys: WordKeys,
     /// Reused buffers: a policy's tokens, the pairs it assigns, and the
     /// pairs the query's policies assign together.
-    tokens: Vec<u32>,
+    tokens: Vec<u8>,
     assigned: Vec<(u16, u32)>,
     all: Vec<(u16, u32)>,
 }
 
-/// A policy whose uses the session counts, found by a hash of its token
-/// string. A hash only counts uses; the string itself is kept beside a
-/// kept transformer, which is served only on an exact match.
+/// A policy whose uses the session counts.
 struct Known {
-    id: u64,
-    hash: u64,
+    /// Its syntax as [`tokenize`] writes it: the key it is found by.
+    tokens: Box<[u8]>,
+    /// The distinct `(field, value)` pairs it assigns, sorted.
+    assigned: Box<[(u16, u32)]>,
     /// Queries that asked for its transformer or searched with it.
     uses: u32,
-    last_use: u64,
-    exact: Option<Exact>,
-    /// Its transformer once did not fit in [`MAX_KEPT_NODES`], so it is
-    /// never kept again.
+    /// Its transformer alone exceeds [`MAX_KEPT_NODES`], so it is never
+    /// kept.
     oversize: bool,
-}
-
-/// A policy's exact key: its syntax as [`tokenize`] writes it, and the
-/// distinct `(field, value)` pairs it assigns, sorted.
-struct Exact {
-    tokens: Box<[u32]>,
-    assigned: Box<[(u16, u32)]>,
-}
-
-impl Exact {
-    fn of(p: &Policy) -> Exact {
-        let (mut tokens, mut assigned) = (Vec::new(), Vec::new());
-        tokenize(p, &mut tokens, &mut assigned);
-        assigned.sort_unstable();
-        assigned.dedup();
-        Exact {
-            tokens: tokens.into(),
-            assigned: assigned.into(),
-        }
-    }
 }
 
 /// One variable order: its arena and the transformers kept in it.
 struct Slot {
     arena: Arena,
     kept: Vec<Kept>,
-    last_use: u64,
 }
 
 /// A known policy's transformer in one arena.
 struct Kept {
-    /// The policy's [`Known::id`].
-    policy: u64,
+    /// The policy's [`Session::known`] index.
+    policy: usize,
     transformer: Spp,
-    last_use: u64,
 }
 
 /// One policy of a query, as the session sees it.
-#[derive(Clone, Copy)]
 struct Seen {
-    /// The hash of its tokens.
-    hash: u64,
     /// Its [`Session::known`] index, once it is known.
     known: Option<usize>,
-    /// Its hash is a kept policy's whose tokens differ: it is served
-    /// nothing and its uses are not counted.
-    collides: bool,
+    /// Its entry, while it is not known: made known when the query counts
+    /// a use of it.
+    entry: Option<Known>,
     dup: bool,
 }
 
@@ -168,16 +137,13 @@ struct Seen {
 pub(crate) struct Query<'s> {
     slot: &'s mut Slot,
     known: &'s mut Vec<Known>,
-    ids: &'s mut u64,
+    books: &'s mut SymStats,
     policies: &'s [&'s Policy],
     seen: Vec<Seen>,
-    now: u64,
     /// Some policy was converted from its syntax.
     cold: bool,
     /// Kept transformers served.
     hits: u32,
-    /// Transformers compiled to keep.
-    compiled: u64,
 }
 
 impl Query<'_> {
@@ -230,44 +196,27 @@ impl Query<'_> {
 
     /// The [`Session::known`] index of the query's `i`th policy, made
     /// known now if `insert`. An earlier policy of the same query may
-    /// have made it known, and kept it, since the session saw it.
+    /// have made it known since the session saw it.
     fn index(&mut self, i: usize, insert: bool) -> Option<usize> {
-        let seen = self.seen[i];
-        if seen.known.is_some() || seen.collides {
+        let seen = &mut self.seen[i];
+        let Some(entry) = &seen.entry else {
             return seen.known;
-        }
-        let k = match self.known.iter().position(|k| k.hash == seen.hash) {
-            Some(k) => {
-                if let Some(e) = &self.known[k].exact {
-                    let mut tokens = Vec::new();
-                    tokenize(self.policies[i], &mut tokens, &mut Vec::new());
-                    if *e.tokens != *tokens {
-                        self.seen[i].collides = true;
-                        return None;
-                    }
-                }
-                k
-            }
+        };
+        let k = match self.known.iter().position(|k| k.tokens == entry.tokens) {
+            Some(k) => k,
             None if insert => {
-                *self.ids += 1;
-                self.known.push(Known {
-                    id: *self.ids,
-                    hash: seen.hash,
-                    uses: 0,
-                    last_use: self.now,
-                    exact: None,
-                    oversize: false,
-                });
+                self.known.extend(seen.entry.take());
                 self.known.len() - 1
             }
             None => return None,
         };
-        self.seen[i].known = Some(k);
+        seen.known = Some(k);
+        seen.entry = None;
         Some(k)
     }
 
     /// Count a use of the query's `i`th policy. True from its second use
-    /// on, unless its transformer once did not fit the session.
+    /// on, unless its transformer is too large to keep.
     fn reused(&mut self, i: usize) -> bool {
         let Some(k) = self.index(i, true) else {
             return false;
@@ -280,29 +229,27 @@ impl Query<'_> {
     /// The kept transformer of the query's `i`th policy.
     fn kept(&mut self, i: usize) -> Option<Spp> {
         let k = self.index(i, false)?;
-        let id = self.known[k].id;
-        let k = self.slot.kept.iter_mut().find(|k| k.policy == id)?;
-        k.last_use = self.now;
+        let kept = self.slot.kept.iter().find(|x| x.policy == k)?;
         self.hits += 1;
-        Some(k.transformer)
+        Some(kept.transformer)
     }
 
     /// Compile the query's `i`th policy, and keep the transformer if
-    /// `keep`.
+    /// `keep` and it fits the session alone.
     fn compile(&mut self, i: usize, keep: bool) -> Result<Spp, SymError> {
         self.cold = true;
         let transformer = self.slot.arena.spp_from_policy(self.policies[i])?;
         if let (true, Some(k)) = (keep, self.seen[i].known) {
-            let known = &mut self.known[k];
-            known
-                .exact
-                .get_or_insert_with(|| Exact::of(self.policies[i]));
-            self.slot.kept.push(Kept {
-                policy: known.id,
-                transformer,
-                last_use: self.now,
-            });
-            self.compiled += 1;
+            self.books.transformers_compiled += 1;
+            if self.slot.arena.spp_nodes_reached(&[transformer]) > MAX_KEPT_NODES {
+                self.known[k].oversize = true;
+                self.books.evictions += 1;
+            } else {
+                self.slot.kept.push(Kept {
+                    policy: k,
+                    transformer,
+                });
+            }
         }
         Ok(transformer)
     }
@@ -323,36 +270,31 @@ impl Session {
     }
 
     fn run<R>(&mut self, policies: &[&Policy], query: impl FnOnce(&mut Query<'_>) -> R) -> R {
-        self.clock += 1;
-        let now = self.clock;
-        let mut seen = Vec::with_capacity(policies.len());
-        let mut all = std::mem::take(&mut self.all);
-        for p in policies {
-            seen.push(self.see(p, now));
-            if seen.len() == 1 {
-                all.clone_from(&self.assigned);
-            } else {
-                all = sorted_union(&all, &self.assigned);
+        self.all.clear();
+        let seen: Vec<Seen> = policies.iter().map(|p| self.see(p)).collect();
+        let order = fan_out_order(&self.all);
+        let slot = match self.slots.iter().position(|s| s.arena.order == order) {
+            Some(slot) => slot,
+            None => {
+                let arena = Arena::with_order(order);
+                let kept = Vec::new();
+                self.slots.push(Slot { arena, kept });
+                self.slots.len() - 1
             }
-        }
-        let order = fan_out_order(&all);
-        self.all = all;
-        let slot = self.slot_for(order, now);
+        };
         let slot = &mut self.slots[slot];
-        let mark = slot.arena.mark();
+        let (mark, held) = (slot.arena.mark(), slot.kept.len());
         let mut q = Query {
             slot: &mut *slot,
             known: &mut self.known,
-            ids: &mut self.ids,
+            books: &mut self.books,
             policies,
             seen,
-            now,
             cold: false,
             hits: 0,
-            compiled: 0,
         };
         let out = query(&mut q);
-        let (cold, hits, compiled) = (q.cold, q.hits, q.compiled);
+        let (cold, hits) = (q.cold, q.hits);
 
         let books = &mut self.books;
         if cold || hits == 0 {
@@ -360,138 +302,58 @@ impl Session {
         } else {
             books.warm_queries += 1;
         }
-        books.transformers_compiled += compiled;
-        if compiled > 0 {
-            books.compactions += 1;
-            books.nodes_rolled_back += slot.compact() as u64;
-        } else if slot.kept.is_empty() {
+        if slot.kept.is_empty() {
             // Dropped below, scratch and all.
             let nodes = slot.arena.sp_node_count() + slot.arena.spp_node_count();
             books.nodes_rolled_back += nodes as u64;
+        } else if slot.kept.len() > held {
+            books.compactions += 1;
+            books.nodes_rolled_back += slot.compact() as u64;
         } else {
             books.nodes_rolled_back += slot.arena.rollback(mark) as u64;
         }
         books.add_arena(std::mem::take(&mut slot.arena.stats));
-        // An arena that keeps nothing goes before the node bound counts
-        // its scratch; one that evictions empty goes after.
         self.slots.retain(|s| !s.kept.is_empty());
-        self.evict_policies();
-        self.evict_nodes(now);
-        self.slots.retain(|s| !s.kept.is_empty());
+        if self.slots.len() > MAX_ORDERS
+            || self.known.len() > MAX_POLICIES
+            || self.kept_nodes() > MAX_KEPT_NODES
+        {
+            self.slots.clear();
+            self.known.clear();
+            self.books.evictions += 1;
+        }
         out
     }
 
-    /// How this query sees `p`. Leaves the distinct `(field, value)` pairs
-    /// `p` assigns in [`Session::assigned`], sorted. A policy with a kept
-    /// transformer is found by its exact key, any other known one by the
-    /// hash of its tokens; a policy not known yet becomes known only when
-    /// the query counts a use of it.
-    fn see(&mut self, p: &Policy, now: u64) -> Seen {
+    /// How this query sees `p`, found among the known policies by its
+    /// tokens, and merges the pairs `p` assigns into [`Session::all`].
+    fn see(&mut self, p: &Policy) -> Seen {
         self.tokens.clear();
         self.assigned.clear();
         let dup = tokenize(p, &mut self.tokens, &mut self.assigned);
         let tokens = &self.tokens[..];
-        let kept = self.known.iter().enumerate().find_map(|(i, k)| {
-            let e = k.exact.as_ref()?;
-            (*e.tokens == *tokens).then_some((i, e))
-        });
-        if let Some((i, e)) = kept {
-            self.assigned.clear();
-            self.assigned.extend_from_slice(&e.assigned);
-            let known = &mut self.known[i];
-            known.last_use = now;
-            return Seen {
-                hash: known.hash,
-                known: Some(i),
-                collides: false,
-                dup,
-            };
-        }
-        self.assigned.sort_unstable();
-        self.assigned.dedup();
-        let hash = self.keys.hash_one(tokens);
-        let mut seen = Seen {
-            hash,
-            known: None,
-            collides: false,
-            dup,
+        let known = self.known.iter().position(|k| *k.tokens == *tokens);
+        let mut entry = None;
+        let assigned = match known {
+            Some(k) => &self.known[k].assigned,
+            None => {
+                self.assigned.sort_unstable();
+                self.assigned.dedup();
+                let entry = entry.insert(Known {
+                    tokens: tokens.into(),
+                    assigned: self.assigned[..].into(),
+                    uses: 0,
+                    oversize: false,
+                });
+                &entry.assigned
+            }
         };
-        if let Some(i) = self.known.iter().position(|k| k.hash == hash) {
-            let known = &mut self.known[i];
-            // A hash that matches a kept policy's but not its tokens names
-            // another policy.
-            seen.collides = known.exact.is_some();
-            if !seen.collides {
-                known.last_use = now;
-                seen.known = Some(i);
-            }
+        if self.all.is_empty() {
+            self.all.extend_from_slice(assigned);
+        } else {
+            self.all = sorted_union(&self.all, assigned);
         }
-        seen
-    }
-
-    /// The index of the slot for `order`, made (and the least recently
-    /// used slot dropped past [`MAX_ORDERS`]) if there is none.
-    fn slot_for(&mut self, order: [u16; NETKAT_FIELDS], now: u64) -> usize {
-        let found = self.slots.iter().position(|s| s.arena.order == order);
-        let i = found.unwrap_or_else(|| {
-            if self.slots.len() >= MAX_ORDERS {
-                let lru = (0..self.slots.len()).min_by_key(|&i| self.slots[i].last_use);
-                let gone = self.slots.swap_remove(lru.unwrap_or(0));
-                self.books.add_arena(gone.arena.stats);
-                self.books.evictions += 1;
-            }
-            self.slots.push(Slot {
-                arena: Arena::with_order(order),
-                kept: Vec::new(),
-                last_use: now,
-            });
-            self.slots.len() - 1
-        });
-        self.slots[i].last_use = now;
-        i
-    }
-
-    /// Drop the least recently used kept transformers, over all arenas,
-    /// until the nodes kept fit in [`MAX_KEPT_NODES`], compacting each
-    /// arena that loses one. A transformer this query used that does not
-    /// fit is never kept again.
-    fn evict_nodes(&mut self, now: u64) {
-        while self.kept_nodes() > MAX_KEPT_NODES {
-            let held = self.slots.iter().enumerate().flat_map(|(s, slot)| {
-                let kept = slot.kept.iter().enumerate();
-                kept.map(move |(k, kept)| (kept.last_use, s, k))
-            });
-            let Some((_, s, k)) = held.min() else {
-                break;
-            };
-            let gone = self.slots[s].kept.swap_remove(k);
-            if gone.last_use == now {
-                if let Some(known) = self.known.iter_mut().find(|k| k.id == gone.policy) {
-                    known.oversize = true;
-                }
-            }
-            self.books.evictions += 1;
-            self.books.compactions += 1;
-            self.books.nodes_rolled_back += self.slots[s].compact() as u64;
-        }
-    }
-
-    /// Forget the least recently used policies past [`MAX_POLICIES`], with
-    /// their transformers, and compact the arenas that held one.
-    fn evict_policies(&mut self) {
-        while self.known.len() > MAX_POLICIES {
-            let lru = (0..self.known.len()).min_by_key(|&i| self.known[i].last_use);
-            let gone = self.known.swap_remove(lru.unwrap_or(0));
-            self.books.evictions += 1;
-            for slot in &mut self.slots {
-                let held = slot.kept.len();
-                slot.kept.retain(|k| k.policy != gone.id);
-                if slot.kept.len() < held {
-                    self.books.compactions += 1;
-                    self.books.nodes_rolled_back += slot.compact() as u64;
-                }
-            }
-        }
+        Seen { known, entry, dup }
     }
 }
 
@@ -523,27 +385,38 @@ fn sorted_union<T: Copy + Ord>(a: &[T], b: &[T]) -> Vec<T> {
     out
 }
 
-// Token tags; `MOD` and `TEST` carry the field in the bits above the tag
-// and are followed by the value.
-const FILTER: u32 = 0;
-const MOD: u32 = 1;
-const UNION: u32 = 2;
-const SEQ: u32 = 3;
-const STAR: u32 = 4;
-const DUP: u32 = 5;
-const TRUE: u32 = 6;
-const FALSE: u32 = 7;
-const TEST: u32 = 8;
-const AND: u32 = 9;
-const OR: u32 = 10;
-const NOT: u32 = 11;
+// Token tags, one byte each; `MOD` and `TEST` carry the field in the bits
+// above the tag and are followed by the value.
+const FILTER: u8 = 0;
+const MOD: u8 = 1;
+const UNION: u8 = 2;
+const SEQ: u8 = 3;
+const STAR: u8 = 4;
+const DUP: u8 = 5;
+const TRUE: u8 = 6;
+const FALSE: u8 = 7;
+const TEST: u8 = 8;
+const AND: u8 = 9;
+const OR: u8 = 10;
+const NOT: u8 = 11;
+
+/// Append `v` in seven-bit groups, low group first, each but the last
+/// with its high bit set: a prefix-free code, so that a value costs one
+/// byte below 128 and token strings stay comparable byte by byte.
+fn put_value(tokens: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        tokens.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    tokens.push(v as u8);
+}
 
 /// Append `p`'s syntax to `tokens` in prefix order, where every tag has a
 /// fixed arity, so equal token strings mean equal policies. Pushes each
 /// `(field, value)` that `p` assigns to `assigned` and returns whether
 /// `p` contains `dup`. The walk keeps its stack on the heap, so a chain
 /// of any length costs no call depth.
-pub(super) fn tokenize(p: &Policy, tokens: &mut Vec<u32>, assigned: &mut Vec<(u16, u32)>) -> bool {
+pub(super) fn tokenize(p: &Policy, tokens: &mut Vec<u8>, assigned: &mut Vec<(u16, u32)>) -> bool {
     enum Term<'a> {
         P(&'a Policy),
         A(&'a Pred),
@@ -558,7 +431,8 @@ pub(super) fn tokenize(p: &Policy, tokens: &mut Vec<u32>, assigned: &mut Vec<(u1
                     stack.push(Term::A(a));
                 }
                 Policy::Mod(f, v) => {
-                    tokens.extend([MOD | (f.index() as u32) << 4, *v]);
+                    tokens.push(MOD | (f.index() as u8) << 4);
+                    put_value(tokens, *v);
                     assigned.push((f.index() as u16, *v));
                 }
                 Policy::Union(l, r) | Policy::Seq(l, r) => {
@@ -581,7 +455,10 @@ pub(super) fn tokenize(p: &Policy, tokens: &mut Vec<u32>, assigned: &mut Vec<(u1
             Term::A(a) => match a {
                 Pred::True => tokens.push(TRUE),
                 Pred::False => tokens.push(FALSE),
-                Pred::Test(f, v) => tokens.extend([TEST | (f.index() as u32) << 4, *v]),
+                Pred::Test(f, v) => {
+                    tokens.push(TEST | (f.index() as u8) << 4);
+                    put_value(tokens, *v);
+                }
                 Pred::And(l, r) | Pred::Or(l, r) => {
                     tokens.push(if matches!(a, Pred::And(..)) { AND } else { OR });
                     stack.extend([Term::A(r), Term::A(l)]);

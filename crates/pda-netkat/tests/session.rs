@@ -1,15 +1,15 @@
 //! The per-thread symbolic session: answers in a warm session equal the
-//! answers of an empty one, also past the session's bounds, kept nodes
-//! stay put over many queries, a panic leaves the next query correct,
-//! arenas of other variable orders evict nothing, and deep policies
-//! answer on a small stack.
+//! answers of an empty one, also past each of the session's bounds,
+//! where it starts over, kept nodes stay put over many queries, a panic
+//! leaves the next query correct, arenas of other variable orders evict
+//! nothing, and deep policies answer on a small stack.
 //!
 //! Each test runs its queries on threads of its own, since the session
 //! belongs to the thread that asks.
 
 use pda_netkat::ast::{Field, Packet, Policy, Pred};
 use pda_netkat::corpus::{fabric_step, fabric_step_broken, fabric_step_redundant, policy_pairs};
-use pda_netkat::equiv::{counterexample_under, counterexample_with, equivalent, Backend};
+use pda_netkat::equiv::{counterexample_enumerative, counterexample_under, equivalent};
 use pda_netkat::reach::{can_reach, witness_path};
 use pda_netkat::specialize::{slice_is_dead, verified_slice_for_switch};
 use pda_netkat::sym::{session_node_count, session_stats, SymError};
@@ -95,7 +95,7 @@ fn ask(pool: &[Policy], q: &Ask) -> Answer {
         Ask::Reach(p, x, g) => Answer::Holds(can_reach(&pool[*p], &BTreeSet::from([*x]), g)),
         Ask::Witness(p, x, g) => Answer::Path(witness_path(&pool[*p], &BTreeSet::from([*x]), g)),
         Ask::Counterexample(p, q) => {
-            Answer::Witness(counterexample_with(Backend::Symbolic, &pool[*p], &pool[*q]))
+            Answer::Witness(counterexample_under(&Pred::True, &pool[*p], &pool[*q]))
         }
         Ask::Under(g, p, q) => Answer::Witness(counterexample_under(g, &pool[*p], &pool[*q])),
         Ask::Slice(p, sw) => Answer::Slice(verified_slice_for_switch(&pool[*p], *sw)),
@@ -229,7 +229,7 @@ fn a_panicking_query_leaves_the_next_one_correct() {
         assert!(panicked.is_err(), "equivalent panics on dup");
         assert!(equivalent(&fabric, &p));
         assert_eq!(
-            counterexample_with(Backend::Symbolic, &fabric, &q),
+            counterexample_under(&Pred::True, &fabric, &q),
             Ok(Some(Packet::of(&[(Field::Switch, 0), (Field::Dst, 16)])))
         );
         assert!(reach(&fabric, 3, 16));
@@ -289,21 +289,28 @@ fn ordered(perm: &[Field], variant: u32) -> Policy {
     Policy::filter(Pred::test(Field::Dst, variant).not()).seq(Policy::any(assigns))
 }
 
+/// `n` ≤ 12 distinct permutations of the fields: rotations, then
+/// rotations with the first and last swapped.
+fn perms(n: usize) -> Vec<Vec<Field>> {
+    (0..n)
+        .map(|r| {
+            let mut perm = Field::ALL.to_vec();
+            perm.rotate_left(r % 6);
+            if r >= 6 {
+                perm.swap(0, 5);
+            }
+            perm
+        })
+        .collect()
+}
+
 /// Twelve variable orders and 72 policies, each asked about in turn, and
 /// the whole pool twice: more orders and policies than a session holds,
-/// so it evicts arenas and policies, and its answers still equal those
-/// of empty sessions.
+/// so it starts over, and its answers still equal those of empty
+/// sessions.
 #[test]
 fn answers_survive_evicted_orders_and_policies() {
-    let mut perms: Vec<Vec<Field>> = Vec::new();
-    for r in 0..12 {
-        let mut perm = Field::ALL.to_vec();
-        perm.rotate_left(r % 6);
-        if r >= 6 {
-            perm.swap(0, 5);
-        }
-        perms.push(perm);
-    }
+    let perms = perms(12);
     let pool: Vec<Policy> = (0..6)
         .flat_map(|variant| perms.iter().map(move |perm| ordered(perm, variant)))
         .collect();
@@ -329,13 +336,95 @@ fn answers_survive_evicted_orders_and_policies() {
     assert!(books.warm_queries > 0, "{books:?}");
 }
 
-/// Take a left-leaning union chain apart one link at a time. Dropping it
-/// whole recurses once per term, which a 2 MiB stack does not hold in a
-/// debug build.
-fn dismantle(mut p: Policy) {
-    while let Policy::Union(l, _) = p {
-        p = *l;
+/// `asks` in one session, with the session's evictions and node count
+/// after each; every answer must equal a fresh thread's.
+fn books_after_each(pool: &[Policy], asks: &[Ask]) -> Vec<(u64, usize)> {
+    let books = || (session_stats().evictions, session_node_count());
+    let (warm, books): (Vec<Answer>, _) =
+        fresh(|| asks.iter().map(|q| (ask(pool, q), books())).unzip());
+    let cold: Vec<Answer> = asks.iter().map(|q| fresh(|| ask(pool, q))).collect();
+    assert_eq!(warm, cold);
+    books
+}
+
+/// Past each bound in turn (a ninth variable order, a 65th counted
+/// policy, kept nodes over 4,096) the session starts over as the query
+/// that crossed it returns: its evictions rise, its nodes fall, and every
+/// answer, before and after, equals a fresh thread's.
+#[test]
+fn each_bound_starts_the_session_over() {
+    let start = Packet::of(&[(Field::Dst, 9), (Field::Src, 3)]);
+    let reach = |i, goal: &Pred| Ask::Reach(i, start, goal.clone());
+    let (tag, port) = (Pred::test(Field::Tag, 4), Pred::test(Field::Port, 3));
+    let twice = |i, goal: &Pred| [reach(i, goal), reach(i, goal)];
+    // Nine policies of nine variable orders, each kept by its second
+    // reach: keeping the ninth crosses the bound.
+    let orders: Vec<Policy> = perms(9).iter().map(|perm| ordered(perm, 0)).collect();
+    let order_asks: Vec<Ask> = (0..=9).flat_map(|i| twice(i % 9, &tag)).collect();
+    // A kept fabric, then 64 policies reached once each: the last is the
+    // 65th counted.
+    let tagged = |v| Policy::filter(Pred::test(Field::Src, v)).seq(Policy::assign(Field::Tag, 4));
+    let counted: Vec<Policy> = std::iter::once(fabric_step(8))
+        .chain((0..64).map(tagged))
+        .collect();
+    let once = (1..=64).map(|i| reach(i, &tag));
+    let counted_asks: Vec<Ask> = twice(0, &tag)
+        .into_iter()
+        .chain(once)
+        .chain(twice(0, &tag))
+        .collect();
+    // Two steps of one SPP node per source value, 2,500 each: they fit
+    // alone but not together.
+    let rule = |a| Policy::filter(Pred::test(Field::Src, a)).seq(Policy::assign(Field::Port, a));
+    let wide = vec![
+        Policy::any((0..2_500).map(rule)),
+        Policy::any((10_000..12_500).map(rule)),
+    ];
+    let wide_asks: Vec<Ask> = (0..=2).flat_map(|i| twice(i % 2, &port)).collect();
+    for (pool, asks, crossing) in [
+        (&orders, &order_asks, 17),
+        (&counted, &counted_asks, 65),
+        (&wide, &wide_asks, 3),
+    ] {
+        let books = books_after_each(pool, asks);
+        for (k, &(evictions, _)) in books.iter().enumerate() {
+            assert_eq!(
+                evictions,
+                u64::from(k >= crossing),
+                "after ask {k}: {books:?}"
+            );
+        }
+        let (before, after) = (books[crossing - 1].1, books[crossing].1);
+        assert!(after < before, "nodes {before} → {after}");
     }
+}
+
+/// A kept 64-leaf fabric asked about between 200 distinct one-off
+/// equivalence pairs, far more policies than the session counts: the
+/// session starts over again and again, keeps the fabric again after a
+/// restart, and answers as fresh threads do.
+#[test]
+fn a_kept_fabric_between_two_hundred_one_off_pairs_answers_as_fresh_threads() {
+    let mut pool = vec![fabric_step(64)];
+    for v in 0..200u32 {
+        let p = Policy::filter(Pred::test(Field::Dst, v)).seq(Policy::assign(Field::Port, 1));
+        let q = p
+            .clone()
+            .seq(Policy::filter(Pred::test(Field::Port, v % 2)));
+        pool.extend([p, q]);
+    }
+    let at = |sw, dst| Packet::of(&[(Field::Switch, sw), (Field::Port, 2), (Field::Dst, dst)]);
+    let asks: Vec<Ask> = (0..200u32)
+        .flat_map(|v| {
+            let (from, to, i) = (v % 64 + 1, (v * 7) % 64 + 1, 1 + 2 * v as usize);
+            let reach = Ask::Reach(0, at(from, to), Pred::test(Field::Switch, to));
+            [reach, Ask::Counterexample(i, i + 1)]
+        })
+        .collect();
+    let books = books_after_each(&pool, &asks);
+    assert!(books
+        .iter()
+        .any(|&(evictions, nodes)| evictions > 0 && nodes > 0));
 }
 
 #[test]
@@ -350,7 +439,6 @@ fn a_forty_thousand_term_chain_answers_on_a_two_mib_stack() {
             let init = BTreeSet::from([Packet::of(&[(Field::Dst, 39_999)])]);
             assert!(can_reach(&chain, &init, &Pred::test(Field::Port, 2)));
             assert!(!can_reach(&chain, &init, &Pred::test(Field::Port, 3)));
-            dismantle(chain);
         })
         .expect("spawn")
         .join()
@@ -362,13 +450,13 @@ fn dup_is_an_error_not_a_panic() {
     let fabric = fabric_step(4);
     let dup = Policy::Dup.seq(fabric.clone());
     let guard = Pred::test(Field::Switch, 0);
-    for backend in [Backend::Symbolic, Backend::Enumerative] {
+    for (p, q) in [(&fabric, &dup), (&dup, &fabric)] {
         assert_eq!(
-            counterexample_with(backend, &fabric, &dup),
+            counterexample_under(&Pred::True, p, q),
             Err(SymError::DupUnsupported)
         );
         assert_eq!(
-            counterexample_with(backend, &dup, &fabric),
+            counterexample_enumerative(p, q),
             Err(SymError::DupUnsupported)
         );
     }

@@ -4,9 +4,9 @@
 //! distinguish the policies under `eval_packet`, reachability, witness
 //! paths and dead slices must coincide, guarded conversion and policy
 //! images must equal their whole-policy counterparts, and the arena's
-//! structural invariants must hold after every workload. On policies
-//! with `dup`, reachability must answer as the oracle does with every
-//! `dup` read as `id`.
+//! structural invariants must hold after every workload. Reachability
+//! and witness paths are also drawn over steps with `dup`, which both
+//! backends read as `id`, and both refuse `dup` in an equivalence.
 //!
 //! The small-domain policies never build a node row of more than a few
 //! values. The wide-row policies below do: fabric-shaped union spines
@@ -14,11 +14,11 @@
 //! rows are long, sparse and interleaved as in the benchmark fabric.
 
 use pda_netkat::ast::{Field, Packet, Policy, Pred};
-use pda_netkat::equiv::{counterexample_with, equivalent_enumerative, equivalent_with, Backend};
+use pda_netkat::equiv::{counterexample_under, equivalent, equivalent_enumerative};
 use pda_netkat::reach::{can_reach, can_reach_enumerative, witness_path, witness_path_enumerative};
 use pda_netkat::semantics::{eval_packet, eval_set};
 use pda_netkat::specialize::slice_is_dead;
-use pda_netkat::sym::{Arena, Sp};
+use pda_netkat::sym::{Arena, Sp, SymError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -96,8 +96,8 @@ fn without_dup(p: &Policy) -> Policy {
     }
 }
 
-/// Check a symbolic witness path against the enumerative one for the
-/// dup-free `step`: both exist or neither does, and a symbolic path is as
+/// Check a symbolic witness path against the enumerative one for
+/// `step`: both exist or neither does, and a symbolic path is as
 /// short as the oracle's, starts in `init`, ends in `goal` and takes
 /// only `step` hops.
 fn check_witness(
@@ -233,11 +233,11 @@ proptest! {
     /// the policies under the denotational semantics.
     #[test]
     fn backends_agree_on_equivalence(p in policy(), q in policy()) {
-        let sym = equivalent_with(Backend::Symbolic, &p, &q);
-        let enu = equivalent_with(Backend::Enumerative, &p, &q);
-        prop_assert_eq!(sym, enu, "verdict split on p={}, q={}", p, q);
+        let sym = equivalent(&p, &q);
+        let enu = equivalent_enumerative(&p, &q);
+        prop_assert_eq!(Ok(sym), enu, "verdict split on p={}, q={}", p, q);
         if !sym {
-            let w = counterexample_with(Backend::Symbolic, &p, &q)
+            let w = counterexample_under(&Pred::True, &p, &q)
                 .expect("dup-free")
                 .expect("inequivalent policies must yield a witness");
             prop_assert_ne!(
@@ -267,9 +267,10 @@ proptest! {
         prop_assert!(ar.check_invariants().is_ok());
     }
 
-    /// Symbolic and enumerative reachability coincide.
+    /// Symbolic and enumerative reachability coincide, over steps with
+    /// `dup` too.
     #[test]
-    fn backends_agree_on_reachability(p in policy(), x in pkt(), g in pred()) {
+    fn backends_agree_on_reachability(p in policy_on(field(), true), x in pkt(), g in pred()) {
         let init = BTreeSet::from([x]);
         let sym = can_reach(&p, &init, &g);
         let enu = can_reach_enumerative(&p, &init, &g);
@@ -322,10 +323,10 @@ proptest! {
     }
 
     /// Symbolic witness paths are shortest, valid paths exactly when the
-    /// enumerative BFS finds one.
+    /// enumerative BFS finds one, over steps with `dup` too.
     #[test]
     fn witness_paths_agree(
-        p in policy(),
+        p in policy_on(field(), true),
         xs in proptest::collection::vec(pkt(), 1..4),
         g in pred(),
     ) {
@@ -339,7 +340,7 @@ proptest! {
     fn dead_slices_agree(p in policy(), k in 0u32..4) {
         let guarded = Policy::filter(Pred::test(Field::Switch, k)).seq(p.clone());
         prop_assert_eq!(
-            slice_is_dead(&p, k),
+            Ok(slice_is_dead(&p, k)),
             equivalent_enumerative(&guarded, &Policy::drop()),
             "sw={} policy {}", k, p
         );
@@ -389,13 +390,13 @@ proptest! {
     fn wide_rows_agree_on_equivalence(terms in wide_terms(), k in 0usize..24) {
         let p = Policy::any(terms.iter().cloned());
         let reversed = Policy::any(terms.iter().rev().cloned());
-        prop_assert!(equivalent_with(Backend::Symbolic, &p, &reversed), "p={}", p);
+        prop_assert!(equivalent(&p, &reversed), "p={}", p);
         let k = k % terms.len();
         let q = Policy::any(terms.iter().enumerate().filter(|(i, _)| *i != k).map(|(_, t)| t.clone()));
-        let sym = equivalent_with(Backend::Symbolic, &p, &q);
-        prop_assert_eq!(sym, equivalent_with(Backend::Enumerative, &p, &q), "p={}, q={}", p, q);
+        let sym = equivalent(&p, &q);
+        prop_assert_eq!(Ok(sym), equivalent_enumerative(&p, &q), "p={}, q={}", p, q);
         if !sym {
-            let w = counterexample_with(Backend::Symbolic, &p, &q)
+            let w = counterexample_under(&Pred::True, &p, &q)
                 .expect("dup-free")
                 .expect("inequivalent policies must yield a witness");
             prop_assert_ne!(eval_packet(&p, w), eval_packet(&q, w), "witness {:?}", w);
@@ -436,6 +437,23 @@ proptest! {
         prop_assert_eq!(can_reach(&p, &init, &g), can_reach_enumerative(&p, &init, &g), "step={}", p);
         check_witness(&p, &init, &g, witness_path(&p, &init, &g))?;
     }
+}
+
+/// Both backends reach over a step with `dup`, reading it as `id`, and
+/// the enumerative equivalence refuses it: it compares packets, not
+/// histories.
+#[test]
+fn dup_reaches_on_both_backends_and_the_oracle_equivalence_refuses_it() {
+    let step = Policy::Dup
+        .seq(Policy::filter(Pred::test(Field::Switch, 1)))
+        .seq(Policy::assign(Field::Switch, 2));
+    let init = BTreeSet::from([Packet::of(&[(Field::Switch, 1)])]);
+    let goal = Pred::test(Field::Switch, 2);
+    assert!(can_reach(&step, &init, &goal) && can_reach_enumerative(&step, &init, &goal));
+    let plain = without_dup(&step);
+    let refused = Err(SymError::DupUnsupported);
+    assert_eq!(equivalent_enumerative(&step, &plain), refused);
+    assert_eq!(equivalent_enumerative(&plain, &step), refused);
 }
 
 /// Over `u64` tests at the ends of the range (the shape `pda-analyze`

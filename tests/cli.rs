@@ -154,51 +154,15 @@ fn simulate_appraises() {
 fn netkat_equivalence() {
     let (ok, stdout, _) = pda(&[
         "netkat",
+        "equiv",
         "filter sw = 1 ; pt := 2",
-        "--equiv",
         "(filter sw = 1 ; pt := 2) + drop",
     ]);
     assert!(ok);
     assert!(stdout.contains("equivalent: yes"), "{stdout}");
-    let (ok, stdout, _) = pda(&["netkat", "pt := 1", "--equiv", "pt := 2"]);
+    let (ok, stdout, _) = pda(&["netkat", "equiv", "pt := 1", "pt := 2"]);
     assert!(ok);
     assert!(stdout.contains("equivalent: NO"), "{stdout}");
-}
-
-#[test]
-fn netkat_equiv_subcommand_with_backends() {
-    for backend in ["sym", "enum"] {
-        let (ok, stdout, _) = pda(&[
-            "netkat",
-            "equiv",
-            "filter sw = 1 ; pt := 2",
-            "(filter sw = 1 ; pt := 2) + drop",
-            "--backend",
-            backend,
-        ]);
-        assert!(ok);
-        assert!(stdout.contains("equivalent: yes"), "{backend}: {stdout}");
-        let (ok, stdout, _) = pda(&[
-            "netkat",
-            "equiv",
-            "pt := 1",
-            "pt := 2",
-            "--backend",
-            backend,
-        ]);
-        assert!(ok);
-        assert!(stdout.contains("equivalent: NO"), "{backend}: {stdout}");
-    }
-    let (ok, _, stderr) = pda(&[
-        "netkat",
-        "equiv",
-        "pt := 1",
-        "pt := 2",
-        "--backend",
-        "bogus",
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown --backend"), "{stderr}");
 }
 
 #[test]
@@ -232,8 +196,6 @@ fn netkat_reach_subcommand() {
         "sw=1,dst=2",
         "--goal",
         "sw = 9",
-        "--backend",
-        "enum",
     ]);
     assert!(ok);
     assert!(stdout.contains("reachable: no"), "{stdout}");
