@@ -26,7 +26,7 @@ use pda_pera::config::{DetailLevel, EvidenceComposition, PeraConfig, Sampling};
 use pda_pera::switch::PeraSwitch;
 use pda_pera::{reference_digest, AdmissionPolicy, FailMode};
 use pda_telemetry::json::Json;
-use pda_telemetry::{percentile, Telemetry};
+use pda_telemetry::Telemetry;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -1572,122 +1572,6 @@ pub fn exp_e18(tel: &Telemetry) -> Table {
             ("p50_ns", &report.p50_ns),
             ("p99_ns", &report.p99_ns),
         ]);
-    }
-    t
-}
-
-/// E18 sweep: verdicts/sec through the live service as a function of
-/// connection persistence × server worker count. Evidence for a batch
-/// of nonces is submitted once; the timed loop is pure appraise RPCs
-/// against a single-appraiser federation (so verdict compute stays
-/// small and the per-call connection cost is the visible quantity).
-/// The delta between rows is then the connection plane itself — TCP
-/// dial + accept + worker handoff per call (close mode, one connection
-/// per RPC) vs a pooled socket that only pays per-request work
-/// (keep-alive). Rows report
-/// client-observed latency percentiles and the connections the pooled
-/// client reused instead of re-dialing; the notes give the keep-alive
-/// speed-up at equal worker count, the headline delta.
-pub fn exp_e18_sweep() -> Table {
-    use pda_svc::{AppraisalService, ServeOptions, SvcClient, SvcConfig};
-    use std::sync::Arc;
-
-    const NONCES: u64 = 16;
-    const VERDICTS: u64 = 3000;
-    /// Timed repeats per cell; the fastest is kept. Each repeat is
-    /// tens of milliseconds, and max-of-k is a far better estimator of
-    /// the machine's true rate under scheduler noise than one draw.
-    const REPEATS: usize = 5;
-
-    // One fleet run's evidence, shared by every cell: the workload is
-    // the RPC plane, not evidence generation — so the chain is kept
-    // short (2 hops) for the same reason the federation is kept to one
-    // appraiser.
-    let mut fleet = pda_svc::fleet::standard_fleet(2);
-    let appraiser = fleet.appraiser;
-    for i in 0..NONCES {
-        fleet.send_attested(
-            Nonce(1 + i),
-            EvidenceMode::OutOfBand { appraiser },
-            b"sweep!",
-        );
-    }
-    let records = fleet.sim.evidence_at(appraiser).to_vec();
-
-    let mut t = Table::new(
-        "e18-sweep",
-        "E18 sweep: connection persistence x workers (pure appraise RPCs)",
-    );
-    let mut rates = Vec::new();
-    for (keep_alive, workers) in [(false, 1usize), (true, 1), (false, 4), (true, 4)] {
-        let svc = Arc::new(AppraisalService::new(
-            SvcConfig {
-                hops: 2,
-                appraisers: 1,
-                ..SvcConfig::default()
-            },
-            Telemetry::off(),
-        ));
-        let options = if keep_alive {
-            ServeOptions::default()
-        } else {
-            ServeOptions::closing()
-        };
-        let mut server = pda_svc::serve_with("127.0.0.1:0", workers, Arc::clone(&svc), options)
-            .expect("bind loopback");
-        let client = SvcClient::new(server.addr).with_keep_alive(keep_alive);
-        client
-            .submit_evidence(&records)
-            .expect("evidence submission");
-        // Warm the pool / page in the appraisal path off the clock
-        // — and assert the loop measures real accepted verdicts.
-        for n in 0..NONCES.min(4) {
-            let verdict = client.appraise(1 + n).expect("warmup appraise");
-            assert_eq!(
-                verdict.get("ok").and_then(Json::as_bool),
-                Some(true),
-                "sweep evidence must appraise clean"
-            );
-        }
-        let mut best_elapsed_ns = u64::MAX;
-        let mut latencies = Vec::with_capacity(VERDICTS as usize);
-        for _ in 0..REPEATS {
-            let mut run_latencies = Vec::with_capacity(VERDICTS as usize);
-            let start = Instant::now();
-            for i in 0..VERDICTS {
-                let call = Instant::now();
-                client.appraise(1 + i % NONCES).expect("appraise");
-                run_latencies.push(call.elapsed().as_nanos() as u64);
-            }
-            let elapsed_ns = start.elapsed().as_nanos() as u64;
-            if elapsed_ns < best_elapsed_ns {
-                best_elapsed_ns = elapsed_ns;
-                latencies = run_latencies;
-            }
-        }
-        server.stop();
-        latencies.sort_unstable();
-        let verdicts_per_sec = VERDICTS as f64 * 1e9 / best_elapsed_ns as f64;
-        rates.push((workers, verdicts_per_sec));
-        let mode = if keep_alive { "keep-alive" } else { "close" };
-        t.row(&[
-            ("variant", &format!("{mode}/w{workers}")),
-            ("keep_alive", &keep_alive),
-            ("workers", &workers),
-            ("verdicts", &VERDICTS),
-            ("verdicts_per_sec", &verdicts_per_sec),
-            ("p50_ns", &percentile(&latencies, 0.50)),
-            ("p99_ns", &percentile(&latencies, 0.99)),
-            ("client_reuses", &client.reused_connections()),
-        ]);
-    }
-    // Cells come in (close, keep-alive) pairs at equal worker count.
-    for pair in rates.chunks(2) {
-        t.notes.push(format!(
-            "keep-alive speedup at {} worker(s): {:.2}x",
-            pair[1].0,
-            pair[1].1 / pair[0].1
-        ));
     }
     t
 }

@@ -17,8 +17,8 @@
 //! `{experiment, git_rev, rows}` JSON document (see `Table::to_json`),
 //! so runs are diffable across commits; `BENCH_fig3.json`,
 //! `BENCH_crypto.json`, `BENCH_e15.json`, `BENCH_e18.json` and
-//! `BENCH_e19.json` are such files. When several tables run (`e18`
-//! alone prints two), the file holds an array of their documents.
+//! `BENCH_e19.json` are such files. When several sections run, the file
+//! holds an array of their documents.
 
 use bench::*;
 use pda_pera::config::Sampling;
@@ -26,39 +26,39 @@ use pda_telemetry::json::Json;
 use pda_telemetry::Telemetry;
 
 /// One harness section: the ids that select it and what it runs.
-type Section = (&'static [&'static str], fn(&Telemetry) -> Vec<Table>);
+type Section = (&'static [&'static str], fn(&Telemetry) -> Table);
 
 /// Every section with its parameters, in the order they run.
 const SECTIONS: [Section; 17] = [
-    (&["fig1"], |tel| vec![exp_fig1(tel)]),
-    (&["fig2"], |_| vec![exp_fig2(&[2, 4, 8, 16])]),
-    (&["eq12"], |_| vec![exp_eqn12()]),
-    (&["table1"], |_| vec![exp_table1(&[2, 4, 8])]),
-    (&["fig3"], |tel| vec![exp_fig3(10_000, tel)]),
-    (&["fig4"], |_| vec![exp_fig4()]),
+    (&["fig1"], exp_fig1),
+    (&["fig2"], |_| exp_fig2(&[2, 4, 8, 16])),
+    (&["eq12"], |_| exp_eqn12()),
+    (&["table1"], |_| exp_table1(&[2, 4, 8])),
+    (&["fig3"], |tel| exp_fig3(10_000, tel)),
+    (&["fig4"], |_| exp_fig4()),
     (&["uc1"], |_| {
-        vec![exp_uc1_detection(&[
+        exp_uc1_detection(&[
             Sampling::PerPacket,
             Sampling::EveryN(10),
             Sampling::EveryN(100),
             Sampling::PerFlow,
             Sampling::PerFlowEpoch(50),
             Sampling::PerEpoch(50),
-        ])]
+        ])
     }),
-    (&["uc3"], |_| vec![exp_uc3(20, 200)]),
+    (&["uc3"], |_| exp_uc3(20, 200)),
     (&["uc4"], |_| {
-        vec![exp_uc4(&[(64, 10, 1), (128, 25, 2), (256, 5, 3)])]
+        exp_uc4(&[(64, 10, 1), (128, 25, 2), (256, 5, 3)])
     }),
-    (&["enforce"], |_| vec![exp_enforcement(10, 100)]),
-    (&["crypto"], |_| vec![exp_crypto(256)]),
-    (&["wire"], |_| vec![exp_wire(&[2, 4, 8, 16])]),
-    (&["e15"], |tel| vec![exp_e15(10_000, tel)]),
-    (&["e16"], |tel| vec![exp_e16(tel)]),
-    (&["e17"], |tel| vec![exp_e17(tel)]),
-    (&["e18"], |tel| vec![exp_e18(tel), exp_e18_sweep()]),
+    (&["enforce"], |_| exp_enforcement(10, 100)),
+    (&["crypto"], |_| exp_crypto(256)),
+    (&["wire"], |_| exp_wire(&[2, 4, 8, 16])),
+    (&["e15"], |tel| exp_e15(10_000, tel)),
+    (&["e16"], exp_e16),
+    (&["e17"], exp_e17),
+    (&["e18"], exp_e18),
     (&["e19", "netkat"], |_| {
-        vec![exp_e19(&[4, 16, 64, 256, 1024], 256)]
+        exp_e19(&[4, 16, 64, 256, 1024], 256)
     }),
 ];
 
@@ -146,10 +146,9 @@ fn main() {
     let mut docs = Vec::new();
     for (ids, run) in SECTIONS {
         if args.is_empty() || args.iter().any(|a| ids.contains(&a.as_str())) {
-            for table in run(&tel) {
-                print!("{}", table.render());
-                docs.push(table.to_json(&rev));
-            }
+            let table = run(&tel);
+            print!("{}", table.render());
+            docs.push(table.to_json(&rev));
         }
     }
 

@@ -23,15 +23,17 @@
 //!              run the static analyzer over builtin dataplane programs
 //! pda serve    [--port P] [--hops N] [--appraisers N] [--quorum Q]
 //!              [--corrupt] [--workers W] [--flight-recorder <path>]
-//!              [--slo-target-ns N] [--no-keep-alive] [--max-requests N]
-//!              [--idle-timeout-ms N]
+//!              [--slo-target-ns N] [--max-requests N] [--idle-timeout-ms N]
 //!              run the long-lived appraisal service (pda-svc)
-//! pda client   --addr H:P [--no-keep-alive]
+//! pda client   --addr H:P
 //!              <health|metrics|submit|appraise|audit|churn|shutdown>
 //!              talk to a running appraisal service
 //! pda trace    <dump.jsonl> [--trace <16-hex id>]
 //!              render flight-recorder dumps as per-trace span trees
 //! ```
+//!
+//! Each command reads only the flags it takes, in any order among its
+//! positional arguments; any other `--flag` is an error.
 
 use pda_core::prelude::*;
 use pda_hybrid::wire;
@@ -77,7 +79,8 @@ const USAGE: &str = "usage:
   pda analyze  '<copland request>' --control <places> --goal <component>
   pda hybrid   '<hybrid policy>'
   pda resolve  '<hybrid policy>' --path '<spec>' [--param k=v]... [--pointwise]
-  pda wire     '<hybrid policy>' --path '<spec>' [--param k=v]... [--nonce N]
+  pda wire     '<hybrid policy>' --path '<spec>' [--param k=v]... [--pointwise]
+               [--nonce N] [--oob]
   pda decode   <hex-bytes>
   pda simulate --hops N [--legacy i,j] [--oob] [--packets P]
                [--telemetry json|prom|off]
@@ -89,8 +92,8 @@ const USAGE: &str = "usage:
   pda serve    [--port P] [--hops N] [--appraisers N]
                [--quorum majority|unanimous|K-of-N] [--corrupt] [--workers W]
                [--flight-recorder <dump.jsonl>] [--slo-target-ns N]
-               [--no-keep-alive] [--max-requests N] [--idle-timeout-ms N]
-  pda client   --addr H:P [--no-keep-alive] health | metrics | shutdown
+               [--max-requests N] [--idle-timeout-ms N]
+  pda client   --addr H:P health | metrics | shutdown
   pda client   --addr H:P submit [--hops N] [--nonce N] [--packets P] [--rogue]
   pda client   --addr H:P appraise --nonce N [--expect ok|reject]
   pda client   --addr H:P audit [--subject S] [--limit N]
@@ -100,63 +103,78 @@ const USAGE: &str = "usage:
 path spec: semicolon-separated nodes, each `name[:prop,...]` with props
   ra | key | runs=<fn> | test=<name>   (no props = legacy node)";
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag {
-            if let Some(v) = args.get(i + 1) {
-                out.push(v.as_str());
-                i += 1;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// The flags that take no value; every other `--flag` consumes the
-/// argument after it.
-const BARE_FLAGS: [&str; 6] = [
-    "--check",
-    "--oob",
-    "--pointwise",
-    "--corrupt",
-    "--rogue",
-    "--no-keep-alive",
-];
-
-/// The positional arguments, in order: everything that is neither a
-/// flag nor a valued flag's value, wherever the flags stand, so
+/// A command's arguments, read against the flags it takes. A `valued`
+/// flag takes the argument after it as its value and a `bare` one
+/// stands alone; flags and positional arguments mix in any order, so
 /// `--control us '<request>'` and `--addr H:P health` find the request
-/// and the action.
-fn positionals(args: &[String]) -> impl Iterator<Item = &str> {
-    let mut skip_value = false;
-    args.iter().map(String::as_str).filter(move |a| {
-        if std::mem::take(&mut skip_value) {
-            return false;
+/// and the action. Any other `--flag`, a valued flag with nothing
+/// after it, and a repeated flag other than `--param` are errors.
+struct Args<'a> {
+    positionals: Vec<&'a str>,
+    flags: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    fn read(args: &'a [String], valued: &[&str], bare: &[&str]) -> Result<Args<'a>, String> {
+        let mut read = Args {
+            positionals: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            let value = if valued.contains(&arg) {
+                Some(args.next().ok_or(format!("{arg} needs a value"))?)
+            } else if bare.contains(&arg) {
+                None
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag `{arg}`"));
+            } else {
+                read.positionals.push(arg);
+                continue;
+            };
+            if arg != "--param" && read.has(arg) {
+                return Err(format!("{arg} given twice"));
+            }
+            read.flags.push((arg, value));
         }
-        if a.starts_with("--") {
-            skip_value = !BARE_FLAGS.contains(a);
-            return false;
-        }
-        true
-    })
+        Ok(read)
+    }
+
+    /// The first positional argument, or an error saying `what` is
+    /// missing.
+    fn first(&self, what: &str) -> Result<&'a str, String> {
+        self.positionals
+            .first()
+            .copied()
+            .ok_or(format!("missing {what}"))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// Every value given for `flag`, in order.
+    fn values<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.flags
+            .iter()
+            .filter(move |(f, _)| *f == flag)
+            .filter_map(|(_, v)| *v)
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).next()
+    }
+
+    /// `flag`'s value parsed as a `T`; `None` when the flag is absent.
+    fn parse<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|_| format!("bad {flag} `{v}`")))
+            .transpose()
+    }
 }
 
 fn cmd_parse(args: &[String]) -> Result<(), String> {
-    let src = positionals(args).next().ok_or("missing input")?;
+    let src = Args::read(args, &[], &[])?.first("input")?;
     let req = parse_request(src).map_err(|e| e.to_string())?;
     println!("parsed:   {}", pretty_request(&req));
     println!("rp:       {}", req.rp);
@@ -171,9 +189,10 @@ fn cmd_parse(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let src = positionals(args).next().ok_or("missing input")?;
-    let control = flag_value(args, "--control").unwrap_or("us");
-    let goal = flag_value(args, "--goal").unwrap_or("exts");
+    let args = Args::read(args, &["--control", "--goal"], &[])?;
+    let src = args.first("input")?;
+    let control = args.value("--control").unwrap_or("us");
+    let goal = args.value("--goal").unwrap_or("exts");
     let req = parse_request(src).map_err(|e| e.to_string())?;
     let places: Vec<&str> = control.split(',').collect();
     let analysis = analyze(&req, &AdversaryModel::controlling(&places), goal);
@@ -194,7 +213,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_hybrid(args: &[String]) -> Result<(), String> {
-    let src = positionals(args).next().ok_or("missing input")?;
+    let src = Args::read(args, &[], &[])?.first("input")?;
     let p = parse_hybrid(src).map_err(|e| e.to_string())?;
     println!("rp:         {}", p.rp);
     println!("params:     {:?}", p.params);
@@ -235,35 +254,26 @@ fn parse_path(spec: &str) -> Result<Vec<NodeInfo>, String> {
         .collect()
 }
 
-fn parse_params(args: &[String]) -> Vec<(String, String)> {
-    flag_values(args, "--param")
-        .into_iter()
-        .filter_map(|kv| {
-            let (k, v) = kv.split_once('=')?;
-            Some((k.to_string(), v.to_string()))
+fn do_resolve(args: &Args) -> Result<pda_hybrid::Resolved, String> {
+    let policy = parse_hybrid(args.first("input")?).map_err(|e| e.to_string())?;
+    let path = parse_path(args.value("--path").unwrap_or(""))?;
+    let params = args
+        .values("--param")
+        .map(|kv| {
+            kv.split_once('=')
+                .ok_or(format!("bad --param `{kv}` (want k=v)"))
         })
-        .collect()
-}
-
-fn do_resolve(args: &[String]) -> Result<pda_hybrid::Resolved, String> {
-    let src = positionals(args).next().ok_or("missing input")?;
-    let policy = parse_hybrid(src).map_err(|e| e.to_string())?;
-    let path = parse_path(flag_value(args, "--path").unwrap_or(""))?;
-    let params = parse_params(args);
-    let params_ref: Vec<(&str, &str)> = params
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    let composition = if has_flag(args, "--pointwise") {
+        .collect::<Result<Vec<_>, _>>()?;
+    let composition = if args.has("--pointwise") {
         Composition::Pointwise
     } else {
         Composition::Chained
     };
-    resolve(&policy, &path, &params_ref, composition).map_err(|e| e.to_string())
+    resolve(&policy, &path, &params, composition).map_err(|e| e.to_string())
 }
 
 fn cmd_resolve(args: &[String]) -> Result<(), String> {
-    let r = do_resolve(args)?;
+    let r = do_resolve(&Args::read(args, &["--path", "--param"], &["--pointwise"])?)?;
     println!("request:  {}", pretty_request(&r.request));
     println!("bindings: {:?}", r.bindings);
     println!("skipped:  {:?}", r.skipped);
@@ -278,15 +288,16 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_wire(args: &[String]) -> Result<(), String> {
-    let r = do_resolve(args)?;
-    let nonce: u64 = flag_value(args, "--nonce")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| "bad --nonce".to_string())?;
+    let args = Args::read(
+        args,
+        &["--path", "--param", "--nonce"],
+        &["--pointwise", "--oob"],
+    )?;
+    let r = do_resolve(&args)?;
     let bytes = wire::encode(&wire::WirePolicy {
-        nonce,
+        nonce: args.parse("--nonce")?.unwrap_or(1),
         flags: wire::Flags {
-            in_band_evidence: !has_flag(args, "--oob"),
+            in_band_evidence: !args.has("--oob"),
         },
         directives: r.directives,
     });
@@ -296,7 +307,7 @@ fn cmd_wire(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_decode(args: &[String]) -> Result<(), String> {
-    let hex_in = positionals(args).next().ok_or("missing input")?;
+    let hex_in = Args::read(args, &[], &[])?.first("input")?;
     let bytes = pda_crypto::hex_decode(hex_in.trim())
         .ok_or("not hex: want an even number of hex digits")?;
     let p = wire::decode(&bytes).map_err(|e| e.to_string())?;
@@ -314,18 +325,25 @@ fn cmd_decode(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let hops: usize = flag_value(args, "--hops")
-        .unwrap_or("3")
-        .parse()
-        .map_err(|_| "bad --hops".to_string())?;
-    let packets: u64 = flag_value(args, "--packets")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| "bad --packets".to_string())?;
-    let legacy: Vec<usize> = flag_value(args, "--legacy")
-        .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
-        .unwrap_or_default();
-    let telemetry_mode = flag_value(args, "--telemetry").unwrap_or("off");
+    let args = Args::read(
+        args,
+        &["--hops", "--packets", "--legacy", "--telemetry"],
+        &["--oob"],
+    )?;
+    let hops: usize = args.parse("--hops")?.unwrap_or(3);
+    let packets: u64 = args.parse("--packets")?.unwrap_or(1);
+    let legacy = match args.value("--legacy") {
+        Some(list) => list
+            .split(',')
+            .map(|i| {
+                i.trim()
+                    .parse()
+                    .map_err(|_| format!("bad --legacy `{list}`"))
+            })
+            .collect::<Result<Vec<usize>, _>>()?,
+        None => Vec::new(),
+    };
+    let telemetry_mode = args.value("--telemetry").unwrap_or("off");
     if !matches!(telemetry_mode, "off" | "json" | "prom") {
         return Err(format!(
             "unknown --telemetry mode `{telemetry_mode}` (want json | prom | off)"
@@ -343,7 +361,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     net.sim.attach_telemetry(tel.clone());
     let golden = enroll_golden(&net.sim, &[DetailLevel::Hardware, DetailLevel::Program]);
     let appraiser = net.appraiser;
-    let oob = has_flag(args, "--oob");
+    let oob = args.has("--oob");
     for i in 0..packets {
         let mode = if oob {
             EvidenceMode::OutOfBand { appraiser }
@@ -394,7 +412,7 @@ fn cmd_netkat(args: &[String]) -> Result<(), String> {
 
 /// Parse-only form: `pda netkat '<policy>'`.
 fn cmd_netkat_parse(args: &[String]) -> Result<(), String> {
-    let src = positionals(args).next().ok_or("missing input")?;
+    let src = Args::read(args, &[], &[])?.first("input")?;
     let p = pda_netkat::parse_policy(src).map_err(|e| e.to_string())?;
     println!("parsed: {p}");
     println!("size:   {} nodes, dup: {}", p.size(), p.has_dup());
@@ -402,7 +420,8 @@ fn cmd_netkat_parse(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_netkat_equiv(args: &[String]) -> Result<(), String> {
-    if has_flag(args, "--check") {
+    let args = Args::read(args, &[], &["--check"])?;
+    if args.has("--check") {
         let mut bad = Vec::new();
         for pair in pda_netkat::corpus::policy_pairs() {
             let got = pda_netkat::equivalent(&pair.p, &pair.q);
@@ -426,8 +445,7 @@ fn cmd_netkat_equiv(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     }
-    let pos: Vec<_> = positionals(args).collect();
-    let [p_src, q_src] = pos[..] else {
+    let [p_src, q_src] = args.positionals[..] else {
         return Err("netkat equiv wants two policies (or --check)".into());
     };
     let p = pda_netkat::parse_policy(p_src).map_err(|e| e.to_string())?;
@@ -471,16 +489,15 @@ fn parse_packet_spec(spec: &str) -> Result<pda_netkat::Packet, String> {
 }
 
 fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
-    let step = pda_netkat::parse_policy(positionals(args).next().ok_or("missing input")?)
-        .map_err(|e| e.to_string())?;
-    if step.has_dup() {
-        return Err("reachability works on the dup-free fragment".into());
-    }
+    let args = Args::read(args, &["--from", "--goal"], &[])?;
+    let step = pda_netkat::parse_policy(args.first("input")?).map_err(|e| e.to_string())?;
     let from = parse_packet_spec(
-        flag_value(args, "--from").ok_or("netkat reach wants --from 'sw=..,pt=..'")?,
+        args.value("--from")
+            .ok_or("netkat reach wants --from 'sw=..,pt=..'")?,
     )?;
     let goal = pda_netkat::parse_pred(
-        flag_value(args, "--goal").ok_or("netkat reach wants --goal '<pred>'")?,
+        args.value("--goal")
+            .ok_or("netkat reach wants --goal '<pred>'")?,
     )
     .map_err(|e| e.to_string())?;
     let init = std::collections::BTreeSet::from([from]);
@@ -499,12 +516,11 @@ fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
 
 fn cmd_netkat_slice(args: &[String]) -> Result<(), String> {
     use pda_netkat::{Field, Pred};
-    let p = pda_netkat::parse_policy(positionals(args).next().ok_or("missing input")?)
-        .map_err(|e| e.to_string())?;
-    let sw: u32 = flag_value(args, "--switch")
-        .ok_or("netkat slice wants --switch N")?
-        .parse()
-        .map_err(|_| "bad --switch value".to_string())?;
+    let args = Args::read(args, &["--switch"], &[])?;
+    let p = pda_netkat::parse_policy(args.first("input")?).map_err(|e| e.to_string())?;
+    let sw: u32 = args
+        .parse("--switch")?
+        .ok_or("netkat slice wants --switch N")?;
     let slice = pda_netkat::slice_for_switch(&p, sw);
     let guard = Pred::test(Field::Switch, sw);
     let verified = pda_netkat::counterexample_under(&guard, &p, &slice) == Ok(None);
@@ -524,12 +540,13 @@ fn cmd_netkat_slice(args: &[String]) -> Result<(), String> {
 
 fn cmd_lint(args: &[String]) -> Result<(), String> {
     use pda_analyze::{analyze_default, corpus, Severity};
-    let target = positionals(args).next().ok_or("missing input")?;
-    let format = flag_value(args, "--format").unwrap_or("human");
+    let args = Args::read(args, &["--format"], &["--check"])?;
+    let target = args.first("input")?;
+    let format = args.value("--format").unwrap_or("human");
     if !matches!(format, "human" | "json") {
         return Err(format!("unknown --format `{format}` (want human | json)"));
     }
-    let check = has_flag(args, "--check");
+    let check = args.has("--check");
     let programs: Vec<(String, pda_dataplane::pipeline::DataplaneProgram, bool)> =
         if target == "all" {
             corpus::builtins()
@@ -603,39 +620,47 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     use pda_svc::{AppraisalService, Quorum, SvcConfig};
     use std::sync::Arc;
 
-    let port: u16 = flag_value(args, "--port")
-        .unwrap_or("7421")
-        .parse()
-        .map_err(|_| "bad --port".to_string())?;
-    let hops: usize = flag_value(args, "--hops")
-        .unwrap_or("3")
-        .parse()
-        .map_err(|_| "bad --hops".to_string())?;
-    let appraisers: usize = flag_value(args, "--appraisers")
-        .unwrap_or("3")
-        .parse()
-        .map_err(|_| "bad --appraisers".to_string())?;
-    let quorum_spec = flag_value(args, "--quorum").unwrap_or("majority");
+    let args = Args::read(
+        args,
+        &[
+            "--port",
+            "--hops",
+            "--appraisers",
+            "--quorum",
+            "--workers",
+            "--flight-recorder",
+            "--slo-target-ns",
+            "--max-requests",
+            "--idle-timeout-ms",
+        ],
+        &["--corrupt"],
+    )?;
+    let port: u16 = args.parse("--port")?.unwrap_or(7421);
+    let hops: usize = args.parse("--hops")?.unwrap_or(3);
+    let appraisers: usize = args.parse("--appraisers")?.unwrap_or(3);
+    let quorum_spec = args.value("--quorum").unwrap_or("majority");
     let quorum = Quorum::parse(quorum_spec)
         .ok_or_else(|| format!("bad --quorum `{quorum_spec}` (want majority|unanimous|K-of-N)"))?;
-    let workers: usize = flag_value(args, "--workers")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| "bad --workers".to_string())?;
+    let workers: usize = args.parse("--workers")?.unwrap_or(4);
     let config = SvcConfig {
         hops,
         appraisers,
         quorum,
-        corrupt: has_flag(args, "--corrupt"),
+        corrupt: args.has("--corrupt"),
         workers,
     };
+    let mut options = pda_svc::ServeOptions::default();
+    if let Some(n) = args.parse("--max-requests")? {
+        options.max_requests = n;
+    }
+    if let Some(ms) = args.parse("--idle-timeout-ms")? {
+        options.idle_timeout = std::time::Duration::from_millis(ms);
+    }
 
     // Optional observability extras: a flight recorder dumping
     // anomalous traces to a JSONL file, and a verdict-latency SLO.
-    let flight_path = flag_value(args, "--flight-recorder");
-    let slo_target: Option<u64> = flag_value(args, "--slo-target-ns")
-        .map(|v| v.parse().map_err(|_| "bad --slo-target-ns".to_string()))
-        .transpose()?;
+    let flight_path = args.value("--flight-recorder");
+    let slo_target: Option<u64> = args.parse("--slo-target-ns")?;
     let (tel, recorder) = match flight_path {
         Some(_) => {
             let rec = Arc::new(pda_telemetry::FlightRecorder::new(256, 256));
@@ -658,20 +683,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         ));
         println!("slo: 99% of verdicts within {target} ns (gauges on /metrics)");
     }
-    // Connection-plane knobs: keep-alive is the default; `--no-keep-alive`
-    // restores one-request-per-connection for A/B runs and legacy peers.
-    let mut options = pda_svc::ServeOptions::default();
-    if has_flag(args, "--no-keep-alive") {
-        options = pda_svc::ServeOptions::closing();
-    }
-    if let Some(v) = flag_value(args, "--max-requests") {
-        options.max_requests = v.parse().map_err(|_| "bad --max-requests".to_string())?;
-    }
-    if let Some(v) = flag_value(args, "--idle-timeout-ms") {
-        let ms: u64 = v.parse().map_err(|_| "bad --idle-timeout-ms".to_string())?;
-        options.idle_timeout = std::time::Duration::from_millis(ms);
-    }
-
     let svc = Arc::new(svc);
     let mut server = pda_svc::serve_with(
         &format!("127.0.0.1:{port}"),
@@ -682,15 +693,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     .map_err(|e| format!("bind 127.0.0.1:{port}: {e}"))?;
     println!("pda-svc listening on {}", server.addr);
     println!(
-        "connections: {}",
-        if options.keep_alive {
-            format!(
-                "keep-alive (cap {} requests, idle timeout {:?})",
-                options.max_requests, options.idle_timeout
-            )
-        } else {
-            "close after each request".to_string()
-        }
+        "connections: keep-alive (cap {} requests, idle timeout {:?})",
+        options.max_requests, options.idle_timeout
     );
     println!(
         "fleet: {hops} hops; federation: {appraisers} appraisers, quorum {}{}",
@@ -736,30 +740,44 @@ fn generate_evidence(
 fn cmd_client(args: &[String]) -> Result<(), String> {
     use pda_svc::SvcClient;
 
-    let addr: std::net::SocketAddr = flag_value(args, "--addr")
-        .ok_or("--addr H:P is required")?
-        .parse()
-        .map_err(|_| "bad --addr (want host:port)".to_string())?;
-    let client = SvcClient::new(addr).with_keep_alive(!has_flag(args, "--no-keep-alive"));
-    let action = positionals(args).next().ok_or("missing action")?;
-    let nonce: u64 = flag_value(args, "--nonce")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| "bad --nonce".to_string())?;
+    // Each action takes its own flags besides `--addr`; the first read
+    // takes them all, to find the action among the flags' values.
+    let all = [
+        "--addr",
+        "--nonce",
+        "--hops",
+        "--packets",
+        "--expect",
+        "--subject",
+        "--limit",
+        "--epochs",
+        "--rogue-every",
+    ];
+    let action = Args::read(args, &all, &["--rogue"])?.first("action")?;
+    let (valued, bare): (&[&str], &[&str]) = match action {
+        "health" | "metrics" | "shutdown" => (&["--addr"], &[]),
+        "submit" => (&["--addr", "--nonce", "--hops", "--packets"], &["--rogue"]),
+        "appraise" => (&["--addr", "--nonce", "--expect"], &[]),
+        "audit" => (&["--addr", "--subject", "--limit"], &[]),
+        "churn" => (&["--addr", "--epochs", "--packets", "--rogue-every"], &[]),
+        other => {
+            return Err(format!(
+                "unknown client action `{other}` (want health|metrics|submit|appraise|audit|churn|shutdown)"
+            ))
+        }
+    };
+    let args = Args::read(args, valued, bare)?;
+    let addr: std::net::SocketAddr = args.parse("--addr")?.ok_or("--addr H:P is required")?;
+    let client = SvcClient::new(addr);
+    let nonce: u64 = args.parse("--nonce")?.unwrap_or(1);
     match action {
         "health" => println!("{}", client.health()?.encode()),
         "metrics" => println!("{}", client.metrics()?.encode()),
         "shutdown" => println!("{}", client.shutdown()?.encode()),
         "submit" => {
-            let hops: usize = flag_value(args, "--hops")
-                .unwrap_or("3")
-                .parse()
-                .map_err(|_| "bad --hops".to_string())?;
-            let packets: u64 = flag_value(args, "--packets")
-                .unwrap_or("1")
-                .parse()
-                .map_err(|_| "bad --packets".to_string())?;
-            let records = generate_evidence(hops, nonce, packets, has_flag(args, "--rogue"));
+            let hops: usize = args.parse("--hops")?.unwrap_or(3);
+            let packets: u64 = args.parse("--packets")?.unwrap_or(1);
+            let records = generate_evidence(hops, nonce, packets, args.has("--rogue"));
             if records.is_empty() {
                 return Err("fleet produced no evidence".into());
             }
@@ -768,7 +786,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
         "appraise" => {
             let verdict = client.appraise(nonce)?;
             println!("{}", verdict.encode());
-            if let Some(expect) = flag_value(args, "--expect") {
+            if let Some(expect) = args.value("--expect") {
                 let ok = verdict
                     .get("ok")
                     .and_then(pda_telemetry::json::Json::as_bool)
@@ -784,46 +802,37 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             }
         }
         "audit" => {
-            let subject = flag_value(args, "--subject");
-            let limit = flag_value(args, "--limit")
-                .map(|v| v.parse::<u64>().map_err(|_| "bad --limit".to_string()))
-                .transpose()?;
-            println!("{}", client.query_audit_log(subject, limit)?.encode());
+            let limit = args.parse("--limit")?;
+            println!(
+                "{}",
+                client
+                    .query_audit_log(args.value("--subject"), limit)?
+                    .encode()
+            );
         }
         "churn" => {
             let cfg = pda_svc::ChurnConfig {
-                epochs: flag_value(args, "--epochs")
-                    .unwrap_or("5")
-                    .parse()
-                    .map_err(|_| "bad --epochs".to_string())?,
-                packets_per_epoch: flag_value(args, "--packets")
-                    .unwrap_or("10")
-                    .parse()
-                    .map_err(|_| "bad --packets".to_string())?,
-                rogue_every: flag_value(args, "--rogue-every")
-                    .unwrap_or("4")
-                    .parse()
-                    .map_err(|_| "bad --rogue-every".to_string())?,
+                epochs: args.parse("--epochs")?.unwrap_or(5),
+                packets_per_epoch: args.parse("--packets")?.unwrap_or(10),
+                rogue_every: args.parse("--rogue-every")?.unwrap_or(4),
                 ..pda_svc::ChurnConfig::default()
             };
             let report = pda_svc::run_churn(&client, &cfg, &pda_telemetry::Telemetry::off())?;
             println!("{report:#?}");
             println!("client connection reuses: {}", client.reused_connections());
         }
-        other => {
-            return Err(format!(
-                "unknown client action `{other}` (want health|metrics|submit|appraise|audit|churn|shutdown)"
-            ))
-        }
+        _ => unreachable!("the flag table above names every action"),
     }
     Ok(())
 }
 
 /// Render a flight-recorder JSONL dump as per-trace span trees.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let path = positionals(args).next().ok_or("missing input")?;
+    let args = Args::read(args, &["--trace"], &[])?;
+    let path = args.first("input")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let filter = flag_value(args, "--trace")
+    let filter = args
+        .value("--trace")
         .map(|s| {
             pda_telemetry::TraceId::from_hex(s)
                 .ok_or_else(|| format!("bad --trace `{s}` (want 16 hex chars)"))

@@ -1,15 +1,12 @@
 //! Blocking client for the appraisal service.
 //!
-//! Persistent by default: the client keeps a small pool of kept-alive
-//! TCP connections to the service and frames responses by
-//! `Content-Length` (not read-to-EOF), so a sustained stream of small
-//! RPCs — exactly the continuous-attestation workload — pays the TCP
-//! handshake once per connection instead of once per call. A pooled
-//! connection that went stale (server restarted, idle-timed out, hit
-//! its request cap) is detected on first use and replaced with a fresh
-//! one, transparently. `with_keep_alive(false)` restores the old
-//! one-connection-per-call behaviour for comparison; it is what the
-//! E18 sweep's `close` rows measure.
+//! Persistent: the client keeps a small pool of kept-alive TCP
+//! connections to the service and frames responses by `Content-Length`
+//! (not read-to-EOF), so a sustained stream of small RPCs — exactly the
+//! continuous-attestation workload — pays the TCP handshake once per
+//! connection instead of once per call. A pooled connection that went
+//! stale (server restarted, idle-timed out, hit its request cap) is
+//! detected on first use and replaced with a fresh one, transparently.
 //!
 //! The client is thread-safe: the pool is a mutex-guarded stack, and
 //! concurrent callers simply check out distinct connections.
@@ -38,7 +35,6 @@ const POOL_SIZE: usize = 4;
 pub struct SvcClient {
     addr: SocketAddr,
     next_id: AtomicU64,
-    keep_alive: bool,
     /// Idle kept-alive connections, most recently used last.
     pool: Mutex<Vec<TcpStream>>,
     /// Calls that reused a pooled connection (observability for tests
@@ -47,23 +43,14 @@ pub struct SvcClient {
 }
 
 impl SvcClient {
-    /// Client for the service at `addr`, with connection reuse on.
+    /// Client for the service at `addr`.
     pub fn new(addr: SocketAddr) -> SvcClient {
         SvcClient {
             addr,
             next_id: AtomicU64::new(1),
-            keep_alive: true,
             pool: Mutex::new(Vec::new()),
             reused: AtomicU64::new(0),
         }
-    }
-
-    /// Toggle connection reuse. With `false` every call opens (and
-    /// closes) its own TCP connection, as the client did before the
-    /// persistent-connection plane existed.
-    pub fn with_keep_alive(mut self, keep_alive: bool) -> SvcClient {
-        self.keep_alive = keep_alive;
-        self
     }
 
     /// Calls so far that reused a pooled connection.
@@ -92,9 +79,8 @@ impl SvcClient {
         }
         let body = req.encode();
         let wire = format!(
-            "POST /rpc HTTP/1.1\r\nHost: pda-svc\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
+            "POST /rpc HTTP/1.1\r\nHost: pda-svc\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{}",
             body.len(),
-            self.connection_header(),
             body
         );
         let reply = self.exchange(wire.as_bytes())?;
@@ -174,39 +160,19 @@ impl SvcClient {
         self.call("shutdown", Json::Null)
     }
 
-    /// Fetch the Prometheus text rendition from GET `/metrics`.
-    pub fn metrics_text(&self) -> Result<String, String> {
-        let wire = format!(
-            "GET /metrics HTTP/1.1\r\nHost: pda-svc\r\nConnection: {}\r\n\r\n",
-            self.connection_header()
-        );
-        let reply = self.exchange(wire.as_bytes())?;
-        String::from_utf8(reply.body).map_err(|_| "reply body is not UTF-8".to_string())
-    }
-
-    fn connection_header(&self) -> &'static str {
-        if self.keep_alive {
-            "keep-alive"
-        } else {
-            "close"
-        }
-    }
-
-    /// One request/response exchange. With keep-alive, a pooled
-    /// connection is tried first; if it went stale (the server closed
-    /// it since last use), the call transparently retries once on a
-    /// fresh connection. The response is `Content-Length`-framed, so
-    /// the connection can go straight back into the pool.
+    /// One request/response exchange. A pooled connection is tried
+    /// first; if it went stale (the server closed it since last use),
+    /// the call transparently retries once on a fresh connection. The
+    /// response is `Content-Length`-framed, so the connection can go
+    /// straight back into the pool.
     fn exchange(&self, wire: &[u8]) -> Result<ParsedResponse, String> {
-        if self.keep_alive {
-            if let Some(conn) = self.checkout() {
-                // A stale pooled connection (the server closed it
-                // since last use) falls through to a reconnect and
-                // retries the (idempotent) exchange on a fresh socket.
-                if let Ok(reply) = self.try_exchange(conn, wire) {
-                    self.reused.fetch_add(1, Ordering::Relaxed);
-                    return Ok(reply);
-                }
+        if let Some(conn) = self.checkout() {
+            // A stale pooled connection (the server closed it since
+            // last use) falls through to a reconnect and retries the
+            // (idempotent) exchange on a fresh socket.
+            if let Ok(reply) = self.try_exchange(conn, wire) {
+                self.reused.fetch_add(1, Ordering::Relaxed);
+                return Ok(reply);
             }
         }
         let conn = self.connect()?;
@@ -234,7 +200,7 @@ impl SvcClient {
         loop {
             match parse_response_bytes(&buf) {
                 ResponseParse::Complete(reply, _used) => {
-                    if self.keep_alive && !reply.closes_connection() {
+                    if !reply.closes_connection() {
                         self.checkin(conn);
                     }
                     return Ok(*reply);

@@ -27,6 +27,8 @@ pub struct HttpRequest {
     pub method: String,
     /// Request target path (`/rpc`, `/metrics`, …), as sent.
     pub path: String,
+    /// Protocol version (`HTTP/1.1`, `HTTP/1.0`), as sent.
+    pub version: String,
     /// Header name/value pairs in arrival order, names lower-cased.
     pub headers: Vec<(String, String)>,
     /// Request body (empty when no `Content-Length`).
@@ -65,10 +67,11 @@ pub fn parse_request(buf: &[u8]) -> HttpParse {
 /// ([`RequestBuffer`]) never re-scans for it.
 fn parse_request_with_head(buf: &[u8], head_end: Option<usize>) -> HttpParse {
     match frame(buf, head_end, request_line) {
-        Ok(Some(((method, path), headers, body))) => HttpParse::Complete(
+        Ok(Some(((method, path, version), headers, body))) => HttpParse::Complete(
             Box::new(HttpRequest {
                 method: method.to_string(),
                 path: path.to_string(),
+                version: version.to_string(),
                 headers,
                 body: buf[body.clone()].to_vec(),
             }),
@@ -79,13 +82,13 @@ fn parse_request_with_head(buf: &[u8], head_end: Option<usize>) -> HttpParse {
     }
 }
 
-/// Split a request line into its method and path.
-fn request_line(line: &str) -> Result<(&str, &str), &'static str> {
+/// Split a request line into its method, path and version.
+fn request_line(line: &str) -> Result<(&str, &str, &str), &'static str> {
     let mut parts = line.split(' ');
     match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v)) if !m.is_empty() && parts.next().is_none() => {
             if v.starts_with("HTTP/1.") {
-                Ok((m, p))
+                Ok((m, p, v))
             } else {
                 Err("unsupported HTTP version")
             }
@@ -279,16 +282,17 @@ impl RequestBuffer {
 }
 
 /// Whether a request asks for the connection to be closed after the
-/// response: an explicit `Connection: close`, or an HTTP/1.0-style
-/// absence of keep-alive is approximated by honoring only the explicit
-/// header (the service always speaks 1.1).
+/// response (RFC 9112 §9.3): it lists `close` in `Connection`, or it is
+/// an HTTP/1.0 request that does not list `keep-alive` there.
 pub fn wants_close(req: &HttpRequest) -> bool {
-    says_close(req.header("connection"))
+    let connection = req.header("connection");
+    lists_token(connection, "close")
+        || (req.version == "HTTP/1.0" && !lists_token(connection, "keep-alive"))
 }
 
-/// Whether a `Connection` header value lists the `close` token.
-fn says_close(connection: Option<&str>) -> bool {
-    connection.is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close")))
+/// Whether a `Connection` header value lists `token`.
+fn lists_token(connection: Option<&str>, token: &str) -> bool {
+    connection.is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
 }
 
 /// An HTTP response ready to serialize.
@@ -319,13 +323,6 @@ impl HttpResponse {
             content_type: "text/plain; charset=utf-8",
             body: body.into_bytes(),
         }
-    }
-
-    /// Serialize to wire bytes with `Connection: close` framing (the
-    /// one-shot paths and tests that want the peer hung up after one
-    /// exchange).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_conn(true)
     }
 
     /// Serialize to wire bytes, announcing whether the server will
@@ -379,7 +376,7 @@ impl ParsedResponse {
 
     /// Whether the server announced it will close the connection.
     pub fn closes_connection(&self) -> bool {
-        says_close(self.header("connection"))
+        lists_token(self.header("connection"), "close")
     }
 }
 
@@ -577,6 +574,11 @@ mod tests {
             b"GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"
         )));
         assert!(!wants_close(&parse(b"GET / HTTP/1.1\r\n\r\n")));
+        // HTTP/1.0 closes unless it asks to keep the connection.
+        assert!(wants_close(&parse(b"GET / HTTP/1.0\r\n\r\n")));
+        assert!(!wants_close(&parse(
+            b"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+        )));
     }
 
     #[test]
@@ -613,7 +615,7 @@ mod tests {
     #[test]
     fn response_round_trips_framing() {
         let r = HttpResponse::json(200, "{\"ok\": true}".to_string());
-        let bytes = r.to_bytes();
+        let bytes = r.to_bytes_conn(true);
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 12\r\n"));

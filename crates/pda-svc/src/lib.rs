@@ -10,10 +10,10 @@
 //!   `TcpListener`, a hand-rolled worker pool, graceful shutdown — in
 //!   keeping with this workspace's no-external-crates constraint.
 //!   Connections are persistent (HTTP/1.1 keep-alive with
-//!   pipelining, per-connection request cap, idle timeout,
-//!   `Connection: close` negotiation), and [`SvcClient`] pools its
-//!   side of them, so the sustained small-RPC stream of continuous
-//!   attestation pays per-call work, not per-call TCP setup.
+//!   pipelining, per-connection request cap, idle timeout, closed
+//!   when a request asks), and [`SvcClient`] pools its side of them,
+//!   so the sustained small-RPC stream of continuous attestation pays
+//!   per-call work, not per-call TCP setup.
 //! * **API** ([`http`], [`rpc`], [`service`]): JSON-RPC 2.0 over HTTP
 //!   (`submit-evidence`, `appraise`, `query-audit-log`, `metrics`,
 //!   `health`, `shutdown`), plus plain GET `/metrics` (Prometheus

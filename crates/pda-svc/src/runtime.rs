@@ -6,17 +6,17 @@
 //! `Mutex<VecDeque>` guarded by a `Condvar`; a fixed pool of workers
 //! pops and serves them.
 //!
-//! Each connection is **persistent** by default: `serve_connection`
-//! loops over requests on one socket (HTTP/1.1 keep-alive), consuming
-//! exactly the bytes each request used so pipelined follow-ups parse
-//! from the same buffer. The loop closes the connection when the
-//! client asks (`Connection: close`), when the per-connection request
-//! cap is hit, when the idle timeout expires between requests, or when
-//! the server is shutting down — the last response in every case
-//! carries `Connection: close` so the peer knows. Continuous
-//! attestation is a sustained stream of small RPCs, which is exactly
-//! the workload one-TCP-connection-per-call serves worst; reuse is
-//! what lets E18 throughput clear the connection-per-call baseline.
+//! Each connection is **persistent**: `serve_connection` loops over
+//! requests on one socket (HTTP/1.1 keep-alive), consuming exactly the
+//! bytes each request used so pipelined follow-ups parse from the same
+//! buffer. The loop closes the connection when the request asks
+//! (`Connection: close`, or HTTP/1.0 without `Connection: keep-alive`),
+//! when the per-connection request cap is hit, when the idle timeout
+//! expires between requests, after a bad request, or when the server is
+//! shutting down — the last response in every case carries
+//! `Connection: close` so the peer knows. Continuous attestation is a
+//! sustained stream of small RPCs, which is exactly the workload
+//! one-TCP-connection-per-call serves worst.
 //!
 //! Graceful shutdown: flip an `AtomicBool`, then self-connect once to
 //! unblock the accept loop; workers drain the queue and exit when they
@@ -43,14 +43,9 @@ const READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// keeps shutdown prompt with long idle timeouts.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
-/// Connection-plane policy for [`serve_with`].
+/// Connection-plane limits for [`serve_with`].
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Serve multiple requests per connection (HTTP/1.1 keep-alive
-    /// with pipelining). When `false` every response carries
-    /// `Connection: close` and the socket is closed after one
-    /// exchange.
-    pub keep_alive: bool,
     /// Requests served on one connection before the server closes it
     /// (resource-recycling cap; the closing response says so).
     pub max_requests: u64,
@@ -62,19 +57,8 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
-            keep_alive: true,
             max_requests: 1024,
             idle_timeout: Duration::from_secs(5),
-        }
-    }
-}
-
-impl ServeOptions {
-    /// One request per connection (the pre-keep-alive behaviour).
-    pub fn closing() -> ServeOptions {
-        ServeOptions {
-            keep_alive: false,
-            ..ServeOptions::default()
         }
     }
 }
@@ -157,8 +141,7 @@ impl ServerHandle {
 }
 
 /// Bind `addr` and serve `handler` on `workers` threads with the
-/// default (keep-alive) connection options until
-/// [`ServerHandle::stop`] is called.
+/// default connection limits until [`ServerHandle::stop`] is called.
 pub fn serve<H: Handler>(
     addr: &str,
     workers: usize,
@@ -167,7 +150,7 @@ pub fn serve<H: Handler>(
     serve_with(addr, workers, handler, ServeOptions::default())
 }
 
-/// [`serve`] with explicit connection-plane options.
+/// [`serve`] with explicit connection limits.
 pub fn serve_with<H: Handler>(
     addr: &str,
     workers: usize,
@@ -250,12 +233,10 @@ fn serve_connection<H: Handler>(
             match reqs.next_request() {
                 HttpParse::Complete(req, _) => {
                     served += 1;
-                    // Close when: keep-alive is off, the client asked,
-                    // the per-connection cap is reached, or the server
-                    // is shutting down. The response says which ever
-                    // way it goes.
-                    let close = !options.keep_alive
-                        || served >= options.max_requests
+                    // Close when the request asks, the per-connection
+                    // cap is reached, or the server is shutting down.
+                    // The response says which ever way it goes.
+                    let close = served >= options.max_requests
                         || stop.load(Ordering::SeqCst)
                         || wants_close(&req);
                     let response = handler.handle(&req);
@@ -269,7 +250,7 @@ fn serve_connection<H: Handler>(
                 }
                 HttpParse::Invalid(reason) => {
                     // Framing is unrecoverable after a bad request —
-                    // 400 and hang up, on every mode.
+                    // 400 and hang up.
                     let resp = HttpResponse::text(400, format!("bad request: {reason}\n"));
                     let _ = conn.write_all(&resp.to_bytes_conn(true));
                     let _ = conn.flush();
@@ -293,7 +274,7 @@ fn serve_connection<H: Handler>(
                 waited += POLL_INTERVAL;
                 // Mid-request stalls get the (short) read timeout;
                 // an empty buffer between requests gets the idle one.
-                let limit = if reqs.is_empty() && options.keep_alive {
+                let limit = if reqs.is_empty() {
                     options.idle_timeout
                 } else {
                     READ_TIMEOUT
@@ -477,17 +458,21 @@ mod tests {
     }
 
     #[test]
-    fn closing_mode_hangs_up_after_one_exchange() {
-        let mut server = serve_with(
-            "127.0.0.1:0",
-            1,
-            Arc::new(Echo::new()),
-            ServeOptions::closing(),
-        )
-        .unwrap();
-        let reply = roundtrip(server.addr, b"GET /one HTTP/1.1\r\n\r\n");
+    fn http10_request_gets_a_closed_connection() {
+        let opts = ServeOptions {
+            idle_timeout: Duration::from_secs(60), // idle timeout must NOT be the closer
+            ..ServeOptions::default()
+        };
+        let mut server = serve_with("127.0.0.1:0", 1, Arc::new(Echo::new()), opts).unwrap();
+        let start = std::time::Instant::now();
+        let reply = roundtrip(server.addr, b"GET /old HTTP/1.0\r\n\r\n");
         assert!(reply.contains("Connection: close\r\n"), "reply: {reply}");
-        assert!(reply.ends_with("GET /one"));
+        assert!(reply.ends_with("GET /old"), "reply: {reply}");
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "an HTTP/1.0 peer waited for EOF: {:?}",
+            start.elapsed()
+        );
         server.stop();
     }
 

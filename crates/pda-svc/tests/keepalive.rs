@@ -1,11 +1,11 @@
 //! The persistent connection plane, end to end over real TCP:
 //! keep-alive sessions, pipelining through the live JSON-RPC service,
 //! client-side connection pooling with server-side reuse accounting,
-//! large-body ingest at linear cost, and the duplicate-`Content-Length`
-//! rejection on both the keep-alive and close paths.
+//! large-body ingest at linear cost, the duplicate-`Content-Length`
+//! rejection, and a close the client asks for.
 
 use pda_svc::http::{parse_response_bytes, ParsedResponse, ResponseParse};
-use pda_svc::{serve, serve_with, AppraisalService, ServeOptions, SvcClient, SvcConfig};
+use pda_svc::{serve, AppraisalService, SvcClient, SvcConfig};
 use pda_telemetry::json::Json;
 use pda_telemetry::Telemetry;
 use std::io::{Read, Write};
@@ -106,14 +106,13 @@ fn large_body_ingest_is_linear() {
 }
 
 /// The pooled client reuses its connection across calls, and the
-/// service's reuse counters see it; a close-mode client on the same
-/// server opens one connection per call and trips no reuse counter.
+/// service's reuse counters see it.
 #[test]
 fn client_pool_reuses_connections_and_counters_agree() {
     let (svc, mut server) = live_service();
 
     let keep = SvcClient::new(server.addr);
-    for _ in 0..5 {
+    for _ in 0..8 {
         keep.health().expect("health over keep-alive");
     }
     assert!(
@@ -122,12 +121,6 @@ fn client_pool_reuses_connections_and_counters_agree() {
         keep.reused_connections()
     );
     drop(keep); // pool drops → sockets close → server accounts them
-
-    let closing = SvcClient::new(server.addr).with_keep_alive(false);
-    for _ in 0..3 {
-        closing.health().expect("health over close-mode");
-    }
-    assert_eq!(closing.reused_connections(), 0, "close mode never reuses");
 
     server.stop(); // joins workers: connection accounting is final
     let reg = svc.telemetry().registry().expect("collecting telemetry");
@@ -143,58 +136,54 @@ fn client_pool_reuses_connections_and_counters_agree() {
 }
 
 /// A request bearing two `Content-Length` headers — the
-/// request-smuggling desync primitive — is rejected with a 400 on
-/// both the keep-alive and the close-mode server paths, and the
-/// connection is torn down rather than left desynced.
+/// request-smuggling desync primitive — is rejected with a 400, and
+/// the connection is torn down rather than left desynced.
 #[test]
-fn duplicate_content_length_gets_400_on_both_paths() {
-    for closing in [false, true] {
-        let svc = Arc::new(AppraisalService::new(
-            SvcConfig::default(),
-            Telemetry::collecting(),
-        ));
-        let opts = if closing {
-            ServeOptions::closing()
-        } else {
-            ServeOptions::default()
-        };
-        let mut server = serve_with("127.0.0.1:0", 1, Arc::clone(&svc), opts).unwrap();
-        let mut conn = TcpStream::connect(server.addr).unwrap();
-        // Unequal duplicates; a second (smuggled) request hides in the
-        // gap between the two lengths.
-        conn.write_all(
-            b"POST /rpc HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\nContent-Length: 64\r\n\r\nhelloGET /smuggled HTTP/1.1\r\n\r\n",
-        )
-        .unwrap();
-        let mut reply = String::new();
-        conn.read_to_string(&mut reply).unwrap(); // closed after the 400
-        assert!(
-            reply.starts_with("HTTP/1.1 400 "),
-            "mode closing={closing}: {reply}"
-        );
-        assert!(
-            reply.contains("conflicting content-length"),
-            "mode closing={closing}: {reply}"
-        );
-        assert_eq!(
-            reply.matches("HTTP/1.1").count(),
-            1,
-            "smuggled request was not answered: {reply}"
-        );
-        server.stop();
-    }
+fn duplicate_content_length_gets_400_and_a_close() {
+    let (_svc, mut server) = live_service();
+    let mut conn = TcpStream::connect(server.addr).unwrap();
+    // Unequal duplicates; a second (smuggled) request hides in the gap
+    // between the two lengths.
+    conn.write_all(
+        b"POST /rpc HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\nContent-Length: 64\r\n\r\nhelloGET /smuggled HTTP/1.1\r\n\r\n",
+    )
+    .unwrap();
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply).unwrap(); // closed after the 400
+    assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+    assert!(reply.contains("conflicting content-length"), "{reply}");
+    assert_eq!(
+        reply.matches("HTTP/1.1").count(),
+        1,
+        "smuggled request was not answered: {reply}"
+    );
+    server.stop();
 }
 
-/// A client that negotiates `Connection: close` per call still works
-/// against the keep-alive server (the compatibility path CI keeps
-/// green).
+/// `GET /metrics` asking for `Connection: close` gets the Prometheus
+/// text, a response that announces the close, then EOF. A `health` RPC
+/// ahead of it on the same connection gives the registry something to
+/// render.
 #[test]
-fn close_mode_client_round_trips_rpc_and_metrics() {
+fn metrics_with_connection_close_returns_prometheus_text_then_eof() {
     let (_svc, mut server) = live_service();
-    let client = SvcClient::new(server.addr).with_keep_alive(false);
-    let health = client.health().expect("health");
-    assert_eq!(health.get("ok").and_then(Json::as_bool), Some(true));
-    let prom = client.metrics_text().expect("GET /metrics");
-    assert!(prom.contains("# TYPE"), "prometheus text came back");
+    let mut conn = TcpStream::connect(server.addr).unwrap();
+    let mut wire = rpc_wire(1, "health");
+    wire.extend_from_slice(b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    conn.write_all(&wire).unwrap();
+    let mut buf = Vec::new();
+    let health = read_response(&mut conn, &mut buf);
+    assert!(
+        !health.closes_connection(),
+        "held open for the next request"
+    );
+    let metrics = read_response(&mut conn, &mut buf);
+    assert_eq!(metrics.status, 200);
+    assert!(metrics.closes_connection(), "close announced");
+    let prom = String::from_utf8(metrics.body).unwrap();
+    assert!(prom.contains("# TYPE"), "prometheus text came back: {prom}");
+    let mut rest = Vec::new();
+    conn.read_to_end(&mut rest).unwrap();
+    assert!(buf.is_empty() && rest.is_empty(), "EOF after the response");
     server.stop();
 }

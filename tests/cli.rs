@@ -201,29 +201,21 @@ fn netkat_reach_subcommand() {
     assert!(stdout.contains("reachable: no"), "{stdout}");
 }
 
-/// A `dup` step policy is outside the fragment reachability decides:
-/// the CLI must refuse it with an error, not panic (exit 101).
+/// Reachability reads `dup` as the identity, so a step with `dup` is
+/// answered like the same step without it.
 #[test]
-fn netkat_reach_rejects_dup_policy() {
-    let out = Command::new(env!("CARGO_BIN_EXE_pda"))
-        .args([
-            "netkat",
-            "reach",
-            "dup; sw:=2",
-            "--from",
-            "sw=1,pt=0",
-            "--goal",
-            "sw=2",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert_ne!(out.status.code(), Some(101), "must not panic");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("works on the dup-free fragment"),
-        "{stderr}"
-    );
+fn netkat_reach_answers_dup_steps() {
+    let (ok, stdout, stderr) = pda(&[
+        "netkat",
+        "reach",
+        "dup ; filter sw = 1 ; sw := 2",
+        "--from",
+        "sw=1",
+        "--goal",
+        "sw = 2",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("reachable: yes"), "{stdout}");
 }
 
 /// Text nested far past each parser's bound is a parse error (exit 1),
@@ -347,6 +339,47 @@ fn errors_exit_nonzero() {
     assert!(!ok);
     let (ok, _, _) = pda(&[]);
     assert!(!ok);
+}
+
+/// A flag the command does not take, a valued flag with nothing after
+/// it, or a value the command cannot read is an error naming the flag
+/// (exit 1), never skipped.
+#[test]
+fn unknown_flags_are_errors() {
+    let cases: [(&[&str], &str); 8] = [
+        (
+            &["netkat", "equiv", "pt := 1", "pt := 2", "--backend", "enum"],
+            "--backend",
+        ),
+        (
+            &["simulate", "--hops", "2", "--bogus-flag", "7"],
+            "--bogus-flag",
+        ),
+        (&["serve", "--no-keep-alive"], "--no-keep-alive"),
+        (
+            &[
+                "client",
+                "--addr",
+                "127.0.0.1:1",
+                "--no-keep-alive",
+                "health",
+            ],
+            "--no-keep-alive",
+        ),
+        (&["netkat", "pt := 1", "--equiv", "pt := 2"], "--equiv"),
+        (&["simulate", "--hops"], "--hops"),
+        (&["simulate", "--legacy", "1,x"], "--legacy"),
+        (&["resolve", "*rp: @p1 [!]", "--param", "n9"], "--param"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_pda"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "pda {args:?}: {stderr}");
+        assert!(stderr.contains(flag), "pda {args:?}: {stderr}");
+    }
 }
 
 #[test]
