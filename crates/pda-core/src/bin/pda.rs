@@ -332,17 +332,30 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     )?;
     let hops: usize = args.parse("--hops")?.unwrap_or(3);
     let packets: u64 = args.parse("--packets")?.unwrap_or(1);
-    let legacy = match args.value("--legacy") {
-        Some(list) => list
-            .split(',')
-            .map(|i| {
-                i.trim()
-                    .parse()
-                    .map_err(|_| format!("bad --legacy `{list}`"))
-            })
-            .collect::<Result<Vec<usize>, _>>()?,
-        None => Vec::new(),
-    };
+    if hops == 0 {
+        return Err("--hops must be at least 1".into());
+    }
+    if packets == 0 {
+        return Err("--packets must be at least 1".into());
+    }
+    // Each legacy switch is a distinct index on the path.
+    let mut legacy = Vec::new();
+    if let Some(list) = args.value("--legacy") {
+        let bad = |why: String| format!("bad --legacy `{list}`: {why}");
+        for i in list.split(',') {
+            let i: usize = i
+                .trim()
+                .parse()
+                .map_err(|_| bad(format!("`{i}` is not a switch index")))?;
+            if i >= hops {
+                return Err(bad(format!("switch {i} is not below --hops {hops}")));
+            }
+            if legacy.contains(&i) {
+                return Err(bad(format!("switch {i} is listed twice")));
+            }
+            legacy.push(i);
+        }
+    }
     let telemetry_mode = args.value("--telemetry").unwrap_or("off");
     if !matches!(telemetry_mode, "off" | "json" | "prom") {
         return Err(format!(

@@ -195,6 +195,162 @@ proptest! {
     }
 }
 
+/// The recursive `specialize` that builds every union arm before it
+/// discards the dead ones: the reference that the slicer must match
+/// node for node.
+mod reference {
+    use pda_netkat::ast::{Field, Policy, Pred};
+
+    fn spec_pred(a: &Pred, f: Field, v: u32) -> Pred {
+        match a {
+            Pred::True => Pred::True,
+            Pred::False => Pred::False,
+            Pred::Test(g, w) if *g == f => {
+                if *w == v {
+                    Pred::True
+                } else {
+                    Pred::False
+                }
+            }
+            Pred::Test(g, w) => Pred::Test(*g, *w),
+            Pred::And(l, r) => match (spec_pred(l, f, v), spec_pred(r, f, v)) {
+                (Pred::False, _) | (_, Pred::False) => Pred::False,
+                (Pred::True, q) => q,
+                (p, Pred::True) => p,
+                (p, q) => p.and(q),
+            },
+            Pred::Or(l, r) => match (spec_pred(l, f, v), spec_pred(r, f, v)) {
+                (Pred::True, _) | (_, Pred::True) => Pred::True,
+                (Pred::False, q) => q,
+                (p, Pred::False) => p,
+                (p, q) => p.or(q),
+            },
+            Pred::Not(x) => match spec_pred(x, f, v) {
+                Pred::True => Pred::False,
+                Pred::False => Pred::True,
+                p => p.not(),
+            },
+        }
+    }
+
+    pub(super) fn specialize(p: &Policy, f: Field, v: u32) -> Policy {
+        // (specialized policy, syntactically drop, assumption holds after).
+        fn go(p: &Policy, f: Field, v: u32) -> (Policy, bool, Option<bool>) {
+            match p {
+                Policy::Filter(a) => {
+                    let a = spec_pred(a, f, v);
+                    let dead = a == Pred::False;
+                    (Policy::Filter(a), dead, Some(true))
+                }
+                Policy::Mod(g, w) if *g == f => (Policy::Mod(*g, *w), false, Some(*w == v)),
+                Policy::Mod(g, w) => (Policy::Mod(*g, *w), false, Some(true)),
+                Policy::Dup => (Policy::Dup, false, Some(true)),
+                Policy::Seq(l, r) => {
+                    let (ls, ldead, lholds) = go(l, f, v);
+                    match lholds {
+                        Some(true) => {
+                            let (rs, rdead, rholds) = go(r, f, v);
+                            (ls.seq(rs), ldead || rdead, rholds)
+                        }
+                        _ => (ls.seq(r.as_ref().clone()), ldead || is_drop(r), lholds),
+                    }
+                }
+                Policy::Union(l, r) => {
+                    let (ls, ldead, lh) = go(l, f, v);
+                    let (rs, rdead, rh) = go(r, f, v);
+                    let holds = match (lh, rh) {
+                        (Some(a), Some(b)) if a == b => Some(a),
+                        _ => None,
+                    };
+                    match (ldead, rdead) {
+                        (true, true) => (Policy::drop(), true, holds),
+                        (true, false) => (rs, false, holds),
+                        (false, true) => (ls, false, holds),
+                        (false, false) => (ls.union(rs), false, holds),
+                    }
+                }
+                Policy::Star(inner) => {
+                    let (is, _, ih) = go(inner, f, v);
+                    if ih == Some(true) {
+                        (is.star(), false, Some(true))
+                    } else {
+                        (p.clone(), false, None)
+                    }
+                }
+            }
+        }
+        go(p, f, v).0
+    }
+
+    fn is_drop(p: &Policy) -> bool {
+        match p {
+            Policy::Filter(Pred::False) => true,
+            Policy::Seq(l, r) => is_drop(l) || is_drop(r),
+            Policy::Union(l, r) => is_drop(l) && is_drop(r),
+            _ => false,
+        }
+    }
+}
+
+/// Three fields over three values: a test of the assumed field often
+/// fails, so union arms often reduce to drop.
+fn slice_field() -> impl Strategy<Value = Field> {
+    prop_oneof![Just(Field::Switch), Just(Field::Port), Just(Field::Dst)]
+}
+
+fn slice_pred() -> impl Strategy<Value = Pred> {
+    let leaf = prop_oneof![
+        Just(Pred::True),
+        Just(Pred::False),
+        (slice_field(), 0u32..3).prop_map(|(f, v)| Pred::Test(f, v)),
+    ];
+    leaf.prop_recursive(2, 6, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.prop_map(|a| a.not()),
+        ]
+    })
+}
+
+/// Policies up to six levels deep, with `dup` and star. A node is a
+/// leaf one time in five, and one kind of node is a guarded rule
+/// `filter a ; p`, as a fabric's are, so a dead rule inside a union is
+/// common.
+fn slice_policy() -> impl Strategy<Value = Policy> {
+    let leaf = prop_oneof![
+        slice_pred().prop_map(Policy::Filter),
+        (slice_field(), 0u32..3).prop_map(|(f, v)| Policy::Mod(f, v)),
+        Just(Policy::Dup),
+    ]
+    .boxed();
+    let mut p = leaf.clone();
+    for _ in 0..6 {
+        let inner = p;
+        p = prop_oneof![
+            leaf.clone(),
+            (inner.clone(), inner.clone()).prop_map(|(p, q)| p.union(q)),
+            (inner.clone(), inner.clone()).prop_map(|(p, q)| p.seq(q)),
+            (slice_pred(), inner.clone()).prop_map(|(a, p)| Policy::filter(a).seq(p)),
+            inner.prop_map(|p| p.star()),
+        ]
+        .boxed();
+    }
+    p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The slicer returns the reference's policy, dead arms and all the
+    /// assumption bookkeeping around them included.
+    #[test]
+    fn specialize_matches_the_reference(p in slice_policy(), f in slice_field(), v in 0u32..3) {
+        let s = pda_netkat::specialize::specialize(&p, f, v);
+        prop_assert_eq!(s, reference::specialize(&p, f, v), "p = {}", p);
+    }
+}
+
 /// Arbitrary text for the parser: runs of printable ASCII, NetKAT
 /// tokens, line breaks and multi-byte characters, in any order. U+0085
 /// and U+00A0 are among them because their UTF-8 continuation bytes

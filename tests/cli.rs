@@ -342,11 +342,12 @@ fn errors_exit_nonzero() {
 }
 
 /// A flag the command does not take, a valued flag with nothing after
-/// it, or a value the command cannot read is an error naming the flag
-/// (exit 1), never skipped.
+/// it, or a value the command cannot read or run (`--hops 0`, a
+/// `--legacy` switch off the path or listed twice) is an error naming
+/// the flag (exit 1), never skipped.
 #[test]
 fn unknown_flags_are_errors() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 13] = [
         (
             &["netkat", "equiv", "pt := 1", "pt := 2", "--backend", "enum"],
             "--backend",
@@ -370,6 +371,14 @@ fn unknown_flags_are_errors() {
         (&["simulate", "--hops"], "--hops"),
         (&["simulate", "--legacy", "1,x"], "--legacy"),
         (&["resolve", "*rp: @p1 [!]", "--param", "n9"], "--param"),
+        (&["simulate", "--packets", "0"], "--packets"),
+        (&["simulate", "--hops", "0"], "--hops"),
+        (&["simulate", "--hops", "2", "--legacy", "5"], "--legacy"),
+        (&["simulate", "--hops", "2", "--legacy", "0,0"], "--legacy"),
+        (
+            &["simulate", "--hops", "1", "--legacy", "0,1,2", "--oob"],
+            "--legacy",
+        ),
     ];
     for (args, flag) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_pda"))
