@@ -24,15 +24,22 @@
 //!
 //! The parser recurses once per `@place [` and once per `(`, so their
 //! nesting is bounded by [`MAX_NESTING`]: deeper text is a parse error,
-//! not a stack overflow. Long `->` and branch chains are parsed by loops
-//! and are not bounded.
+//! not a stack overflow. Each `->` and branch connective counts toward
+//! the same bound. A chain is parsed by a loop, but it is left-associated,
+//! so its first operand lies one node deeper per connective, and the
+//! evidence of a chain of measurements nests once per arrow. A connective
+//! whose node would put the phrase more than [`MAX_NESTING`] levels deep,
+//! counting the `@place [` and `(` open around it, is a parse error at
+//! that connective. The phrase tree the parser returns is thus never
+//! deeper than the bound, and neither is any walk over it.
 
 use crate::ast::{Asp, Phrase, Place, Request, Sp};
 use crate::lexer::{lex, LexError, Spanned, Token};
 use std::fmt;
 
-/// Deepest nesting of `@place [ … ]` and `( … )` that [`parse_request`]
-/// and [`parse_phrase`] accept; the next level is an error at its offset.
+/// Deepest nesting of `@place [ … ]`, `( … )` and connectives that
+/// [`parse_request`] and [`parse_phrase`] accept; the next level is an
+/// error at its offset.
 pub const MAX_NESTING: usize = 256;
 
 /// Parse error with source offset.
@@ -83,7 +90,7 @@ pub fn parse_request(src: &str) -> Result<Request, ParseError> {
         p.expect(&Token::RAngle)?;
     }
     p.expect(&Token::Colon)?;
-    let phrase = p.phrase()?;
+    let (phrase, _) = p.phrase()?;
     p.expect_end()?;
     Ok(Request {
         rp: Place::new(rp),
@@ -101,7 +108,7 @@ pub fn parse_phrase(src: &str) -> Result<Phrase, ParseError> {
         src_len: src.len(),
         depth: 0,
     };
-    let phrase = p.phrase()?;
+    let (phrase, _) = p.phrase()?;
     p.expect_end()?;
     Ok(phrase)
 }
@@ -198,46 +205,63 @@ impl<'a> Parser<'a> {
         r
     }
 
-    /// branch := seq ( BROP seq )*
-    fn phrase(&mut self) -> Result<Phrase, ParseError> {
-        let mut left = self.seq()?;
-        loop {
-            match self.peek() {
-                Some(&Token::BrSeq(l, r)) => {
-                    self.pos += 1;
-                    let right = self.seq()?;
-                    left = Phrase::BrSeq(sp(l), sp(r), Box::new(left), Box::new(right));
-                }
-                Some(&Token::BrPar(l, r)) => {
-                    self.pos += 1;
-                    let right = self.seq()?;
-                    left = Phrase::BrPar(sp(l), sp(r), Box::new(left), Box::new(right));
-                }
-                _ => break,
-            }
+    /// The levels of a connective node over operands `l` and `r` levels
+    /// deep, or an error at the connective, at byte `at`, when it puts
+    /// the phrase more than [`MAX_NESTING`] levels deep.
+    fn connective(&self, at: usize, l: usize, r: usize) -> Result<usize, ParseError> {
+        let levels = l.max(r) + 1;
+        if self.depth + levels > MAX_NESTING {
+            return Err(ParseError {
+                offset: at,
+                message: format!("nesting deeper than {MAX_NESTING} levels"),
+            });
         }
-        Ok(left)
+        Ok(levels)
+    }
+
+    /// branch := seq ( BROP seq )*
+    ///
+    /// Each parse function returns its phrase and the number of `@place`
+    /// and connective nodes on the phrase's deepest path.
+    fn phrase(&mut self) -> Result<(Phrase, usize), ParseError> {
+        let (mut left, mut levels) = self.seq()?;
+        loop {
+            let (l, r, node): (_, _, fn(_, _, _, _) -> Phrase) = match self.peek() {
+                Some(&Token::BrSeq(l, r)) => (l, r, Phrase::BrSeq),
+                Some(&Token::BrPar(l, r)) => (l, r, Phrase::BrPar),
+                _ => break,
+            };
+            let at = self.offset();
+            self.pos += 1;
+            let (right, r_levels) = self.seq()?;
+            levels = self.connective(at, levels, r_levels)?;
+            left = node(sp(l), sp(r), Box::new(left), Box::new(right));
+        }
+        Ok((left, levels))
     }
 
     /// seq := atom ( '->' atom )*
-    fn seq(&mut self) -> Result<Phrase, ParseError> {
-        let mut left = self.atom()?;
-        while self.eat(&Token::Arrow) {
-            let right = self.atom()?;
+    fn seq(&mut self) -> Result<(Phrase, usize), ParseError> {
+        let (mut left, mut levels) = self.atom()?;
+        while self.peek() == Some(&Token::Arrow) {
+            let at = self.offset();
+            self.pos += 1;
+            let (right, r_levels) = self.atom()?;
+            levels = self.connective(at, levels, r_levels)?;
             left = Phrase::Arrow(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, levels))
     }
 
-    fn atom(&mut self) -> Result<Phrase, ParseError> {
-        match self.peek().cloned() {
+    fn atom(&mut self) -> Result<(Phrase, usize), ParseError> {
+        match self.peek() {
             Some(Token::At) => self.nested(|s| {
                 s.pos += 1;
                 let place = s.ident()?;
                 s.expect(&Token::LBracket)?;
-                let inner = s.phrase()?;
+                let (inner, levels) = s.phrase()?;
                 s.expect(&Token::RBracket)?;
-                Ok(Phrase::At(Place::new(place), Box::new(inner)))
+                Ok((Phrase::At(Place::new(place), Box::new(inner)), levels + 1))
             }),
             Some(Token::LParen) => self.nested(|s| {
                 s.pos += 1;
@@ -245,21 +269,28 @@ impl<'a> Parser<'a> {
                 s.expect(&Token::RParen)?;
                 Ok(inner)
             }),
+            _ => Ok((Phrase::Asp(self.asp()?), 0)),
+        }
+    }
+
+    /// A leaf: `!`, `#`, `_`, `{}`, a service or a measurement.
+    fn asp(&mut self) -> Result<Asp, ParseError> {
+        match self.peek().cloned() {
             Some(Token::Bang) => {
                 self.pos += 1;
-                Ok(Phrase::Asp(Asp::Sign))
+                Ok(Asp::Sign)
             }
             Some(Token::Hash) => {
                 self.pos += 1;
-                Ok(Phrase::Asp(Asp::Hash))
+                Ok(Asp::Hash)
             }
             Some(Token::Underscore) => {
                 self.pos += 1;
-                Ok(Phrase::Asp(Asp::Copy))
+                Ok(Asp::Copy)
             }
             Some(Token::Null) => {
                 self.pos += 1;
-                Ok(Phrase::Asp(Asp::Null))
+                Ok(Asp::Null)
             }
             Some(Token::Ident(first)) => {
                 self.pos += 1;
@@ -275,7 +306,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect(&Token::RParen)?;
-                    return Ok(Phrase::Asp(Asp::Service { name: first, args }));
+                    return Ok(Asp::Service { name: first, args });
                 }
                 // Measurement `m P t`: exactly two more identifiers follow.
                 if let (Some(Token::Ident(_)), Some(Token::Ident(_))) =
@@ -283,17 +314,17 @@ impl<'a> Parser<'a> {
                 {
                     let tplace = self.ident()?;
                     let target = self.ident()?;
-                    return Ok(Phrase::Asp(Asp::Measure {
+                    return Ok(Asp::Measure {
                         measurer: first,
                         target_place: Place::new(tplace),
                         target,
-                    }));
+                    });
                 }
                 // Argument-less service.
-                Ok(Phrase::Asp(Asp::Service {
+                Ok(Asp::Service {
                     name: first,
                     args: Vec::new(),
-                }))
+                })
             }
             _ => Err(self.err(format!(
                 "expected a phrase, found {}",
@@ -463,6 +494,37 @@ mod tests {
         // The clause's own `@p1 [` is the last of the bound's levels.
         let p = parse_phrase(&parens(MAX_NESTING - 1, "@p1 [attest p1 sys]")).unwrap();
         assert_eq!(p.places(), vec![Place::new("p1")]);
+    }
+
+    /// `n` copies of `_` joined by `op`.
+    fn chain(n: usize, op: &str) -> String {
+        vec!["_"; n].join(&format!(" {op} "))
+    }
+
+    #[test]
+    fn chains_count_toward_the_bound() {
+        for op in ["->", "+<+", "-~-"] {
+            let p = parse_phrase(&chain(MAX_NESTING + 1, op)).unwrap();
+            assert_eq!(p.depth(), MAX_NESTING + 1, "{op}");
+            // The connective past the bound is the error.
+            let err = parse_phrase(&chain(MAX_NESTING + 2, op)).unwrap_err();
+            assert_eq!(err.offset, 2 + (op.len() + 3) * MAX_NESTING, "{op}");
+            assert!(err.message.contains("nesting deeper than 256"), "{err}");
+        }
+        // Places open around a chain count, and so does a chain inside the
+        // first operand of another: both nest the phrase.
+        let src = at_places(1, &chain(MAX_NESTING, "->"));
+        assert_eq!(parse_phrase(&src).unwrap().depth(), MAX_NESTING + 1);
+        let src = at_places(1, &chain(MAX_NESTING + 1, "->"));
+        assert_eq!(
+            parse_phrase(&src).unwrap_err().offset,
+            5 + 2 + 5 * (MAX_NESTING - 1)
+        );
+        let inner = format!("{} -> _", at_places(1, &chain(MAX_NESTING, "->")));
+        assert_eq!(
+            parse_phrase(&inner).unwrap_err().offset,
+            inner.len() - "-> _".len()
+        );
     }
 
     #[test]

@@ -171,6 +171,20 @@ impl<'a> Args<'a> {
             .map(|v| v.parse().map_err(|_| format!("bad {flag} `{v}`")))
             .transpose()
     }
+
+    /// `flag`'s value parsed as a count of at least one; `default` when
+    /// the flag is absent.
+    fn count<T: std::str::FromStr + PartialEq + From<u8>>(
+        &self,
+        flag: &str,
+        default: T,
+    ) -> Result<T, String> {
+        let n = self.parse(flag)?.unwrap_or(default);
+        if n == T::from(0) {
+            return Err(format!("{flag} must be at least 1"));
+        }
+        Ok(n)
+    }
 }
 
 fn cmd_parse(args: &[String]) -> Result<(), String> {
@@ -330,14 +344,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         &["--hops", "--packets", "--legacy", "--telemetry"],
         &["--oob"],
     )?;
-    let hops: usize = args.parse("--hops")?.unwrap_or(3);
-    let packets: u64 = args.parse("--packets")?.unwrap_or(1);
-    if hops == 0 {
-        return Err("--hops must be at least 1".into());
-    }
-    if packets == 0 {
-        return Err("--packets must be at least 1".into());
-    }
+    let hops: usize = args.count("--hops", 3)?;
+    let packets: u64 = args.count("--packets", 1)?;
     // Each legacy switch is a distinct index on the path.
     let mut legacy = Vec::new();
     if let Some(list) = args.value("--legacy") {
@@ -649,8 +657,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         &["--corrupt"],
     )?;
     let port: u16 = args.parse("--port")?.unwrap_or(7421);
-    let hops: usize = args.parse("--hops")?.unwrap_or(3);
-    let appraisers: usize = args.parse("--appraisers")?.unwrap_or(3);
+    let hops: usize = args.count("--hops", 3)?;
+    let appraisers: usize = args.count("--appraisers", 3)?;
     let quorum_spec = args.value("--quorum").unwrap_or("majority");
     let quorum = Quorum::parse(quorum_spec)
         .ok_or_else(|| format!("bad --quorum `{quorum_spec}` (want majority|unanimous|K-of-N)"))?;
@@ -788,8 +796,8 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
         "metrics" => println!("{}", client.metrics()?.encode()),
         "shutdown" => println!("{}", client.shutdown()?.encode()),
         "submit" => {
-            let hops: usize = args.parse("--hops")?.unwrap_or(3);
-            let packets: u64 = args.parse("--packets")?.unwrap_or(1);
+            let hops: usize = args.count("--hops", 3)?;
+            let packets: u64 = args.count("--packets", 1)?;
             let records = generate_evidence(hops, nonce, packets, args.has("--rogue"));
             if records.is_empty() {
                 return Err("fleet produced no evidence".into());

@@ -112,7 +112,7 @@ fn has_star(p: &Policy) -> bool {
     match p {
         Policy::Filter(_) | Policy::Mod(_, _) | Policy::Dup => false,
         Policy::Star(_) => true,
-        Policy::Union(a, b) | Policy::Seq(a, b) => has_star(a) || has_star(b),
+        Policy::Union(ps) | Policy::Seq(ps) => ps.iter().any(has_star),
     }
 }
 
@@ -121,7 +121,7 @@ fn modifies_switch(p: &Policy) -> bool {
         Policy::Mod(Field::Switch, _) => true,
         Policy::Filter(_) | Policy::Mod(_, _) | Policy::Dup => false,
         Policy::Star(a) => modifies_switch(a),
-        Policy::Union(a, b) | Policy::Seq(a, b) => modifies_switch(a) || modifies_switch(b),
+        Policy::Union(ps) | Policy::Seq(ps) => ps.iter().any(modifies_switch),
     }
 }
 

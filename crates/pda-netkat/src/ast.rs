@@ -10,6 +10,16 @@
 //! abstraction (`∗⇒`) and its Boolean tests for the `▶` prefix, so this
 //! crate provides the full language plus the reachability analysis the
 //! hybrid compiler needs.
+//!
+//! The four associative connectives `+`, `;`, `&` and `|` hold a chain
+//! as one node with its operands in a `Vec`: the helpers that build
+//! them ([`Policy::union`], [`Policy::seq`], [`Pred::and`], [`Pred::or`]
+//! and [`Policy::any`]) append to an operand of the same kind instead of
+//! nesting it, and [`Policy::star`] leaves a star as it is, since
+//! `(p*)* ≡ p*`. A tree is thus as deep as its text is nested, not as
+//! long as its chains, and every walk over it is plain structural
+//! recursion: the parser bounds nesting at
+//! [`crate::parser::MAX_NESTING`] levels.
 
 use std::fmt;
 
@@ -132,10 +142,10 @@ pub enum Pred {
     False,
     /// `f = n`.
     Test(Field, u32),
-    /// Conjunction.
-    And(Box<Pred>, Box<Pred>),
-    /// Disjunction.
-    Or(Box<Pred>, Box<Pred>),
+    /// Conjunction of its operands, two or more, none a conjunction.
+    And(Vec<Pred>),
+    /// Disjunction of its operands, two or more, none a disjunction.
+    Or(Vec<Pred>),
     /// Negation.
     Not(Box<Pred>),
 }
@@ -146,14 +156,24 @@ impl Pred {
         Pred::Test(f, n)
     }
 
-    /// Conjunction helper.
+    /// Conjunction helper: a conjunction on either side contributes its
+    /// operands.
     pub fn and(self, other: Pred) -> Pred {
-        Pred::And(Box::new(self), Box::new(other))
+        let open = |p| match p {
+            Pred::And(ps) => Ok(ps),
+            p => Err(p),
+        };
+        Pred::And(chain(self, other, open))
     }
 
-    /// Disjunction helper.
+    /// Disjunction helper: a disjunction on either side contributes its
+    /// operands.
     pub fn or(self, other: Pred) -> Pred {
-        Pred::Or(Box::new(self), Box::new(other))
+        let open = |p| match p {
+            Pred::Or(ps) => Ok(ps),
+            p => Err(p),
+        };
+        Pred::Or(chain(self, other, open))
     }
 
     /// Negation helper. Deliberately named after the NetKAT surface
@@ -169,8 +189,8 @@ impl Pred {
             Pred::True => true,
             Pred::False => false,
             Pred::Test(f, n) => pkt.get(*f) == *n,
-            Pred::And(a, b) => a.eval(pkt) && b.eval(pkt),
-            Pred::Or(a, b) => a.eval(pkt) || b.eval(pkt),
+            Pred::And(ps) => ps.iter().all(|a| a.eval(pkt)),
+            Pred::Or(ps) => ps.iter().any(|a| a.eval(pkt)),
             Pred::Not(a) => !a.eval(pkt),
         }
     }
@@ -180,10 +200,7 @@ impl Pred {
         match self {
             Pred::True | Pred::False => {}
             Pred::Test(f, n) => out.push((*f, *n)),
-            Pred::And(a, b) | Pred::Or(a, b) => {
-                a.constants(out);
-                b.constants(out);
-            }
+            Pred::And(ps) | Pred::Or(ps) => ps.iter().for_each(|a| a.constants(out)),
             Pred::Not(a) => a.constants(out),
         }
     }
@@ -196,10 +213,12 @@ pub enum Policy {
     Filter(Pred),
     /// `f := n` — overwrite a field.
     Mod(Field, u32),
-    /// `p + q` — union (copy the packet through both).
-    Union(Box<Policy>, Box<Policy>),
-    /// `p ; q` — sequential composition.
-    Seq(Box<Policy>, Box<Policy>),
+    /// `p + q + …` — union (copy the packet through every operand), of
+    /// two or more operands, none a union.
+    Union(Vec<Policy>),
+    /// `p ; q ; …` — sequential composition, left to right, of two or
+    /// more operands, none a sequence.
+    Seq(Vec<Policy>),
     /// `p*` — iterate zero or more times.
     Star(Box<Policy>),
     /// `dup` — record the current packet into the history.
@@ -227,27 +246,40 @@ impl Policy {
         Policy::Mod(f, n)
     }
 
-    /// Union helper.
+    /// Union helper: a union on either side contributes its operands.
     pub fn union(self, other: Policy) -> Policy {
-        Policy::Union(Box::new(self), Box::new(other))
+        let open = |p| match p {
+            Policy::Union(ps) => Ok(ps),
+            p => Err(p),
+        };
+        Policy::Union(chain(self, other, open))
     }
 
-    /// Sequence helper.
+    /// Sequence helper: a sequence on either side contributes its
+    /// operands.
     pub fn seq(self, other: Policy) -> Policy {
-        Policy::Seq(Box::new(self), Box::new(other))
+        let open = |p| match p {
+            Policy::Seq(ps) => Ok(ps),
+            p => Err(p),
+        };
+        Policy::Seq(chain(self, other, open))
     }
 
-    /// Kleene-star helper.
+    /// Kleene-star helper. The star of a star is that star: `(p*)* ≡ p*`.
     pub fn star(self) -> Policy {
-        Policy::Star(Box::new(self))
+        match self {
+            Policy::Star(_) => self,
+            p => Policy::Star(Box::new(p)),
+        }
     }
 
-    /// Union of many policies (drop if empty).
+    /// Union of many policies, as one node (drop if empty, the policy
+    /// itself if there is one).
     pub fn any(ps: impl IntoIterator<Item = Policy>) -> Policy {
         let mut iter = ps.into_iter();
         match iter.next() {
             None => Policy::drop(),
-            Some(first) => iter.fold(first, |acc, p| acc.union(p)),
+            Some(first) => iter.fold(first, Policy::union),
         }
     }
 
@@ -256,16 +288,19 @@ impl Policy {
         match self {
             Policy::Filter(_) | Policy::Mod(_, _) => false,
             Policy::Dup => true,
-            Policy::Union(p, q) | Policy::Seq(p, q) => p.has_dup() || q.has_dup(),
+            Policy::Union(ps) | Policy::Seq(ps) => ps.iter().any(Policy::has_dup),
             Policy::Star(p) => p.has_dup(),
         }
     }
 
-    /// AST size.
+    /// AST size, counting a union or sequence of `k` operands as its
+    /// `k - 1` connectives, as the binary tree of its text would be.
     pub fn size(&self) -> usize {
         match self {
             Policy::Filter(_) | Policy::Mod(_, _) | Policy::Dup => 1,
-            Policy::Union(p, q) | Policy::Seq(p, q) => 1 + p.size() + q.size(),
+            Policy::Union(ps) | Policy::Seq(ps) => {
+                ps.len().saturating_sub(1) + ps.iter().map(Policy::size).sum::<usize>()
+            }
             Policy::Star(p) => 1 + p.size(),
         }
     }
@@ -275,92 +310,35 @@ impl Policy {
         match self {
             Policy::Filter(a) => a.constants(out),
             Policy::Mod(f, n) => out.push((*f, *n)),
-            Policy::Union(p, q) | Policy::Seq(p, q) => {
-                p.constants(out);
-                q.constants(out);
-            }
+            Policy::Union(ps) | Policy::Seq(ps) => ps.iter().for_each(|p| p.constants(out)),
             Policy::Star(p) => p.constants(out),
             Policy::Dup => {}
         }
     }
 }
 
-/// A syntax tree whose drop keeps its stack on the heap: the derived glue
-/// recurses once per level, which a long chain overflows. Every child
-/// more than two levels deep moves onto a heap stack, a leaf taking its
-/// place, and is taken apart from there; the glue drops the rest, at
-/// most three levels deep, so a tree no deeper allocates nothing.
-trait Tree: Sized {
-    /// The leaf left in place of a child taken out.
-    const LEAF: Self;
-
-    /// The boxed children of a node: none for a leaf.
-    fn children(&mut self) -> (Option<&mut Box<Self>>, Option<&mut Box<Self>>);
+/// The operands of `a ∘ b` for an associative connective `∘`: `open`
+/// returns the operands of a node of that kind, and gives back any
+/// other node, which is one operand.
+fn chain<T>(a: T, b: T, open: impl Fn(T) -> Result<Vec<T>, T>) -> Vec<T> {
+    let mut ops = open(a).unwrap_or_else(|a| vec![a]);
+    match open(b) {
+        Ok(more) => ops.extend(more),
+        Err(b) => ops.push(b),
+    }
+    ops
 }
 
-/// Is `node` more than two levels deep: has it a child with children?
-fn deep<T: Tree>(node: &mut T) -> bool {
-    let (l, r) = node.children();
-    let branch = |c: &mut Box<T>| c.children().0.is_some();
-    l.is_some_and(branch) || r.is_some_and(branch)
-}
-
-/// Move each child of `node` more than two levels deep onto `stack`.
-fn take_deep<T: Tree>(node: &mut T, stack: &mut Vec<T>) {
-    let (l, r) = node.children();
-    for c in [l, r].into_iter().flatten() {
-        if deep(&mut **c) {
-            stack.push(std::mem::replace(&mut **c, T::LEAF));
+/// Write `ops` between parentheses, separated by ` {sep} `.
+fn write_chain<T: fmt::Display>(f: &mut fmt::Formatter<'_>, ops: &[T], sep: &str) -> fmt::Result {
+    f.write_str("(")?;
+    for (i, op) in ops.iter().enumerate() {
+        if i > 0 {
+            write!(f, " {sep} ")?;
         }
+        write!(f, "{op}")?;
     }
-}
-
-fn drop_tree<T: Tree>(root: &mut T) {
-    let (l, r) = root.children();
-    let deep_child = |c: &mut Box<T>| deep(&mut **c);
-    if l.is_some_and(deep_child) || r.is_some_and(deep_child) {
-        let mut stack = Vec::new();
-        take_deep(root, &mut stack);
-        while let Some(mut node) = stack.pop() {
-            take_deep(&mut node, &mut stack);
-        }
-    }
-}
-
-impl Tree for Pred {
-    const LEAF: Pred = Pred::True;
-
-    fn children(&mut self) -> (Option<&mut Box<Pred>>, Option<&mut Box<Pred>>) {
-        match self {
-            Pred::And(l, r) | Pred::Or(l, r) => (Some(l), Some(r)),
-            Pred::Not(x) => (Some(x), None),
-            Pred::True | Pred::False | Pred::Test(..) => (None, None),
-        }
-    }
-}
-
-impl Drop for Pred {
-    fn drop(&mut self) {
-        drop_tree(self);
-    }
-}
-
-impl Tree for Policy {
-    const LEAF: Policy = Policy::Dup;
-
-    fn children(&mut self) -> (Option<&mut Box<Policy>>, Option<&mut Box<Policy>>) {
-        match self {
-            Policy::Union(l, r) | Policy::Seq(l, r) => (Some(l), Some(r)),
-            Policy::Star(x) => (Some(x), None),
-            Policy::Filter(_) | Policy::Mod(..) | Policy::Dup => (None, None),
-        }
-    }
-}
-
-impl Drop for Policy {
-    fn drop(&mut self) {
-        drop_tree(self);
-    }
+    f.write_str(")")
 }
 
 impl fmt::Display for Pred {
@@ -369,8 +347,8 @@ impl fmt::Display for Pred {
             Pred::True => write!(f, "true"),
             Pred::False => write!(f, "false"),
             Pred::Test(field, n) => write!(f, "{field} = {n}"),
-            Pred::And(a, b) => write!(f, "({a} & {b})"),
-            Pred::Or(a, b) => write!(f, "({a} | {b})"),
+            Pred::And(ps) => write_chain(f, ps, "&"),
+            Pred::Or(ps) => write_chain(f, ps, "|"),
             Pred::Not(a) => write!(f, "!({a})"),
         }
     }
@@ -381,8 +359,8 @@ impl fmt::Display for Policy {
         match self {
             Policy::Filter(a) => write!(f, "filter {a}"),
             Policy::Mod(field, n) => write!(f, "{field} := {n}"),
-            Policy::Union(p, q) => write!(f, "({p} + {q})"),
-            Policy::Seq(p, q) => write!(f, "({p} ; {q})"),
+            Policy::Union(ps) => write_chain(f, ps, "+"),
+            Policy::Seq(ps) => write_chain(f, ps, ";"),
             Policy::Star(p) => write!(f, "({p})*"),
             Policy::Dup => write!(f, "dup"),
         }
@@ -435,27 +413,74 @@ mod tests {
         assert_eq!(Field::from_name("bogus"), None);
     }
 
-    /// Dropping a 40,000-term `+` chain, `;` chain or `|` predicate
-    /// fits a 2 MiB stack, also in a debug build.
+    /// A 40,000-term `+` chain, `;` chain and `|` predicate are one node
+    /// each: cloning, comparing, printing, sizing, evaluating and
+    /// dropping them fits a 2 MiB stack, also in a debug build.
     #[test]
     fn deep_chains_drop_on_a_small_stack() {
+        use crate::semantics::eval_packet;
         std::thread::Builder::new()
             .stack_size(2 << 20)
             .spawn(|| {
                 let rule = |v| Policy::assign(Field::Port, v);
-                drop(Policy::any((0..40_000).map(rule)));
-                drop((1..40_000).map(rule).fold(rule(0), Policy::seq));
                 let test = |v| Pred::test(Field::Dst, v);
-                drop((1..40_000).map(test).fold(test(0), Pred::or));
+                let or = (1..40_000).map(test).fold(test(0), Pred::or);
+                let chains = [
+                    Policy::any((0..40_000).map(rule)),
+                    (1..40_000).map(rule).fold(rule(0), Policy::seq),
+                    Policy::filter(or.clone()),
+                ];
+                let pkt = Packet::of(&[(Field::Dst, 39_999)]);
+                // (size, outputs on `pkt`): a filter counts as one node.
+                let expect = [(79_999, 40_000), (79_999, 1), (1, 1)];
+                for (chain, (size, n)) in chains.iter().zip(expect) {
+                    assert_eq!(chain.clone(), *chain);
+                    assert_eq!(chain.size(), size);
+                    assert!(!chain.has_dup());
+                    assert!(chain.to_string().len() > 40_000);
+                    assert_eq!(eval_packet(chain, pkt).len(), n);
+                }
+                assert!(or.eval(&pkt));
+                assert!(!or.eval(&Packet::of(&[(Field::Dst, 40_000)])));
+                drop(chains);
             })
             .expect("spawn")
             .join()
-            .expect("drops fit the stack");
+            .expect("chains fit the stack");
+    }
+
+    #[test]
+    fn chains_are_one_node_however_they_are_built() {
+        let [a, b, c] = [1, 2, 3].map(|v| Policy::assign(Field::Port, v));
+        let left = a.clone().union(b.clone()).union(c.clone());
+        let right = a.clone().union(b.clone().union(c.clone()));
+        assert_eq!(left, right);
+        assert_eq!(left, Policy::any([a.clone(), b.clone(), c.clone()]));
+        assert_eq!(left, Policy::Union(vec![a.clone(), b.clone(), c.clone()]));
+        assert_eq!(left.size(), 5);
+        let seq = a.clone().seq(b.clone().seq(c.clone()));
+        assert_eq!(seq, Policy::Seq(vec![a.clone(), b, c]));
+        assert_eq!(Policy::any([a.clone()]), a);
+        let [x, y, z] = [1, 2, 3].map(|v| Pred::test(Field::Dst, v));
+        let and = x.clone().and(y.clone().and(z.clone()));
+        assert_eq!(and, Pred::And(vec![x.clone(), y.clone(), z.clone()]));
+        assert_eq!(
+            x.clone().or(y.clone()).or(z.clone()),
+            Pred::Or(vec![x, y, z])
+        );
+        // And so is a run of stars: `(p*)* ≡ p*`.
+        let star = Policy::Dup.star();
+        assert_eq!(star.clone().star(), star);
+        assert_eq!(star.size(), 2);
     }
 
     #[test]
     fn display_forms() {
         let p = Policy::filter(Pred::test(Field::Switch, 1)).seq(Policy::assign(Field::Port, 2));
         assert_eq!(p.to_string(), "(filter sw = 1 ; pt := 2)");
+        let any = Policy::any([1, 2, 3].map(|v| Policy::assign(Field::Port, v)));
+        assert_eq!(any.to_string(), "(pt := 1 + pt := 2 + pt := 3)");
+        let a = Pred::test(Field::Src, 1).and(Pred::test(Field::Dst, 2).or(Pred::False));
+        assert_eq!(a.to_string(), "(src = 1 & (dst = 2 | false))");
     }
 }

@@ -15,8 +15,11 @@
 //!
 //! The parser recurses once per `(` and once per `!`, so their nesting is
 //! bounded by [`MAX_NESTING`]: deeper text is a parse error, not a stack
-//! overflow. Long `;` and `+` chains are parsed by loops and are not
-//! bounded.
+//! overflow. A `+`, `;`, `|` or `&` chain is parsed by a loop into one
+//! node whatever its length, and a run of `*` into one star. The depth of
+//! the tree the parser returns, which bounds the recursion of every walk
+//! over it, thus grows with the nesting of the text, a few levels per
+//! parenthesis, and not with the length of its chains.
 
 use crate::ast::{Field, Policy, Pred};
 use std::fmt;
@@ -411,6 +414,29 @@ mod tests {
         let p = parse_policy("pt := 1 ; dup*").unwrap();
         let expected = Policy::assign(Field::Port, 1).seq(Policy::Dup.star());
         assert_eq!(p, expected);
+    }
+
+    #[test]
+    fn chains_parse_into_one_node() {
+        let port = |v| Policy::assign(Field::Port, v);
+        let p = parse_policy("pt := 1 + pt := 2 + pt := 3").unwrap();
+        assert_eq!(p, Policy::Union(vec![port(1), port(2), port(3)]));
+        assert_eq!(parse_policy("pt := 1 + (pt := 2 + pt := 3)").unwrap(), p);
+        assert_eq!(
+            parse_policy("(pt := 1 ; pt := 2) ; pt := 3").unwrap(),
+            Policy::Seq(vec![port(1), port(2), port(3)])
+        );
+        let test = |v| Pred::test(Field::Dst, v);
+        assert_eq!(
+            parse_pred("dst = 1 | (dst = 2 | dst = 3)").unwrap(),
+            Pred::Or(vec![test(1), test(2), test(3)])
+        );
+        assert_eq!(
+            parse_pred("dst = 1 & dst = 2 & dst = 3").unwrap(),
+            Pred::And(vec![test(1), test(2), test(3)])
+        );
+        // A run of stars is one star: `(p*)* ≡ p*`.
+        assert_eq!(parse_policy("id***").unwrap(), Policy::id().star());
     }
 
     #[test]

@@ -34,15 +34,8 @@ pub fn eval_set(policy: &Policy, pkts: &BTreeSet<Packet>) -> BTreeSet<Packet> {
     match policy {
         Policy::Filter(a) => pkts.iter().copied().filter(|p| a.eval(p)).collect(),
         Policy::Mod(f, n) => pkts.iter().map(|p| p.with(*f, *n)).collect(),
-        Policy::Union(p, q) => {
-            let mut out = eval_set(p, pkts);
-            out.extend(eval_set(q, pkts));
-            out
-        }
-        Policy::Seq(p, q) => {
-            let mid = eval_set(p, pkts);
-            eval_set(q, &mid)
-        }
+        Policy::Union(ps) => ps.iter().flat_map(|p| eval_set(p, pkts)).collect(),
+        Policy::Seq(ps) => ps.iter().fold(pkts.clone(), |mid, p| eval_set(p, &mid)),
         Policy::Star(p) => {
             // Least fixpoint: accumulate until no new packets appear.
             // Terminates: the reachable packet set is finite (fields can
@@ -128,14 +121,19 @@ fn eval_hist_set(
                 past: h.past.clone(),
             })
             .collect(),
-        Policy::Union(p, q) => {
-            let mut out = eval_hist_set(p, hs, fuel)?;
-            out.extend(eval_hist_set(q, hs, fuel)?);
+        Policy::Union(ps) => {
+            let mut out = BTreeSet::new();
+            for p in ps {
+                out.extend(eval_hist_set(p, hs, fuel)?);
+            }
             out
         }
-        Policy::Seq(p, q) => {
-            let mid = eval_hist_set(p, hs, fuel)?;
-            eval_hist_set(q, &mid, fuel)?
+        Policy::Seq(ps) => {
+            let mut mid = hs.clone();
+            for p in ps {
+                mid = eval_hist_set(p, &mid, fuel)?;
+            }
+            mid
         }
         Policy::Star(p) => {
             let mut acc = hs.clone();

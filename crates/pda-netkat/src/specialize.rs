@@ -8,15 +8,16 @@
 //! (which then collapse conjunctions and unions), while a modification
 //! of `f` invalidates the assumption for the continuation. A union arm
 //! that reduces to drop is discarded, so it is not built first: inside
-//! an arm, a sequence whose left side reduces to drop is drop, and its
-//! right side is only walked, building nothing, for whether the
-//! assumption holds after it, which an enclosing sequence still needs.
-//! A slice of a spine-leaf fabric thus builds its own rules and none of
-//! the other switches'. Its walks keep their stacks on the heap, so a
-//! `;` or `+` chain of any length costs no call depth; only a part left
-//! unspecialized is copied with the derived `Clone`, which recurses. The
-//! soundness property — `filter f=v ; p ≡ filter f=v ; specialize(p,f,v)`
-//! — is checked by property test for the dup-free fragment, and can be
+//! an arm, a sequence with an operand that reduces to drop is drop, and
+//! the operands after it are only walked, building nothing, for whether
+//! the assumption holds after them, which an enclosing sequence still
+//! needs. A slice of a spine-leaf fabric thus builds its own rules and
+//! none of the other switches'. Every walk here is plain structural
+//! recursion: a `;` or `+` chain is one node whatever its length, so
+//! the call depth follows the nesting of the policy, which the parser
+//! bounds ([`crate::parser::MAX_NESTING`]). The soundness property —
+//! `filter f=v ; p ≡ filter f=v ; specialize(p,f,v)` — is checked by
+//! property test for the dup-free fragment, and can be
 //! discharged per-slice with the symbolic engine: [`slice_equivalent`]
 //! verifies it, [`verified_slice_for_switch`] refuses to return an
 //! unverified slice, and [`slice_is_dead`] detects switches whose slice
@@ -29,260 +30,154 @@ use crate::sym::{self, Spp, SymError};
 /// Specialize a predicate under the assumption `f = v`. Returns the
 /// simplified predicate.
 fn spec_pred(a: &Pred, f: Field, v: u32) -> Pred {
-    /// A node to simplify, or a connective whose simplified operands
-    /// are on top of `done`.
-    enum Task<'a> {
-        Visit(&'a Pred),
-        And,
-        Or,
-        Not,
-    }
-    let mut tasks = vec![Task::Visit(a)];
-    let mut done = Vec::new();
-    while let Some(task) = tasks.pop() {
-        let simplified = match task {
-            Task::Visit(a) => match a {
-                Pred::Test(g, w) if *g == f => {
-                    if *w == v {
-                        Pred::True
-                    } else {
-                        Pred::False
-                    }
-                }
-                Pred::True | Pred::False | Pred::Test(..) => a.clone(),
-                Pred::And(l, r) => {
-                    tasks.extend([Task::And, Task::Visit(r), Task::Visit(l)]);
-                    continue;
-                }
-                Pred::Or(l, r) => {
-                    tasks.extend([Task::Or, Task::Visit(r), Task::Visit(l)]);
-                    continue;
-                }
-                Pred::Not(x) => {
-                    tasks.extend([Task::Not, Task::Visit(x)]);
-                    continue;
-                }
-            },
-            Task::Not => match done.pop().expect("an operand") {
-                Pred::True => Pred::False,
-                Pred::False => Pred::True,
-                p => p.not(),
-            },
-            Task::And | Task::Or => {
-                let q = done.pop().expect("a right operand");
-                let p = done.pop().expect("a left operand");
-                if matches!(task, Task::And) {
-                    match (p, q) {
-                        (Pred::False, _) | (_, Pred::False) => Pred::False,
-                        (Pred::True, q) => q,
-                        (p, Pred::True) => p,
-                        (p, q) => p.and(q),
-                    }
-                } else {
-                    match (p, q) {
-                        (Pred::True, _) | (_, Pred::True) => Pred::True,
-                        (Pred::False, q) => q,
-                        (p, Pred::False) => p,
-                        (p, q) => p.or(q),
-                    }
-                }
+    match a {
+        Pred::Test(g, w) if *g == f => {
+            if *w == v {
+                Pred::True
+            } else {
+                Pred::False
             }
-        };
-        done.push(simplified);
+        }
+        Pred::True | Pred::False | Pred::Test(..) => a.clone(),
+        Pred::And(xs) => spec_operands(xs, Pred::True, Pred::and, f, v),
+        Pred::Or(xs) => spec_operands(xs, Pred::False, Pred::or, f, v),
+        Pred::Not(x) => match spec_pred(x, f, v) {
+            Pred::True => Pred::False,
+            Pred::False => Pred::True,
+            p => p.not(),
+        },
     }
-    done.pop().expect("the predicate")
+}
+
+/// The operands of a conjunction or disjunction specialized and joined
+/// again by `join`: an operand equal to the connective's `unit` goes,
+/// and the other constant absorbs the whole.
+fn spec_operands(xs: &[Pred], unit: Pred, join: fn(Pred, Pred) -> Pred, f: Field, v: u32) -> Pred {
+    let mut kept = Vec::new();
+    for x in xs {
+        match spec_pred(x, f, v) {
+            p if p == unit => {}
+            p @ (Pred::True | Pred::False) => return p,
+            p => kept.push(p),
+        }
+    }
+    kept.into_iter().reduce(join).unwrap_or(unit)
 }
 
 /// Specialize `p` under the assumption `f = v`. The assumption holds
 /// only until the first modification of `f` along each control path;
 /// after that the policy is left untouched.
 pub fn specialize(p: &Policy, f: Field, v: u32) -> Policy {
-    /// A node to specialize, or a node whose specialized children are
-    /// on top of `done`. `arm` marks a node inside a union arm, which
-    /// the union discards if it reduces to drop: there a sequence with a
-    /// dead side need not be built.
-    enum Task<'a> {
-        Visit(&'a Policy, bool),
-        /// `l ; r` with `l` done.
-        SeqLeft(&'a Policy, bool),
-        /// `l ; r` with both sides done.
-        SeqRight,
-        Union,
-        Star(&'a Policy),
-    }
-    // Each done node comes with whether it is syntactically drop and
-    // whether the assumption still holds after it (None = may or may
-    // not, depending on path). Reporting drop here keeps union-arm
-    // pruning O(1) per node.
-    let mut tasks = vec![Task::Visit(p, false)];
-    let mut done: Vec<(Policy, bool, Option<bool>)> = Vec::new();
-    while let Some(task) = tasks.pop() {
-        let specialized = match task {
-            Task::Visit(p, arm) => match p {
-                Policy::Filter(a) => {
-                    let a = spec_pred(a, f, v);
-                    let dead = a == Pred::False;
-                    (Policy::Filter(a), dead, Some(true))
-                }
-                Policy::Mod(g, w) => (Policy::Mod(*g, *w), false, Some(*g != f || *w == v)),
-                Policy::Dup => (Policy::Dup, false, Some(true)),
-                Policy::Seq(l, r) => {
-                    tasks.extend([Task::SeqLeft(r, arm), Task::Visit(l, arm)]);
-                    continue;
-                }
-                Policy::Union(l, r) => {
-                    tasks.extend([Task::Union, Task::Visit(r, true), Task::Visit(l, true)]);
-                    continue;
-                }
-                Policy::Star(inner) => {
-                    tasks.extend([Task::Star(p), Task::Visit(inner, false)]);
-                    continue;
-                }
-            },
-            Task::SeqLeft(r, arm) => {
-                let &(_, ldead, lholds) = done.last().expect("a left side");
-                // `r` is specialized only while the assumption holds.
-                let goes_on = lholds == Some(true);
-                let dead = ldead || (!goes_on && is_drop(r));
-                if arm && dead {
-                    // The union discards it: only the assumption counts.
-                    done.pop();
-                    let holds = if goes_on {
-                        holds_after(r, f, v)
-                    } else {
-                        lholds
-                    };
-                    (Policy::drop(), true, holds)
-                } else if goes_on {
-                    tasks.extend([Task::SeqRight, Task::Visit(r, arm)]);
-                    continue;
-                } else {
-                    let (ls, _, _) = done.pop().expect("a left side");
-                    (ls.seq(r.clone()), dead, lholds)
-                }
-            }
-            Task::SeqRight => {
-                let (rs, rdead, rholds) = done.pop().expect("a right side");
-                let (ls, ldead, _) = done.pop().expect("a left side");
-                (ls.seq(rs), ldead || rdead, rholds)
-            }
-            Task::Union => {
-                let (rs, rdead, rh) = done.pop().expect("a right arm");
-                let (ls, ldead, lh) = done.pop().expect("a left arm");
-                let holds = match (lh, rh) {
-                    (Some(a), Some(b)) if a == b => Some(a),
-                    _ => None,
-                };
-                // Prune dead branches: `filter false ; …` arms vanish.
-                match (ldead, rdead) {
-                    (true, true) => (Policy::drop(), true, holds),
-                    (true, false) => (rs, false, holds),
-                    (false, true) => (ls, false, holds),
-                    (false, false) => (ls.union(rs), false, holds),
-                }
-            }
-            Task::Star(p) => {
-                // Inside a star the assumption can be broken by earlier
-                // iterations, so only a star whose body preserves the
-                // assumption may be specialized.
-                let (is, _, ih) = done.pop().expect("a body");
-                if ih == Some(true) {
-                    (is.star(), false, Some(true))
-                } else {
-                    (p.clone(), false, None)
-                }
-            }
-        };
-        done.push(specialized);
-    }
-    done.pop().expect("the specialized policy").0
+    go(p, f, v, false).0
 }
 
-/// Whether the assumption `f = v` still holds after `p`, as
-/// [`specialize`] reports it for `p`, found without building anything.
-/// `None` (may or may not) is absorbing: once a part of `p` that the
-/// answer depends on gives it, so does `p`.
-fn holds_after(p: &Policy, f: Field, v: u32) -> Option<bool> {
-    /// What to do with the answer for a node's left part.
-    enum Then<'a> {
-        /// `_ ; r`: if it holds, `r` gives the answer.
-        Seq(&'a Policy),
-        /// `_ + r`: `r` must agree.
-        Union(&'a Policy),
-        /// `l + _`, where `l` gave this answer.
-        Agree(bool),
-        /// `_*`: holds if the body keeps it.
-        Star,
-    }
-    let mut stack = Vec::new();
-    let mut p = p;
-    loop {
-        // Down the left parts to a leaf ...
-        let holds = loop {
-            p = match p {
-                Policy::Seq(l, r) => {
-                    stack.push(Then::Seq(r));
-                    l
+/// `p` specialized, whether it is syntactically drop, and whether the
+/// assumption still holds after it (None = may or may not, depending on
+/// path). Reporting drop here keeps union-arm pruning O(1) per node.
+/// `arm` marks a node inside a union arm, which the union discards if it
+/// reduces to drop: there a sequence with a dead operand need not be
+/// built.
+fn go(p: &Policy, f: Field, v: u32, arm: bool) -> (Policy, bool, Option<bool>) {
+    match p {
+        Policy::Filter(a) => {
+            let a = spec_pred(a, f, v);
+            let dead = a == Pred::False;
+            (Policy::Filter(a), dead, Some(true))
+        }
+        Policy::Mod(g, w) => (Policy::Mod(*g, *w), false, Some(*g != f || *w == v)),
+        Policy::Dup => (Policy::Dup, false, Some(true)),
+        Policy::Seq(ps) => {
+            let (mut parts, mut dead, mut holds) = (Vec::new(), false, Some(true));
+            let mut rest = ps.iter();
+            // An operand is specialized only while the assumption holds.
+            while holds == Some(true) {
+                let Some(p) = rest.next() else { break };
+                let (s, d, h) = go(p, f, v, arm);
+                (dead, holds) = (dead || d, h);
+                if arm && dead {
+                    // The union discards it: only the assumption counts.
+                    return (
+                        Policy::drop(),
+                        true,
+                        holds_along(rest.as_slice(), holds, f, v),
+                    );
                 }
-                Policy::Union(l, r) => {
-                    stack.push(Then::Union(r));
-                    l
-                }
-                Policy::Star(inner) => {
-                    stack.push(Then::Star);
-                    inner
-                }
-                Policy::Mod(g, w) => break *g != f || *w == v,
-                Policy::Filter(_) | Policy::Dup => break true,
-            };
-        };
-        // ... and up to the next right part the answer depends on.
-        p = loop {
-            match stack.pop() {
-                None => return Some(holds),
-                Some(Then::Seq(r)) if holds => break r,
-                Some(Then::Union(r)) => {
-                    stack.push(Then::Agree(holds));
-                    break r;
-                }
-                Some(Then::Agree(a)) if a != holds => return None,
-                Some(Then::Star) if !holds => return None,
-                Some(Then::Seq(_) | Then::Agree(_) | Then::Star) => {}
+                parts.push(s);
             }
-        };
+            let rest = rest.as_slice();
+            dead = dead || rest.iter().any(is_drop);
+            if arm && dead {
+                return (Policy::drop(), true, holds);
+            }
+            parts.extend_from_slice(rest);
+            let seq = parts.into_iter().reduce(Policy::seq);
+            (seq.unwrap_or_else(Policy::id), dead, holds)
+        }
+        Policy::Union(ps) => {
+            let arms: Vec<_> = ps.iter().map(|p| go(p, f, v, true)).collect();
+            let holds = agree(arms.iter().map(|arm| arm.2));
+            // Prune dead branches: `filter false ; …` arms vanish.
+            let mut live = arms.into_iter().filter(|arm| !arm.1).map(|arm| arm.0);
+            match live.next() {
+                None => (Policy::drop(), true, holds),
+                Some(first) => (live.fold(first, Policy::union), false, holds),
+            }
+        }
+        Policy::Star(inner) => {
+            // Inside a star the assumption can be broken by earlier
+            // iterations, so only a star whose body preserves the
+            // assumption may be specialized.
+            let (is, _, ih) = go(inner, f, v, false);
+            if ih == Some(true) {
+                (is.star(), false, Some(true))
+            } else {
+                (p.clone(), false, None)
+            }
+        }
     }
+}
+
+/// Whether the assumption `f = v` still holds after `p`, as [`go`]
+/// reports it for `p`, found without building anything. `None` (may or
+/// may not) is absorbing: once a part of `p` that the answer depends on
+/// gives it, so does `p`.
+fn holds_after(p: &Policy, f: Field, v: u32) -> Option<bool> {
+    match p {
+        Policy::Mod(g, w) => Some(*g != f || *w == v),
+        Policy::Filter(_) | Policy::Dup => Some(true),
+        Policy::Seq(ps) => holds_along(ps, Some(true), f, v),
+        Policy::Union(ps) => agree(ps.iter().map(|p| holds_after(p, f, v))),
+        Policy::Star(inner) => (holds_after(inner, f, v) == Some(true)).then_some(true),
+    }
+}
+
+/// Whether the assumption holds after `ps` in sequence, given whether it
+/// holds before them: each operand gives the answer while it holds.
+fn holds_along(ps: &[Policy], mut holds: Option<bool>, f: Field, v: u32) -> Option<bool> {
+    for p in ps {
+        if holds != Some(true) {
+            break;
+        }
+        holds = holds_after(p, f, v);
+    }
+    holds
+}
+
+/// The answer the arms of a union agree on, if they do (`true` for no
+/// arms: after drop the assumption holds of every packet there is).
+fn agree(arms: impl Iterator<Item = Option<bool>>) -> Option<bool> {
+    arms.reduce(|a, b| if a == b { a } else { None })
+        .unwrap_or(Some(true))
 }
 
 /// Syntactic drop detection, for a sub-policy left unspecialized: a
-/// sequence is drop if either side is, a union if both are.
+/// sequence is drop if any operand is, a union if all are.
 fn is_drop(p: &Policy) -> bool {
-    // Right sides still to look at, each with the answer for its left
-    // side that makes the node's answer the right side's: false for a
-    // sequence, true for a union.
-    let mut stack = Vec::new();
-    let mut p = p;
-    loop {
-        let dead = loop {
-            p = match p {
-                Policy::Seq(l, r) => {
-                    stack.push((r, false));
-                    l
-                }
-                Policy::Union(l, r) => {
-                    stack.push((r, true));
-                    l
-                }
-                Policy::Filter(Pred::False) => break true,
-                _ => break false,
-            };
-        };
-        p = loop {
-            match stack.pop() {
-                None => return dead,
-                Some((r, open)) if open == dead => break r,
-                Some(_) => {}
-            }
-        };
+    match p {
+        Policy::Filter(Pred::False) => true,
+        Policy::Seq(ps) => ps.iter().any(is_drop),
+        Policy::Union(ps) => ps.iter().all(is_drop),
+        _ => false,
     }
 }
 
@@ -448,33 +343,10 @@ mod tests {
         assert_eq!(slice_for_switch(&network, 0), Policy::id().seq(down));
     }
 
-    /// `a == b` for chains nested on the left, walked down the left
-    /// spine: the derived `PartialEq` recurses once per link.
-    fn same_chain(mut a: &Policy, mut b: &Policy) -> bool {
-        while let (Policy::Union(a1, a2), Policy::Union(b1, b2))
-        | (Policy::Seq(a1, a2), Policy::Seq(b1, b2)) = (a, b)
-        {
-            if a2 != b2 {
-                return false;
-            }
-            (a, b) = (a1, b1);
-        }
-        let (Policy::Filter(x), Policy::Filter(y)) = (a, b) else {
-            return a == b;
-        };
-        let (mut x, mut y) = (x, y);
-        while let (Pred::Or(x1, x2), Pred::Or(y1, y2)) = (x, y) {
-            if x2 != y2 {
-                return false;
-            }
-            (x, y) = (x1, y1);
-        }
-        x == y
-    }
-
     /// Slicing the 40,000-term `+` chain, `;` chain and `|` filter of
-    /// `ast`'s drop test fits a 2 MiB stack, also in a debug build. None
-    /// mentions `sw`, so each slice is its chain.
+    /// `ast`'s chain test, and the `;` chain behind `sw := 2`, fits a
+    /// 2 MiB stack, also in a debug build. None tests `sw`, so each
+    /// slice is its chain.
     #[test]
     fn deep_chains_slice_on_a_small_stack() {
         std::thread::Builder::new()
@@ -482,13 +354,15 @@ mod tests {
             .spawn(|| {
                 let rule = |v| Policy::assign(Field::Port, v);
                 let test = |v| Pred::test(Field::Dst, v);
+                let seq = (1..40_000).map(rule).fold(rule(0), Policy::seq);
                 let chains = [
                     Policy::any((0..40_000).map(rule)),
-                    (1..40_000).map(rule).fold(rule(0), Policy::seq),
+                    Policy::assign(Field::Switch, 2).seq(seq.clone()),
+                    seq,
                     Policy::filter((1..40_000).map(test).fold(test(0), Pred::or)),
                 ];
                 for chain in &chains {
-                    assert!(same_chain(&slice_for_switch(chain, 1), chain));
+                    assert_eq!(slice_for_switch(chain, 1), *chain);
                 }
             })
             .expect("spawn")

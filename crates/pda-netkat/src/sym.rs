@@ -1429,26 +1429,18 @@ impl Arena {
                 let slot = self.slot_of[f.index()];
                 self.sp_test(slot, u64::from(*v))
             }
-            Pred::And(l, r) => {
-                let a = self.sp_from_pred(l);
-                let b = self.sp_from_pred(r);
-                self.sp_intersect(a, b)
-            }
-            Pred::Or(_, _) => {
-                // Flatten the disjunction spine and reduce pairwise so an
-                // n-ary union builds O(log n) large intermediates instead
-                // of an O(n)-deep chain of them.
-                let mut terms = Vec::new();
-                fn spine<'p>(p: &'p Pred, out: &mut Vec<&'p Pred>) {
-                    if let Pred::Or(l, r) = p {
-                        spine(l, out);
-                        spine(r, out);
-                    } else {
-                        out.push(p);
-                    }
+            Pred::And(xs) => {
+                let mut acc = Sp::FULL;
+                for x in xs {
+                    let s = self.sp_from_pred(x);
+                    acc = self.sp_intersect(acc, s);
                 }
-                spine(p, &mut terms);
-                let sets: Vec<Sp> = terms.iter().map(|t| self.sp_from_pred(t)).collect();
+                acc
+            }
+            Pred::Or(xs) => {
+                // Reduce pairwise so an n-ary union builds O(log n) large
+                // intermediates instead of an O(n)-deep chain of them.
+                let sets = xs.iter().map(|x| self.sp_from_pred(x)).collect();
                 self.reduce_balanced(sets, Sp::EMPTY, Arena::sp_union)
             }
             Pred::Not(x) => {
@@ -1510,9 +1502,10 @@ impl Arena {
     /// A transformer that agrees with `p` on every packet in `g`: each
     /// sub-policy `g` makes dead becomes `ZERO` without being converted.
     ///
-    /// `g` narrows through a filter at the head of a sequence and widens
-    /// to `FULL` past any other head, which is sound because every output
-    /// of `filter g ; l` lies in the guard kept for what follows `l`. An
+    /// Along a sequence, `g` narrows through each filter in turn and
+    /// widens to `FULL` past any other operand, which is sound because
+    /// every output of `filter g ; l` lies in the guard kept for what
+    /// follows `l`; the sequence is `ZERO` as soon as its prefix is. An
     /// unguarded (`FULL`) conversion narrows nothing, so it does the work
     /// of a plain conversion and no more.
     fn spp_pruned(&mut self, g: Sp, p: &Policy) -> Result<Spp, SymError> {
@@ -1529,31 +1522,32 @@ impl Arena {
                 }
             }
             Policy::Mod(f, v) => Ok(self.spp_mod(*f, *v)),
-            Policy::Union(_, _) => {
-                // Balanced reduction over the flattened union spine: a
-                // left- or right-leaning `p₁ + p₂ + … + pₙ` otherwise
-                // rebuilds the (growing) accumulated node n times.
-                let terms = union_terms(p);
-                let mut ids = Vec::with_capacity(terms.len());
-                for t in terms {
-                    ids.push(self.spp_pruned(g, t)?);
+            Policy::Union(ps) => {
+                // Balanced reduction: folding `p₁ + p₂ + … + pₙ` in order
+                // would rebuild the (growing) accumulated node n times.
+                let mut ids = Vec::with_capacity(ps.len());
+                for p in ps {
+                    ids.push(self.spp_pruned(g, p)?);
                 }
                 Ok(self.reduce_balanced(ids, Spp::ZERO, Arena::spp_union))
             }
-            Policy::Seq(l, r) => {
-                let a = self.spp_pruned(g, l)?;
-                if a == Spp::ZERO {
-                    return Ok(Spp::ZERO);
-                }
-                let after = match l.as_ref() {
-                    Policy::Filter(x) if g != Sp::FULL => {
-                        let s = self.sp_from_pred(x);
-                        self.sp_intersect(g, s)
+            Policy::Seq(ps) => {
+                let (mut acc, mut g) = (Spp::ONE, g);
+                for p in ps {
+                    let a = self.spp_pruned(g, p)?;
+                    acc = self.spp_seq(acc, a);
+                    if acc == Spp::ZERO {
+                        return Ok(Spp::ZERO);
                     }
-                    _ => Sp::FULL,
-                };
-                let b = self.spp_pruned(after, r)?;
-                Ok(self.spp_seq(a, b))
+                    g = match p {
+                        Policy::Filter(x) if g != Sp::FULL => {
+                            let s = self.sp_from_pred(x);
+                            self.sp_intersect(g, s)
+                        }
+                        _ => Sp::FULL,
+                    };
+                }
+                Ok(acc)
             }
             Policy::Star(x) => {
                 let a = self.spp_pruned(Sp::FULL, x)?;
@@ -1589,17 +1583,11 @@ impl Arena {
                 let t = self.spp_mod(*f, *v);
                 self.push(s, t)
             }
-            Policy::Union(_, _) => {
-                let images = union_terms(p)
-                    .into_iter()
-                    .map(|t| self.push_policy(s, t))
-                    .collect();
+            Policy::Union(ps) => {
+                let images = ps.iter().map(|p| self.push_policy(s, p)).collect();
                 self.reduce_balanced(images, Sp::EMPTY, Arena::sp_union)
             }
-            Policy::Seq(l, r) => {
-                let mid = self.push_policy(s, l);
-                self.push_policy(mid, r)
-            }
+            Policy::Seq(ps) => ps.iter().fold(s, |mid, p| self.push_policy(mid, p)),
             Policy::Star(x) => self.sp_closure(s, |ar, f| ar.push_policy(f, x)),
             Policy::Dup => s,
         }
@@ -1621,17 +1609,11 @@ impl Arena {
                 let t = self.spp_mod(*f, *v);
                 self.pre(t, s)
             }
-            Policy::Union(_, _) => {
-                let images = union_terms(p)
-                    .into_iter()
-                    .map(|t| self.pre_policy(t, s))
-                    .collect();
+            Policy::Union(ps) => {
+                let images = ps.iter().map(|p| self.pre_policy(p, s)).collect();
                 self.reduce_balanced(images, Sp::EMPTY, Arena::sp_union)
             }
-            Policy::Seq(l, r) => {
-                let mid = self.pre_policy(r, s);
-                self.pre_policy(l, mid)
-            }
+            Policy::Seq(ps) => ps.iter().rev().fold(s, |mid, p| self.pre_policy(p, mid)),
             Policy::Star(x) => self.sp_closure(s, |ar, f| ar.pre_policy(x, f)),
             Policy::Dup => s,
         }
@@ -1782,21 +1764,6 @@ fn fan_out_order(assigned: &[(u16, u32)]) -> [u16; NETKAT_FIELDS] {
     let mut order: [u16; NETKAT_FIELDS] = std::array::from_fn(|f| f as u16);
     order.sort_by_key(|&f| (fan_out[f as usize], f));
     order
-}
-
-/// The terms of a union spine `p₁ + … + pₙ`, however it is nested, left
-/// to right. The walk keeps its stack on the heap, so a chain of any
-/// length costs no call depth.
-fn union_terms(p: &Policy) -> Vec<&Policy> {
-    let (mut out, mut stack) = (Vec::new(), vec![p]);
-    while let Some(p) = stack.pop() {
-        if let Policy::Union(l, r) = p {
-            stack.extend([&**r, &**l]);
-        } else {
-            out.push(p);
-        }
-    }
-    out
 }
 
 /// The smallest value not `taken`.

@@ -22,7 +22,9 @@
 //!   whole fabric has hundreds.
 //! * **An exact key.** From the first query that counts a use of a
 //!   policy, the session keeps its syntax as a token string, one byte per
-//!   tag and small value, and finds it again by comparing token strings.
+//!   tag, operand count and small value, and finds it again by comparing
+//!   token strings. It is written by plain recursion: a chain is one node
+//!   however long, so the walk is as deep as the policy is nested.
 //!   Slices count no use, so they take no entry.
 //! * **One bound rule.** When a query returns and the session holds more
 //!   than [`MAX_ORDERS`] arenas, [`MAX_POLICIES`] counted policies or
@@ -386,7 +388,8 @@ fn sorted_union<T: Copy + Ord>(a: &[T], b: &[T]) -> Vec<T> {
 }
 
 // Token tags, one byte each; `MOD` and `TEST` carry the field in the bits
-// above the tag and are followed by the value.
+// above the tag and are followed by the value, and the four chains by
+// their number of operands.
 const FILTER: u8 = 0;
 const MOD: u8 = 1;
 const UNION: u8 = 2;
@@ -403,7 +406,7 @@ const NOT: u8 = 11;
 /// Append `v` in seven-bit groups, low group first, each but the last
 /// with its high bit set: a prefix-free code, so that a value costs one
 /// byte below 128 and token strings stay comparable byte by byte.
-fn put_value(tokens: &mut Vec<u8>, mut v: u32) {
+fn put_value(tokens: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         tokens.push(v as u8 | 0x80);
         v >>= 7;
@@ -412,65 +415,65 @@ fn put_value(tokens: &mut Vec<u8>, mut v: u32) {
 }
 
 /// Append `p`'s syntax to `tokens` in prefix order, where every tag has a
-/// fixed arity, so equal token strings mean equal policies. Pushes each
-/// `(field, value)` that `p` assigns to `assigned` and returns whether
-/// `p` contains `dup`. The walk keeps its stack on the heap, so a chain
-/// of any length costs no call depth.
+/// fixed arity or is followed by it, so equal token strings mean equal
+/// policies. Pushes each `(field, value)` that `p` assigns to `assigned`
+/// and returns whether `p` contains `dup`.
 pub(super) fn tokenize(p: &Policy, tokens: &mut Vec<u8>, assigned: &mut Vec<(u16, u32)>) -> bool {
-    enum Term<'a> {
-        P(&'a Policy),
-        A(&'a Pred),
-    }
-    let mut dup = false;
-    let mut stack = vec![Term::P(p)];
-    while let Some(t) = stack.pop() {
-        match t {
-            Term::P(p) => match p {
-                Policy::Filter(a) => {
-                    tokens.push(FILTER);
-                    stack.push(Term::A(a));
-                }
-                Policy::Mod(f, v) => {
-                    tokens.push(MOD | (f.index() as u8) << 4);
-                    put_value(tokens, *v);
-                    assigned.push((f.index() as u16, *v));
-                }
-                Policy::Union(l, r) | Policy::Seq(l, r) => {
-                    tokens.push(if matches!(p, Policy::Union(..)) {
-                        UNION
-                    } else {
-                        SEQ
-                    });
-                    stack.extend([Term::P(r), Term::P(l)]);
-                }
-                Policy::Star(x) => {
-                    tokens.push(STAR);
-                    stack.push(Term::P(x));
-                }
-                Policy::Dup => {
-                    tokens.push(DUP);
-                    dup = true;
-                }
-            },
-            Term::A(a) => match a {
-                Pred::True => tokens.push(TRUE),
-                Pred::False => tokens.push(FALSE),
-                Pred::Test(f, v) => {
-                    tokens.push(TEST | (f.index() as u8) << 4);
-                    put_value(tokens, *v);
-                }
-                Pred::And(l, r) | Pred::Or(l, r) => {
-                    tokens.push(if matches!(a, Pred::And(..)) { AND } else { OR });
-                    stack.extend([Term::A(r), Term::A(l)]);
-                }
-                Pred::Not(x) => {
-                    tokens.push(NOT);
-                    stack.push(Term::A(x));
-                }
-            },
+    match p {
+        Policy::Filter(a) => {
+            tokens.push(FILTER);
+            tokenize_pred(a, tokens);
+            false
+        }
+        Policy::Mod(f, v) => {
+            tokens.push(MOD | (f.index() as u8) << 4);
+            put_value(tokens, u64::from(*v));
+            assigned.push((f.index() as u16, *v));
+            false
+        }
+        Policy::Union(ps) | Policy::Seq(ps) => {
+            tokens.push(if matches!(p, Policy::Union(..)) {
+                UNION
+            } else {
+                SEQ
+            });
+            put_value(tokens, ps.len() as u64);
+            let mut dup = false;
+            for p in ps {
+                dup |= tokenize(p, tokens, assigned);
+            }
+            dup
+        }
+        Policy::Star(x) => {
+            tokens.push(STAR);
+            tokenize(x, tokens, assigned)
+        }
+        Policy::Dup => {
+            tokens.push(DUP);
+            true
         }
     }
-    dup
+}
+
+/// [`tokenize`] for a predicate.
+fn tokenize_pred(a: &Pred, tokens: &mut Vec<u8>) {
+    match a {
+        Pred::True => tokens.push(TRUE),
+        Pred::False => tokens.push(FALSE),
+        Pred::Test(f, v) => {
+            tokens.push(TEST | (f.index() as u8) << 4);
+            put_value(tokens, u64::from(*v));
+        }
+        Pred::And(xs) | Pred::Or(xs) => {
+            tokens.push(if matches!(a, Pred::And(..)) { AND } else { OR });
+            put_value(tokens, xs.len() as u64);
+            xs.iter().for_each(|x| tokenize_pred(x, tokens));
+        }
+        Pred::Not(x) => {
+            tokens.push(NOT);
+            tokenize_pred(x, tokens);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -548,7 +551,11 @@ mod tests {
         let b = Policy::filter(Pred::test(Field::Dst, 1)).union(Policy::assign(Field::Port, 2));
         let c = Policy::filter(Pred::test(Field::Src, 1)).seq(Policy::assign(Field::Port, 2));
         let d = Policy::assign(Field::Port, 2).seq(Policy::filter(Pred::test(Field::Dst, 1)));
-        let keys = [key(&a), key(&b), key(&c), key(&d)];
+        // Two unequal policies, built by hand, with the same leaves in order.
+        let (x, y) = (Policy::Dup, Policy::assign(Field::Port, 2));
+        let flat = Policy::Seq(vec![x.clone(), x.clone(), y.clone()]);
+        let nested = Policy::Seq(vec![x.clone(), Policy::Seq(vec![x, y])]);
+        let keys = [key(&a), key(&b), key(&c), key(&d), key(&flat), key(&nested)];
         for (i, x) in keys.iter().enumerate() {
             for y in &keys[i + 1..] {
                 assert_ne!(x, y);

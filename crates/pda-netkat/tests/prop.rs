@@ -195,9 +195,10 @@ proptest! {
     }
 }
 
-/// The recursive `specialize` that builds every union arm before it
-/// discards the dead ones: the reference that the slicer must match
-/// node for node.
+/// The recursive `specialize` that specializes every operand and then
+/// drops the dead arms of each union: the reference that the slicer,
+/// which skips building what a union discards, must match node for
+/// node.
 mod reference {
     use pda_netkat::ast::{Field, Policy, Pred};
 
@@ -213,18 +214,22 @@ mod reference {
                 }
             }
             Pred::Test(g, w) => Pred::Test(*g, *w),
-            Pred::And(l, r) => match (spec_pred(l, f, v), spec_pred(r, f, v)) {
-                (Pred::False, _) | (_, Pred::False) => Pred::False,
-                (Pred::True, q) => q,
-                (p, Pred::True) => p,
-                (p, q) => p.and(q),
-            },
-            Pred::Or(l, r) => match (spec_pred(l, f, v), spec_pred(r, f, v)) {
-                (Pred::True, _) | (_, Pred::True) => Pred::True,
-                (Pred::False, q) => q,
-                (p, Pred::False) => p,
-                (p, q) => p.or(q),
-            },
+            Pred::And(xs) => {
+                let xs: Vec<Pred> = xs.iter().map(|x| spec_pred(x, f, v)).collect();
+                if xs.contains(&Pred::False) {
+                    return Pred::False;
+                }
+                let kept = xs.into_iter().filter(|x| *x != Pred::True);
+                kept.reduce(Pred::and).unwrap_or(Pred::True)
+            }
+            Pred::Or(xs) => {
+                let xs: Vec<Pred> = xs.iter().map(|x| spec_pred(x, f, v)).collect();
+                if xs.contains(&Pred::True) {
+                    return Pred::True;
+                }
+                let kept = xs.into_iter().filter(|x| *x != Pred::False);
+                kept.reduce(Pred::or).unwrap_or(Pred::False)
+            }
             Pred::Not(x) => match spec_pred(x, f, v) {
                 Pred::True => Pred::False,
                 Pred::False => Pred::True,
@@ -245,29 +250,38 @@ mod reference {
                 Policy::Mod(g, w) if *g == f => (Policy::Mod(*g, *w), false, Some(*w == v)),
                 Policy::Mod(g, w) => (Policy::Mod(*g, *w), false, Some(true)),
                 Policy::Dup => (Policy::Dup, false, Some(true)),
-                Policy::Seq(l, r) => {
-                    let (ls, ldead, lholds) = go(l, f, v);
-                    match lholds {
-                        Some(true) => {
-                            let (rs, rdead, rholds) = go(r, f, v);
-                            (ls.seq(rs), ldead || rdead, rholds)
+                Policy::Seq(ps) => {
+                    // Operands are specialized up to the first after which
+                    // the assumption may fail; the rest are copied.
+                    let (mut out, mut dead, mut holds) = (Policy::id(), false, Some(true));
+                    for (i, q) in ps.iter().enumerate() {
+                        if holds != Some(true) {
+                            let rest = &ps[i..];
+                            dead = dead || rest.iter().any(is_drop);
+                            out = rest.iter().cloned().fold(out, Policy::seq);
+                            break;
                         }
-                        _ => (ls.seq(r.as_ref().clone()), ldead || is_drop(r), lholds),
+                        let (qs, qdead, qholds) = go(q, f, v);
+                        out = if i == 0 { qs } else { out.seq(qs) };
+                        (dead, holds) = (dead || qdead, qholds);
                     }
+                    (out, dead, holds)
                 }
-                Policy::Union(l, r) => {
-                    let (ls, ldead, lh) = go(l, f, v);
-                    let (rs, rdead, rh) = go(r, f, v);
-                    let holds = match (lh, rh) {
-                        (Some(a), Some(b)) if a == b => Some(a),
-                        _ => None,
-                    };
-                    match (ldead, rdead) {
-                        (true, true) => (Policy::drop(), true, holds),
-                        (true, false) => (rs, false, holds),
-                        (false, true) => (ls, false, holds),
-                        (false, false) => (ls.union(rs), false, holds),
+                Policy::Union(ps) => {
+                    let arms: Vec<_> = ps.iter().map(|q| go(q, f, v)).collect();
+                    let mut holds = arms[0].2;
+                    for arm in &arms[1..] {
+                        if arm.2 != holds {
+                            holds = None;
+                        }
                     }
+                    let live: Vec<Policy> = arms
+                        .into_iter()
+                        .filter(|arm| !arm.1)
+                        .map(|arm| arm.0)
+                        .collect();
+                    let dead = live.is_empty();
+                    (Policy::any(live), dead, holds)
                 }
                 Policy::Star(inner) => {
                     let (is, _, ih) = go(inner, f, v);
@@ -285,8 +299,8 @@ mod reference {
     fn is_drop(p: &Policy) -> bool {
         match p {
             Policy::Filter(Pred::False) => true,
-            Policy::Seq(l, r) => is_drop(l) || is_drop(r),
-            Policy::Union(l, r) => is_drop(l) && is_drop(r),
+            Policy::Seq(ps) => ps.iter().any(is_drop),
+            Policy::Union(ps) => ps.iter().all(is_drop),
             _ => false,
         }
     }

@@ -439,6 +439,11 @@ fn a_forty_thousand_term_chain_answers_on_a_two_mib_stack() {
             let init = BTreeSet::from([Packet::of(&[(Field::Dst, 39_999)])]);
             assert!(can_reach(&chain, &init, &Pred::test(Field::Port, 2)));
             assert!(!can_reach(&chain, &init, &Pred::test(Field::Port, 3)));
+            let port = |v| Policy::assign(Field::Port, v);
+            let seq = (1..40_000).map(port).fold(port(0), Policy::seq);
+            assert!(equivalent(&seq, &seq));
+            assert!(can_reach(&seq, &init, &Pred::test(Field::Port, 39_999)));
+            assert!(!can_reach(&seq, &init, &Pred::test(Field::Port, 3)));
         })
         .expect("spawn")
         .join()

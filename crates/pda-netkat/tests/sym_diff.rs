@@ -89,8 +89,8 @@ fn policy() -> impl Strategy<Value = Policy> {
 fn without_dup(p: &Policy) -> Policy {
     match p {
         Policy::Dup => Policy::id(),
-        Policy::Union(l, r) => without_dup(l).union(without_dup(r)),
-        Policy::Seq(l, r) => without_dup(l).seq(without_dup(r)),
+        Policy::Union(ps) => Policy::Union(ps.iter().map(without_dup).collect()),
+        Policy::Seq(ps) => Policy::Seq(ps.iter().map(without_dup).collect()),
         Policy::Star(x) => without_dup(x).star(),
         Policy::Filter(_) | Policy::Mod(_, _) => p.clone(),
     }

@@ -30,13 +30,16 @@ pub enum Quorum {
 }
 
 impl Quorum {
-    /// Yes-votes required for a federation of `n` appraisers.
+    /// Yes-votes required for a federation of `n` appraisers: at least
+    /// one under every rule, so a federation with no members accepts
+    /// nothing.
     pub fn required(&self, n: usize) -> usize {
-        match self {
+        let k = match self {
             Quorum::Majority => n / 2 + 1,
             Quorum::Unanimous => n,
-            Quorum::KOfN(k) => (*k).clamp(1, n.max(1)),
-        }
+            Quorum::KOfN(k) => (*k).min(n),
+        };
+        k.max(1)
     }
 
     /// Parse `majority`, `unanimous`, or `K-of-N` (e.g. `2-of-3`;
@@ -241,6 +244,43 @@ mod tests {
         assert_eq!(Quorum::KOfN(2).required(3), 2);
         assert_eq!(Quorum::KOfN(9).required(3), 3, "k clamps to n");
         assert_eq!(Quorum::KOfN(0).required(3), 1, "k clamps up to 1");
+        // No members: one yes-vote is still required, and none can come.
+        assert_eq!(Quorum::Majority.required(0), 1);
+        assert_eq!(Quorum::Unanimous.required(0), 1);
+        assert_eq!(Quorum::KOfN(2).required(0), 1);
+    }
+
+    #[test]
+    fn a_federation_with_no_members_rejects_a_clean_chain() {
+        use crate::fleet::{enroll_fleet_golden, fleet_registry, standard_fleet};
+        use pda_netsim::EvidenceMode;
+        use pda_pera::evidence::assemble_chain;
+
+        let mut fleet = standard_fleet(3);
+        let (nonce, appraiser) = (Nonce(10), fleet.appraiser);
+        fleet.send_attested(nonce, EvidenceMode::OutOfBand { appraiser }, b"clean");
+        let (chain, orphans) = assemble_chain(fleet.sim.evidence_at(appraiser).to_vec());
+        assert_eq!((chain.len(), orphans.len()), (3, 0));
+        let tel = Telemetry::off();
+        let (golden, registry) = (enroll_fleet_golden(&fleet), fleet_registry(&fleet));
+        for quorum in [Quorum::Majority, Quorum::Unanimous, Quorum::KOfN(1)] {
+            let member = Appraiser::new("a1", golden.clone(), registry.clone());
+            let one = Federation {
+                appraisers: vec![member],
+                quorum,
+            };
+            assert!(
+                one.appraise(&chain, nonce, true, &tel).ok,
+                "the chain is clean"
+            );
+            let empty = Federation {
+                appraisers: Vec::new(),
+                quorum,
+            };
+            let verdict = empty.appraise(&chain, nonce, true, &tel);
+            assert!(!verdict.ok, "{quorum}: {verdict:?}");
+            assert_eq!((verdict.yes, verdict.total, verdict.required), (0, 0, 1));
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Integration tests for the `pda` CLI binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn pda(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_pda"))
@@ -235,6 +236,11 @@ fn deeply_nested_text_is_an_error_not_a_crash() {
             "hybrid".to_string(),
             format!("*rp: {}", deep(20_000, "(", "@p1 [attest p1 sys]", ")")),
         ],
+        // A left-associated chain nests once per arrow.
+        vec![
+            "parse".to_string(),
+            format!("*bank: @p1 [{}]", vec!["_"; 25_000].join(" -> ")),
+        ],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_pda"))
@@ -250,6 +256,23 @@ fn deeply_nested_text_is_an_error_not_a_crash() {
             args[0]
         );
     }
+}
+
+/// A run of 120,000 stars is one star, `(p*)* ≡ p*`: a 120 KB argument
+/// that parses, prints and slices.
+#[test]
+fn a_run_of_stars_is_one_star() {
+    let (ok, stdout, stderr) = pda(&["netkat", "id**"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("parsed: (filter true)*\n"), "{stdout}");
+    assert!(stdout.contains("size:   2 nodes"), "{stdout}");
+    let stars = format!("id{}", "*".repeat(120_000));
+    let (ok, stdout, stderr) = pda(&["netkat", &stars]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("size:   2 nodes"), "{stdout}");
+    let (ok, stdout, stderr) = pda(&["netkat", "slice", &stars, "--switch", "1"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("verified: yes"), "{stdout}");
 }
 
 #[test]
@@ -341,13 +364,37 @@ fn errors_exit_nonzero() {
     assert!(!ok);
 }
 
+/// Run `pda args` for at most ten seconds: its exit code, `None` when
+/// it was still running and was killed, and its stderr.
+fn pda_within(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pda"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("wait").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill");
+            child.wait().expect("reap");
+            return (None, "still running after 10 s".to_string());
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("output");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr)
+}
+
 /// A flag the command does not take, a valued flag with nothing after
-/// it, or a value the command cannot read or run (`--hops 0`, a
-/// `--legacy` switch off the path or listed twice) is an error naming
-/// the flag (exit 1), never skipped.
+/// it, or a value the command cannot read or run (`--hops 0`,
+/// `--appraisers 0`, a `--legacy` switch off the path or listed twice)
+/// is an error naming the flag (exit 1), never skipped. A command that
+/// would serve instead is killed after ten seconds and fails the test.
 #[test]
 fn unknown_flags_are_errors() {
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 16] = [
         (
             &["netkat", "equiv", "pt := 1", "pt := 2", "--backend", "enum"],
             "--backend",
@@ -379,14 +426,19 @@ fn unknown_flags_are_errors() {
             &["simulate", "--hops", "1", "--legacy", "0,1,2", "--oob"],
             "--legacy",
         ),
+        (&["serve", "--port", "0", "--hops", "0"], "--hops"),
+        (
+            &["serve", "--port", "0", "--appraisers", "0"],
+            "--appraisers",
+        ),
+        (
+            &["client", "--addr", "127.0.0.1:1", "submit", "--hops", "0"],
+            "--hops",
+        ),
     ];
     for (args, flag) in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_pda"))
-            .args(args)
-            .output()
-            .expect("binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "pda {args:?}: {stderr}");
+        let (code, stderr) = pda_within(args);
+        assert_eq!(code, Some(1), "pda {args:?}: {stderr}");
         assert!(stderr.contains(flag), "pda {args:?}: {stderr}");
     }
 }
