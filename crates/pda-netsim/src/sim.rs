@@ -412,15 +412,20 @@ impl Simulator {
                                         .expect("digest holds at least 8 bytes"),
                                 );
                                 let ctx = record.trace_ctx().child("channel", chain8);
-                                let mut fields = ctx.fields();
-                                fields.push((
-                                    "switch".to_string(),
-                                    self.topo.nodes[node].name.clone().into(),
-                                ));
-                                fields.push(("retransmits".to_string(), retransmits.into()));
-                                fields.push(("delivered".to_string(), deliver_at.is_some().into()));
-                                fields.push(("bytes".to_string(), bytes.into()));
-                                self.telemetry.event(name, fields);
+                                self.telemetry.event(name, || {
+                                    let mut fields = ctx.fields();
+                                    fields.push((
+                                        "switch".to_string(),
+                                        self.topo.nodes[node].name.clone().into(),
+                                    ));
+                                    fields.push(("retransmits".to_string(), retransmits.into()));
+                                    fields.push((
+                                        "delivered".to_string(),
+                                        deliver_at.is_some().into(),
+                                    ));
+                                    fields.push(("bytes".to_string(), bytes.into()));
+                                    fields
+                                });
                             }
                             if let Some(t) = deliver_at {
                                 self.push(

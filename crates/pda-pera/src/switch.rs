@@ -260,7 +260,7 @@ impl PeraSwitch {
         }
         self.stats.attested_packets += 1;
         let mut span = self.tel.span("pera.attest");
-        if span.is_active() {
+        if span.keeps_fields() {
             // Trace identity is stamped at measurement time: the trace
             // is the nonce's canonical one, the span is site-scoped by
             // (switch, attested-packet index), so per-packet and batched

@@ -19,7 +19,7 @@ use crate::evidence::{verify_chain, EvidenceRecord};
 use crate::golden::GoldenStore;
 use pda_crypto::keyreg::KeyRegistry;
 use pda_crypto::nonce::Nonce;
-use pda_telemetry::{AuditEvent, Telemetry};
+use pda_telemetry::{AuditEvent, Counter, Telemetry};
 use std::fmt;
 
 /// How the gate treats evidence that is *absent* — plausibly lost in
@@ -163,6 +163,9 @@ pub struct VerifyUnit {
     /// Name used in audit records (the enforcing node).
     pub name: String,
     telemetry: Telemetry,
+    /// Registry handles of the `PUBLISHED` counters, index-aligned;
+    /// empty when `telemetry` is disabled.
+    counters: Vec<Counter>,
 }
 
 impl fmt::Debug for VerifyUnit {
@@ -184,13 +187,20 @@ impl VerifyUnit {
             stats: VerifyStats::default(),
             name: String::new(),
             telemetry: Telemetry::off(),
+            counters: Vec::new(),
         }
     }
 
     /// Attach a telemetry handle: every verdict then publishes the
     /// [`VerifyStats`] it moved to `pera.enforce.*` and appends an
-    /// [`AuditEvent::Enforcement`] record naming this unit.
+    /// [`AuditEvent::Enforcement`] record naming this unit. The
+    /// `pera.enforce.*` counter handles are resolved from the registry
+    /// once, here, as [`crate::PeraSwitch::set_telemetry`] resolves its
+    /// own.
     pub fn set_telemetry(&mut self, tel: Telemetry, name: impl Into<String>) {
+        self.counters = tel.registry().map_or_else(Vec::new, |r| {
+            PUBLISHED.iter().map(|(name, _)| r.counter(name)).collect()
+        });
         self.telemetry = tel;
         self.name = name.into();
     }
@@ -217,12 +227,10 @@ impl VerifyUnit {
         self.stats.admitted += u64::from(verdict.admits());
         self.stats.rejected += u64::from(!verdict.admits());
         self.stats.fail_open_admits += u64::from(fail_open_admit);
-        if let Some(reg) = self.telemetry.registry() {
-            for (name, read) in PUBLISHED {
-                let gained = read(&self.stats) - read(&before);
-                if gained > 0 {
-                    reg.counter(name).add(gained);
-                }
+        for ((_, read), counter) in PUBLISHED.iter().zip(&self.counters) {
+            let gained = read(&self.stats) - read(&before);
+            if gained > 0 {
+                counter.add(gained);
             }
         }
         self.telemetry.audit_with(|| AuditEvent::Enforcement {

@@ -11,6 +11,7 @@ use pda_copland::evidence::Evidence as Shape;
 use pda_crypto::digest::Digest;
 use pda_crypto::keyreg::KeyRegistry;
 use pda_crypto::nonce::Nonce;
+use pda_telemetry::{Counter, SpanSite, Telemetry};
 use std::fmt;
 
 /// One appraisal failure.
@@ -197,35 +198,80 @@ pub fn appraise(
         checks: 0,
     };
     walk(ev, shape, env, expected_nonce, &mut result);
-    audit_verdict(&env.telemetry, &brief(ev), expected_nonce, &result);
+    Verdicts::new(&env.telemetry).record(&brief(ev), expected_nonce, &result);
     result
 }
 
-/// Record one appraisal verdict in the audit log and counters; the
-/// single choke point every appraisal path goes through.
-pub(crate) fn audit_verdict(
-    telemetry: &pda_telemetry::Telemetry,
-    subject: &str,
-    nonce: Option<Nonce>,
-    result: &AppraisalResult,
-) {
-    if let Some(registry) = telemetry.registry() {
-        registry.counter("ra.appraisals").inc();
-        if !result.ok {
-            registry.counter("ra.appraisal_failures").inc();
+/// Where appraisal verdicts are recorded: a handle's audit log and its
+/// `ra.appraisals` / `ra.appraisal_failures` counters, resolved once
+/// (both are registered then). The default records nothing.
+#[derive(Clone, Default)]
+pub(crate) struct Verdicts {
+    telemetry: Telemetry,
+    counters: Option<(Counter, Counter)>,
+}
+
+impl Verdicts {
+    pub(crate) fn new(telemetry: &Telemetry) -> Verdicts {
+        Verdicts {
+            telemetry: telemetry.clone(),
+            counters: telemetry.registry().map(|r| {
+                (
+                    r.counter("ra.appraisals"),
+                    r.counter("ra.appraisal_failures"),
+                )
+            }),
         }
     }
-    telemetry.audit_with(|| pda_telemetry::AuditEvent::Appraisal {
-        subject: subject.to_string(),
-        nonce: nonce.map(|n| n.0),
-        ok: result.ok,
-        checks: result.checks,
-        cause: result.failures.first().map(Failure::to_string),
-        // The canonical trace for a nonce is derivable by every
-        // component that knows it, so the verdict links back to the
-        // switch-side measurement without any wire-format change.
-        trace: nonce.map(|n| pda_telemetry::TraceId::for_nonce(n.0).to_hex()),
-    });
+
+    /// Record one appraisal verdict in the audit log and counters; the
+    /// single choke point every appraisal path goes through.
+    pub(crate) fn record(&self, subject: &str, nonce: Option<Nonce>, result: &AppraisalResult) {
+        if let Some((appraisals, failures)) = &self.counters {
+            appraisals.inc();
+            if !result.ok {
+                failures.inc();
+            }
+        }
+        self.telemetry
+            .audit_with(|| pda_telemetry::AuditEvent::Appraisal {
+                subject: subject.to_string(),
+                nonce: nonce.map(|n| n.0),
+                ok: result.ok,
+                checks: result.checks,
+                cause: result.failures.first().map(Failure::to_string),
+                // The canonical trace for a nonce is derivable by every
+                // component that knows it, so the verdict links back to
+                // the switch-side measurement without any wire-format
+                // change.
+                trace: nonce.map(|n| pda_telemetry::TraceId::for_nonce(n.0).to_hex()),
+            });
+    }
+}
+
+/// What [`appraise_records`] records into, its handles resolved once
+/// from one telemetry handle: the `ra.appraise_records` span and the
+/// verdict counters. An appraiser that appraises on every request
+/// keeps one per handle; the default records nothing.
+#[derive(Clone, Default)]
+pub struct AppraiserTelemetry {
+    span: SpanSite,
+    verdicts: Verdicts,
+}
+
+impl AppraiserTelemetry {
+    /// Resolve the span and counters from `telemetry`.
+    pub fn new(telemetry: &Telemetry) -> AppraiserTelemetry {
+        AppraiserTelemetry {
+            span: telemetry.span_site("ra.appraise_records"),
+            verdicts: Verdicts::new(telemetry),
+        }
+    }
+
+    /// The handle the span and counters were resolved from.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.verdicts.telemetry
+    }
 }
 
 /// Appraise a chain of PERA hop-evidence records: cryptographic chain
@@ -236,20 +282,21 @@ pub(crate) fn audit_verdict(
 /// This is the entry point each federated appraiser instance of the
 /// appraisal service runs independently: `subject` names the appraiser
 /// (e.g. `svc/a1`), so dissenting verdicts from a corrupted instance
-/// stay distinguishable in the shared audit log.
+/// stay distinguishable in the shared audit log, and `telemetry` holds
+/// the handles that appraiser resolved once.
 pub fn appraise_records(
     records: &[pda_pera::EvidenceRecord],
     registry: &KeyRegistry,
     golden: &pda_pera::GoldenStore,
     expected_nonce: Nonce,
     chained: bool,
-    telemetry: &pda_telemetry::Telemetry,
+    telemetry: &AppraiserTelemetry,
     subject: &str,
 ) -> AppraisalResult {
     use pda_pera::evidence::ChainFailure;
 
-    let mut span = telemetry.span("ra.appraise_records");
-    if span.is_active() {
+    let mut span = telemetry.span.span();
+    if span.keeps_fields() {
         span.set("subject", subject);
         pda_telemetry::TraceCtx::for_nonce(expected_nonce.0)
             .child(subject, 0)
@@ -317,7 +364,9 @@ pub fn appraise_records(
             },
         });
     }
-    audit_verdict(telemetry, subject, Some(expected_nonce), &result);
+    telemetry
+        .verdicts
+        .record(subject, Some(expected_nonce), &result);
     result
 }
 
@@ -819,7 +868,15 @@ mod record_tests {
     fn clean_chain_passes_and_audits_with_subject() {
         let (records, reg, golden) = fixture();
         let tel = pda_telemetry::Telemetry::collecting();
-        let r = appraise_records(&records, &reg, &golden, Nonce(9), true, &tel, "svc/a1");
+        let r = appraise_records(
+            &records,
+            &reg,
+            &golden,
+            Nonce(9),
+            true,
+            &AppraiserTelemetry::new(&tel),
+            "svc/a1",
+        );
         assert!(r.ok, "{:?}", r.failures);
         assert_eq!(r.checks, 2 * 4 + 2);
         let log = tel.audit_log().unwrap().records();
@@ -838,7 +895,15 @@ mod record_tests {
         // must out-vote.
         golden.expect("sw1", DetailLevel::Program, Digest::of(b"poisoned"));
         let tel = pda_telemetry::Telemetry::collecting();
-        let r = appraise_records(&records, &reg, &golden, Nonce(9), true, &tel, "svc/bad");
+        let r = appraise_records(
+            &records,
+            &reg,
+            &golden,
+            Nonce(9),
+            true,
+            &AppraiserTelemetry::new(&tel),
+            "svc/bad",
+        );
         assert!(!r.ok);
         assert!(r
             .failures
@@ -863,7 +928,7 @@ mod record_tests {
             &golden,
             Nonce(9),
             true,
-            &pda_telemetry::Telemetry::off(),
+            &AppraiserTelemetry::default(),
             "svc/a1",
         );
         assert!(!r.ok);
@@ -892,7 +957,7 @@ mod record_tests {
             &golden,
             Nonce(9),
             false,
-            &pda_telemetry::Telemetry::off(),
+            &AppraiserTelemetry::default(),
             "svc/a1",
         );
         assert!(r2

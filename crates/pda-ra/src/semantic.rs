@@ -16,7 +16,7 @@
 //! (a) the attested digest matches the recomputed one and (b) the
 //! recomputed report is clean under the policy.
 
-use crate::appraise::{audit_verdict, AppraisalResult, Failure};
+use crate::appraise::{AppraisalResult, Failure, Verdicts};
 use crate::runtime::Environment;
 use pda_analyze::{AnalysisReport, Diagnostic, Severity};
 use pda_copland::ast::Place;
@@ -109,8 +109,7 @@ impl RequireLintClean {
                 detail: format!("{} {}: {}", d.location, d.subject, d.message),
             });
         }
-        audit_verdict(
-            &env.telemetry,
+        Verdicts::new(&env.telemetry).record(
             &format!("lint({attester},{})", program.name),
             None,
             &result,

@@ -14,9 +14,11 @@ use pda_crypto::keyreg::KeyRegistry;
 use pda_crypto::nonce::Nonce;
 use pda_pera::config::DetailLevel;
 use pda_pera::{EvidenceRecord, GoldenStore};
-use pda_ra::appraise::AppraisalResult;
-use pda_telemetry::Telemetry;
+use pda_ra::appraise::{AppraisalResult, AppraiserTelemetry};
+use pda_telemetry::{Counter, SpanSite, Telemetry, TraceCtx};
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// How many appraisers must say *yes* for the federation to say yes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,6 +80,29 @@ pub struct Appraiser {
     pub golden: GoldenStore,
     /// This instance's view of the fleet's verification keys.
     pub registry: KeyRegistry,
+    /// Telemetry handles resolved from the first enabled handle this
+    /// member appraises under, kept while it is given that handle.
+    resolved: OnceLock<MemberTelemetry>,
+}
+
+/// What one federation member records into, resolved once per handle:
+/// its `svc.appraiser.<name>` span, the `pda_ra` appraisal handles and
+/// the federation's `svc.dissent` counter. The default records nothing.
+#[derive(Clone, Default)]
+struct MemberTelemetry {
+    span: SpanSite,
+    appraisal: AppraiserTelemetry,
+    dissent: Option<Counter>,
+}
+
+impl MemberTelemetry {
+    fn new(name: &str, telemetry: &Telemetry) -> Self {
+        MemberTelemetry {
+            span: telemetry.span_site(&format!("svc.appraiser.{name}")),
+            appraisal: AppraiserTelemetry::new(telemetry),
+            dissent: telemetry.registry().map(|r| r.counter("svc.dissent")),
+        }
+    }
 }
 
 impl Appraiser {
@@ -87,6 +112,7 @@ impl Appraiser {
             subject: format!("{SUBJECT_PREFIX}{}", name.into()),
             golden,
             registry,
+            resolved: OnceLock::new(),
         }
     }
 
@@ -114,6 +140,16 @@ impl Appraiser {
         chained: bool,
         telemetry: &Telemetry,
     ) -> AppraisalResult {
+        self.appraise_into(records, nonce, chained, &self.handles(telemetry).appraisal)
+    }
+
+    fn appraise_into(
+        &self,
+        records: &[EvidenceRecord],
+        nonce: Nonce,
+        chained: bool,
+        telemetry: &AppraiserTelemetry,
+    ) -> AppraisalResult {
         pda_ra::appraise::appraise_records(
             records,
             &self.registry,
@@ -123,6 +159,23 @@ impl Appraiser {
             telemetry,
             &self.subject,
         )
+    }
+
+    /// This member's handles in `telemetry`: inert when it is disabled,
+    /// the cached ones when it is the handle they were resolved from,
+    /// else resolved afresh for this call.
+    fn handles(&self, telemetry: &Telemetry) -> Cow<'_, MemberTelemetry> {
+        if !telemetry.enabled() {
+            return Cow::Owned(MemberTelemetry::default());
+        }
+        let resolved = self
+            .resolved
+            .get_or_init(|| MemberTelemetry::new(self.name(), telemetry));
+        if resolved.appraisal.telemetry().same_as(telemetry) {
+            Cow::Borrowed(resolved)
+        } else {
+            Cow::Owned(MemberTelemetry::new(self.name(), telemetry))
+        }
     }
 }
 
@@ -158,8 +211,9 @@ impl Federation {
     ///
     /// Audit trail: one `Appraisal` event per member (its own
     /// verdict), then one `svc/quorum` event with the combined
-    /// outcome; `svc.dissent` counts members that disagreed with the
-    /// quorum.
+    /// outcome; each member that disagreed with the quorum adds one to
+    /// `svc.dissent`, which every member registers when it resolves
+    /// its handles.
     pub fn appraise(
         &self,
         records: &[EvidenceRecord],
@@ -175,38 +229,35 @@ impl Federation {
         let mut checks = 0u64;
         // All members share the nonce-derived trace the switch stamped
         // at measurement time; each gets its own child span.
-        let ctx = pda_telemetry::TraceCtx::for_nonce(nonce.0);
+        let ctx = TraceCtx::for_nonce(nonce.0);
         for (i, a) in self.appraisers.iter().enumerate() {
-            let mut span = telemetry.span_with(|| format!("svc.appraiser.{}", a.name()));
-            if span.is_active() {
-                ctx.child(a.name(), i as u64).stamp(&mut span);
-            }
-            let r = a.appraise(records, nonce, chained, telemetry);
+            let handles = a.handles(telemetry);
+            let _span = handles.span.span_in(|| ctx.child(a.name(), i as u64));
+            let r = a.appraise_into(records, nonce, chained, &handles.appraisal);
             checks += r.checks;
             if r.ok {
                 yes += 1;
             } else if let Some(f) = r.failures.first() {
                 causes.push(format!("{}: {f}", a.name()));
             }
-            votes.push((a.name(), r.ok));
+            votes.push((a, handles, r.ok));
         }
         let ok = yes >= required;
-        let dissenters: Vec<String> = votes
-            .iter()
-            .filter(|(_, v)| *v != ok)
-            .map(|(n, _)| n.to_string())
-            .collect();
-        if let Some(reg) = telemetry.registry() {
-            reg.counter("svc.dissent").add(dissenters.len() as u64);
+        let mut dissenters = Vec::new();
+        for (a, handles, _) in votes.iter().filter(|(_, _, v)| *v != ok) {
+            if let Some(dissent) = &handles.dissent {
+                dissent.inc();
+            }
+            dissenters.push(a.name().to_string());
         }
-        if telemetry.enabled() {
+        telemetry.event("svc.quorum", || {
             let mut fields = ctx.child("quorum", 0).fields();
             fields.push(("ok".to_string(), ok.into()));
             fields.push(("yes".to_string(), (yes as u64).into()));
             fields.push(("required".to_string(), (required as u64).into()));
             fields.push(("dissent".to_string(), (dissenters.len() as u64).into()));
-            telemetry.event("svc.quorum", fields);
-        }
+            fields
+        });
         telemetry.audit_with(|| pda_telemetry::AuditEvent::Appraisal {
             subject: "svc/quorum".to_string(),
             nonce: Some(nonce.0),
@@ -280,6 +331,42 @@ mod tests {
             let verdict = empty.appraise(&chain, nonce, true, &tel);
             assert!(!verdict.ok, "{quorum}: {verdict:?}");
             assert_eq!((verdict.yes, verdict.total, verdict.required), (0, 0, 1));
+        }
+    }
+
+    #[test]
+    fn members_record_into_whichever_handle_they_are_given() {
+        use crate::fleet::{enroll_fleet_golden, fleet_registry, standard_fleet};
+        use pda_netsim::EvidenceMode;
+        use pda_pera::evidence::assemble_chain;
+
+        let mut fleet = standard_fleet(3);
+        let (nonce, appraiser) = (Nonce(4), fleet.appraiser);
+        fleet.send_attested(nonce, EvidenceMode::OutOfBand { appraiser }, b"clean");
+        let (chain, _) = assemble_chain(fleet.sim.evidence_at(appraiser).to_vec());
+        let (golden, registry) = (enroll_fleet_golden(&fleet), fleet_registry(&fleet));
+        let federation = Federation {
+            appraisers: ["a1", "a2", "a3"]
+                .map(|n| Appraiser::new(n, golden.clone(), registry.clone()))
+                .into(),
+            quorum: Quorum::Majority,
+        };
+        // The members resolve their handles from `first` and keep them;
+        // `second` and a clone of `first` must still get their own due.
+        let (first, second) = (Telemetry::collecting(), Telemetry::collecting());
+        for tel in [&first, &second, &first.clone(), &Telemetry::off()] {
+            assert!(federation.appraise(&chain, nonce, true, tel).ok);
+        }
+        for (tel, verdicts) in [(&first, 2), (&second, 1)] {
+            let reg = tel.registry().unwrap();
+            assert_eq!(reg.counter("ra.appraisals").get(), 3 * verdicts);
+            assert_eq!(reg.histogram("svc.appraiser.a2.ns").count(), verdicts);
+            assert_eq!(
+                reg.histogram("ra.appraise_records.ns").count(),
+                3 * verdicts
+            );
+            assert_eq!(reg.counter("svc.dissent").get(), 0);
+            assert_eq!(tel.audit_log().unwrap().len() as u64, 4 * verdicts);
         }
     }
 

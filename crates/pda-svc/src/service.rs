@@ -24,7 +24,10 @@ use pda_pera::config::DetailLevel;
 use pda_pera::evidence::assemble_chain;
 use pda_pera::EvidenceRecord;
 use pda_telemetry::json::Json;
-use pda_telemetry::{FlightRecorder, SloPolicy, Telemetry, TraceCtx, TraceId};
+use pda_telemetry::{
+    AuditRecord, Counter, FlightRecorder, Histogram, SloPolicy, SpanSite, Telemetry, TraceCtx,
+    TraceId,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,6 +61,36 @@ impl Default for SvcConfig {
     }
 }
 
+/// The service's metric handles, resolved once from its telemetry
+/// handle's registry when the service is built (which registers every
+/// series).
+struct SvcMetrics {
+    verdict_ns: Histogram,
+    submissions: Counter,
+    records: Counter,
+    appraisals: Counter,
+    appraisal_failures: Counter,
+    connections: Counter,
+    requests: Counter,
+    reused_connections: Counter,
+}
+
+impl SvcMetrics {
+    fn new(telemetry: &Telemetry) -> Option<SvcMetrics> {
+        let reg = telemetry.registry()?;
+        Some(SvcMetrics {
+            verdict_ns: reg.histogram("svc.verdict.ns"),
+            submissions: reg.counter("svc.submissions"),
+            records: reg.counter("svc.records"),
+            appraisals: reg.counter("svc.appraisals"),
+            appraisal_failures: reg.counter("svc.appraisal_failures"),
+            connections: reg.counter("svc.http.connections"),
+            requests: reg.counter("svc.http.requests"),
+            reused_connections: reg.counter("svc.http.reused_connections"),
+        })
+    }
+}
+
 /// The long-running appraisal service.
 pub struct AppraisalService {
     config: SvcConfig,
@@ -65,6 +98,10 @@ pub struct AppraisalService {
     /// Whether submitted evidence is hop-linked (default PERA config).
     chained: bool,
     telemetry: Telemetry,
+    /// `None` when `telemetry` is disabled.
+    metrics: Option<SvcMetrics>,
+    /// The `svc.rpc` span every request opens.
+    rpc_span: SpanSite,
     /// Submitted evidence, grouped by nonce, awaiting appraisal.
     store: Mutex<HashMap<u64, Vec<EvidenceRecord>>>,
     /// Set by the `shutdown` RPC; the serve driver polls it.
@@ -99,6 +136,8 @@ impl AppraisalService {
             },
             chained: true,
             config,
+            metrics: SvcMetrics::new(&telemetry),
+            rpc_span: telemetry.span_site("svc.rpc"),
             telemetry,
             store: Mutex::new(HashMap::new()),
             shutdown_requested: AtomicBool::new(false),
@@ -134,12 +173,6 @@ impl AppraisalService {
         self.shutdown_requested.load(Ordering::SeqCst)
     }
 
-    fn bump(&self, name: &str, n: u64) {
-        if let Some(reg) = self.telemetry.registry() {
-            reg.counter(name).add(n);
-        }
-    }
-
     /// `submit-evidence`: decode hex-encoded wire records and store
     /// them by nonce.
     fn rpc_submit(&self, params: &Json) -> Result<Json, String> {
@@ -165,8 +198,10 @@ impl AppraisalService {
                 store.entry(n).or_default().push(r);
             }
         }
-        self.bump("svc.submissions", 1);
-        self.bump("svc.records", accepted);
+        if let Some(m) = &self.metrics {
+            m.submissions.inc();
+            m.records.add(accepted);
+        }
         Ok(Json::Obj(vec![
             ("accepted".to_string(), Json::UInt(accepted)),
             (
@@ -201,22 +236,26 @@ impl AppraisalService {
         let elapsed_ns = start.elapsed().as_nanos() as u64;
         let mut p99_breached = false;
         let mut slow_traces: Vec<TraceId> = Vec::new();
-        if let Some(reg) = self.telemetry.registry() {
-            let hist = reg.histogram("svc.verdict.ns");
-            hist.record_traced(elapsed_ns, trace);
+        if let (Some(m), Some(reg)) = (&self.metrics, self.telemetry.registry()) {
+            m.verdict_ns.record_traced(elapsed_ns, trace);
             if let Some(slo) = &self.slo {
-                p99_breached = slo.publish(reg, &hist).p99_breached;
+                p99_breached = slo.publish(reg, &m.verdict_ns).p99_breached;
                 if p99_breached {
                     // A p99 breach is an aggregate symptom: the slow
                     // requests are the histogram's exemplars, not
                     // necessarily the request that tipped the quantile.
-                    slow_traces = hist.exemplars().into_iter().map(|e| e.trace).collect();
+                    slow_traces = m
+                        .verdict_ns
+                        .exemplars()
+                        .into_iter()
+                        .map(|e| e.trace)
+                        .collect();
                 }
             }
-        }
-        self.bump("svc.appraisals", 1);
-        if !verdict.ok {
-            self.bump("svc.appraisal_failures", 1);
+            m.appraisals.inc();
+            if !verdict.ok {
+                m.appraisal_failures.inc();
+            }
         }
         if let Some(flight) = &self.flight {
             if !verdict.ok {
@@ -239,7 +278,8 @@ impl AppraisalService {
     }
 
     /// `query-audit-log`: the shared audit trail, optionally filtered
-    /// by subject substring, most recent last.
+    /// by subject substring, most recent last. Records are chosen under
+    /// the log's lock and only those returned are rendered.
     fn rpc_audit_log(&self, params: &Json) -> Result<Json, String> {
         let subject = params.get("subject").and_then(Json::as_str);
         let limit = params
@@ -250,21 +290,13 @@ impl AppraisalService {
             .telemetry
             .audit_log()
             .ok_or("telemetry is disabled; no audit log")?;
-        let mut out: Vec<Json> = log
-            .records()
-            .iter()
-            .map(|r| r.to_json())
-            .filter(|j| match subject {
-                None => true,
-                Some(s) => j
-                    .get("subject")
-                    .and_then(Json::as_str)
-                    .is_some_and(|subj| subj.contains(s)),
+        let out: Vec<Json> = log
+            .last_matching(limit, |r| {
+                subject.is_none_or(|s| r.event.subject().is_some_and(|subj| subj.contains(s)))
             })
+            .iter()
+            .map(AuditRecord::to_json)
             .collect();
-        if out.len() > limit {
-            out.drain(..out.len() - limit);
-        }
         Ok(Json::Obj(vec![
             ("count".to_string(), Json::UInt(out.len() as u64)),
             ("records".to_string(), Json::Arr(out)),
@@ -298,20 +330,22 @@ impl AppraisalService {
     pub fn dispatch(&self, req: &RpcRequest) -> String {
         // Join the caller's trace: an explicit traceparent wins, else
         // derive from the nonce parameter (the canonical trace key).
-        let ctx = req
-            .traceparent
-            .as_deref()
-            .and_then(TraceCtx::parse_traceparent)
-            .or_else(|| {
-                req.params
-                    .get("nonce")
-                    .and_then(Json::as_u64)
-                    .map(TraceCtx::for_nonce)
-            });
-        let mut span = self.telemetry.span("svc.rpc");
-        if span.is_active() {
+        // Only a span that keeps fields or a flight dump reads it.
+        let ctx = || {
+            req.traceparent
+                .as_deref()
+                .and_then(TraceCtx::parse_traceparent)
+                .or_else(|| {
+                    req.params
+                        .get("nonce")
+                        .and_then(Json::as_u64)
+                        .map(TraceCtx::for_nonce)
+                })
+        };
+        let mut span = self.rpc_span.span();
+        if span.keeps_fields() {
             span.set("method", req.method.as_str());
-            if let Some(c) = &ctx {
+            if let Some(c) = ctx() {
                 c.child("svc.rpc", req.id).stamp(&mut span);
             }
         }
@@ -330,9 +364,11 @@ impl AppraisalService {
         };
         // An appraisal that could not run at all (e.g. no evidence
         // under the nonce) is an indeterminate verdict: worth a dump.
-        if let (Some(flight), Some(c)) = (&self.flight, &ctx) {
+        if let Some(flight) = &self.flight {
             if req.method == "appraise" && result.is_err() {
-                flight.trigger("indeterminate", c.trace);
+                if let Some(c) = ctx() {
+                    flight.trigger("indeterminate", c.trace);
+                }
             }
         }
         match result {
@@ -370,10 +406,12 @@ impl Handler for AppraisalService {
     /// request (keep-alive reuse) bump `svc.http.reused_connections`.
     /// The CI smoke job asserts reuse through these on `/metrics`.
     fn connection_closed(&self, requests_served: u64) {
-        self.bump("svc.http.connections", 1);
-        self.bump("svc.http.requests", requests_served);
-        if requests_served >= 2 {
-            self.bump("svc.http.reused_connections", 1);
+        if let Some(m) = &self.metrics {
+            m.connections.inc();
+            m.requests.add(requests_served);
+            if requests_served >= 2 {
+                m.reused_connections.inc();
+            }
         }
     }
 
@@ -388,16 +426,16 @@ impl Handler for AppraisalService {
                     Err(e) => HttpResponse::json(400, err_response(0, -32600, &e.to_string())),
                 }
             }
-            ("GET", "/metrics") => match self.telemetry.registry() {
-                Some(reg) => {
+            ("GET", "/metrics") => match (&self.metrics, self.telemetry.registry()) {
+                (Some(m), Some(reg)) => {
                     // Refresh the SLO gauges so scrapes always see
                     // values consistent with the histogram they read.
                     if let Some(slo) = &self.slo {
-                        slo.publish(reg, &reg.histogram("svc.verdict.ns"));
+                        slo.publish(reg, &m.verdict_ns);
                     }
                     HttpResponse::text(200, reg.encode_prometheus())
                 }
-                None => HttpResponse::text(404, "telemetry disabled\n".to_string()),
+                _ => HttpResponse::text(404, "telemetry disabled\n".to_string()),
             },
             ("GET", "/health") => HttpResponse::json(200, self.health_json().encode()),
             ("POST", _) | ("GET", _) => {
@@ -520,6 +558,113 @@ mod tests {
         ] {
             let req = RpcRequest::new(1, "submit-evidence", bad);
             assert!(crate::rpc::parse_response(&svc.dispatch(&req)).is_err());
+        }
+    }
+
+    #[test]
+    fn audit_query_returns_the_latest_subject_matches_of_every_kind_oldest_first() {
+        use pda_telemetry::AuditEvent;
+        let svc = AppraisalService::new(SvcConfig::default(), Telemetry::collecting());
+        let tel = svc.telemetry();
+        let appraisal = |subject: &str, nonce| AuditEvent::Appraisal {
+            subject: subject.into(),
+            nonce: Some(nonce),
+            ok: true,
+            checks: 1,
+            cause: None,
+            trace: None,
+        };
+        // Every kind, subject-bearing ones interleaved with kinds that
+        // carry none: an attester, signer or unit that contains the
+        // query string is not a subject and must not match.
+        let who = || "svc/a1".to_string();
+        for event in [
+            appraisal("svc/a1", 1),
+            AuditEvent::Evidence {
+                attester: who(),
+                nonce: 2,
+                levels: vec!["Program".into()],
+                bytes: 10,
+                chained: true,
+            },
+            AuditEvent::Lint {
+                subject: "svc/a2".into(),
+                program: "p".into(),
+                findings: 0,
+                errors: 0,
+                worst: None,
+                verdict: "00".into(),
+            },
+            AuditEvent::CacheLookup {
+                attester: who(),
+                level: "Program".into(),
+                hit: true,
+            },
+            appraisal("svc/quorum", 3),
+            AuditEvent::Signature {
+                signer: who(),
+                scheme: "HMAC-SHA256".into(),
+                sig_bytes: 32,
+            },
+            appraisal("svc/a3", 4),
+            AuditEvent::Enforcement {
+                unit: who(),
+                nonce: Some(5),
+                admitted: false,
+                cause: Some("NoEvidence".into()),
+            },
+        ] {
+            tel.audit(event);
+        }
+        // The reply as it was built before: every record rendered,
+        // filtered on its JSON `subject`, trimmed to the last `limit`.
+        let reference = |subject: Option<&str>, limit: usize| {
+            let mut out: Vec<Json> = tel
+                .audit_log()
+                .unwrap()
+                .records()
+                .iter()
+                .map(|r| r.to_json())
+                .filter(|j| {
+                    subject.is_none_or(|s| {
+                        j.get("subject")
+                            .and_then(Json::as_str)
+                            .is_some_and(|subj| subj.contains(s))
+                    })
+                })
+                .collect();
+            out.drain(..out.len().saturating_sub(limit));
+            let count = ("count".to_string(), Json::UInt(out.len() as u64));
+            let result = Json::Obj(vec![count, ("records".to_string(), Json::Arr(out))]);
+            ok_response_traced(1, result, None)
+        };
+        for (subject, limit, seqs) in [
+            (Some("svc/a"), 2, vec![2, 6]),
+            (Some("svc/"), 3, vec![2, 4, 6]),
+            (Some("svc/a"), 10, vec![0, 2, 6]),
+            (None, 3, vec![5, 6, 7]),
+            (Some("nobody"), 5, vec![]),
+            (None, 0, vec![]),
+        ] {
+            let mut params = vec![("limit".to_string(), Json::UInt(limit as u64))];
+            if let Some(s) = subject {
+                params.push(("subject".to_string(), Json::Str(s.to_string())));
+            }
+            let reply = svc.dispatch(&RpcRequest::new(1, "query-audit-log", Json::Obj(params)));
+            assert_eq!(
+                reply,
+                reference(subject, limit),
+                "{subject:?}, limit {limit}"
+            );
+            let log = crate::rpc::parse_response(&reply).unwrap();
+            let got: Vec<u64> = log
+                .get("records")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .map(|r| r.get("seq").and_then(Json::as_u64).unwrap())
+                .collect();
+            assert_eq!(got, seqs, "{subject:?}, limit {limit}: most recent last");
         }
     }
 

@@ -93,6 +93,17 @@ pub enum AuditEvent {
 }
 
 impl AuditEvent {
+    /// The `subject` field of the kinds that carry one (appraisal and
+    /// lint verdicts).
+    pub fn subject(&self) -> Option<&str> {
+        match self {
+            AuditEvent::Appraisal { subject, .. } | AuditEvent::Lint { subject, .. } => {
+                Some(subject)
+            }
+            _ => None,
+        }
+    }
+
     /// The `kind` discriminant used in the JSONL encoding.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -393,6 +404,25 @@ impl AuditLog {
     /// Snapshot of all records, oldest first.
     pub fn records(&self) -> Vec<AuditRecord> {
         self.records.lock().unwrap().clone()
+    }
+
+    /// The last `limit` records that `keep` accepts, oldest first,
+    /// chosen under the log's lock so only they are copied.
+    pub fn last_matching(
+        &self,
+        limit: usize,
+        keep: impl Fn(&AuditRecord) -> bool,
+    ) -> Vec<AuditRecord> {
+        let recs = self.records.lock().unwrap();
+        let mut out: Vec<AuditRecord> = recs
+            .iter()
+            .rev()
+            .filter(|r| keep(r))
+            .take(limit)
+            .cloned()
+            .collect();
+        out.reverse();
+        out
     }
 
     /// Serialize the whole log as JSONL (one record per line).

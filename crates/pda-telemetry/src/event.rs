@@ -1,11 +1,13 @@
 //! Structured events and the pluggable subscriber sinks.
 //!
 //! An [`Event`] is a named record with optional elapsed time and
-//! key=value fields; a [`Subscriber`] receives finished events. Three
-//! sinks ship in-tree: [`NoopSubscriber`] (drops everything — the
-//! zero-cost default), [`MemorySubscriber`] (bounded ring buffer for
-//! tests and in-process inspection), and [`JsonlSubscriber`] (one JSON
-//! object per line to any `Write`).
+//! key=value fields; a [`Subscriber`] receives finished events. Two
+//! sinks ship here: [`MemorySubscriber`] (bounded ring buffer for tests
+//! and in-process inspection) and [`JsonlSubscriber`] (one JSON object
+//! per line to any `Write`); the flight recorder
+//! ([`crate::FlightRecorder`]) is a third. A handle that keeps no
+//! events ([`crate::Telemetry::collecting`]) has no subscriber at all,
+//! so it builds no events to drop.
 
 use crate::json::Json;
 use std::collections::VecDeque;
@@ -120,16 +122,6 @@ pub trait Subscriber: Send + Sync {
     fn dropped_events(&self) -> u64 {
         0
     }
-}
-
-/// Drops every event. The default sink; [`crate::Telemetry::off`]
-/// avoids even constructing events, so this exists mainly for code
-/// that wants an explicitly enabled-but-silent pipeline.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSubscriber;
-
-impl Subscriber for NoopSubscriber {
-    fn observe(&self, _event: &Event) {}
 }
 
 /// A bounded in-memory ring buffer of events; oldest are evicted first.

@@ -313,7 +313,7 @@ mod tests {
     use crate::Telemetry;
 
     fn traced_event(tel: &Telemetry, name: &str, ctx: &TraceCtx) {
-        tel.event(name, ctx.fields());
+        tel.event(name, || ctx.fields());
     }
 
     #[test]
@@ -326,7 +326,7 @@ mod tests {
             traced_event(&tel, &format!("a{i}"), &a);
         }
         traced_event(&tel, "b0", &b);
-        tel.event("untraced", vec![]);
+        tel.event("untraced", Vec::new);
         assert_eq!(rec.trace_events(a.trace).len(), 3, "ring bounded");
         assert_eq!(rec.trace_events(b.trace).len(), 1);
         assert_eq!(rec.dropped(), 2, "two oldest a-events evicted");

@@ -4,7 +4,7 @@
 //!
 //! - **Spans & events** ([`event`]): RAII [`Span`] guards with
 //!   monotonic timing and key=value fields, delivered to a pluggable
-//!   [`Subscriber`] (no-op, in-memory ring, or JSONL writer).
+//!   [`Subscriber`] (in-memory ring, JSONL writer, flight recorder).
 //! - **Metrics** ([`metrics`]): counters, gauges, and log-linear
 //!   histograms (p50/p90/p99) in a shared [`Registry`], with JSON and
 //!   Prometheus-text exposition.
@@ -18,6 +18,11 @@
 //! no clock reads, no formatting, no locks. That keeps instrumented
 //! hot paths (the E15 per-packet loop) within noise of the
 //! uninstrumented code; `tests/overhead.rs` enforces the ≤ 5% bound.
+//! An enabled handle pays only for what it keeps: without a subscriber
+//! ([`Telemetry::collecting`]) spans record their histograms and
+//! build no event fields, and a component that resolves its handles
+//! once ([`SpanSite`], [`Registry::counter`]) touches only their
+//! atomics per call.
 //!
 //! Like `pda-crypto`, this crate is written from scratch because the
 //! build environment has no route to a crates.io registry.
@@ -31,7 +36,7 @@ pub mod slo;
 pub mod trace;
 
 pub use audit::{AuditEvent, AuditLog, AuditRecord};
-pub use event::{Event, JsonlSubscriber, MemorySubscriber, NoopSubscriber, Subscriber, Value};
+pub use event::{Event, JsonlSubscriber, MemorySubscriber, Subscriber, Value};
 pub use flight::{render_trace_trees, FlightRecorder};
 pub use json::Json;
 pub use metrics::{percentile, Counter, Exemplar, Gauge, Histogram, Registry};
@@ -43,10 +48,27 @@ use std::sync::Arc;
 use std::time::Instant;
 
 struct Inner {
-    subscriber: Arc<dyn Subscriber>,
+    /// Where events go; `None` when the handle keeps no events, so
+    /// spans and events build no fields for it.
+    subscriber: Option<Arc<dyn Subscriber>>,
     registry: Registry,
     audit: AuditLog,
     seq: AtomicU64,
+}
+
+impl Inner {
+    /// Deliver one finished event to the subscriber, if there is one.
+    fn emit(&self, name: String, elapsed_ns: Option<u64>, fields: Vec<(String, Value)>) {
+        if let Some(subscriber) = &self.subscriber {
+            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+            subscriber.observe(&Event {
+                name,
+                elapsed_ns,
+                fields,
+                seq,
+            });
+        }
+    }
 }
 
 /// The telemetry handle threaded through instrumented code.
@@ -68,6 +90,17 @@ impl Telemetry {
     /// An enabled handle delivering events to `subscriber`, with a
     /// fresh registry and audit log.
     pub fn new(subscriber: Arc<dyn Subscriber>) -> Telemetry {
+        Telemetry::with_sink(Some(subscriber))
+    }
+
+    /// An enabled handle that keeps no events: metrics and the audit
+    /// log collect, while spans and events build no fields. The usual
+    /// choice for `--telemetry` runs and the appraisal service.
+    pub fn collecting() -> Telemetry {
+        Telemetry::with_sink(None)
+    }
+
+    fn with_sink(subscriber: Option<Arc<dyn Subscriber>>) -> Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 subscriber,
@@ -76,12 +109,6 @@ impl Telemetry {
                 seq: AtomicU64::new(0),
             })),
         }
-    }
-
-    /// An enabled handle whose events are dropped (metrics and audit
-    /// log still collect). The usual choice for `--telemetry` runs.
-    pub fn collecting() -> Telemetry {
-        Telemetry::new(Arc::new(NoopSubscriber))
     }
 
     /// An enabled handle with an in-memory event ring of `capacity`;
@@ -95,6 +122,12 @@ impl Telemetry {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// Whether `self` and `other` are clones of one enabled handle
+    /// (sharing its registry, audit log and subscriber).
+    pub fn same_as(&self, other: &Telemetry) -> bool {
+        matches!((&self.inner, &other.inner), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
     }
 
     /// The shared metrics registry, when enabled.
@@ -126,14 +159,16 @@ impl Telemetry {
     }
 
     /// Open a timed span. On drop it records its elapsed time into the
-    /// histogram `"{name}.ns"` and emits an [`Event`] to the
-    /// subscriber. Disabled handles return an inert guard without
-    /// reading the clock.
+    /// histogram `"{name}.ns"` and, when the handle keeps events, emits
+    /// an [`Event`] to the subscriber. The histogram is looked up by
+    /// the span name on every call; a component that opens the same
+    /// span on every operation resolves a [`SpanSite`] once instead.
+    /// Disabled handles return an inert guard without reading the clock.
     #[inline]
-    pub fn span(&self, name: impl Into<String>) -> Span {
+    pub fn span(&self, name: &str) -> Span {
         match &self.inner {
             None => Span { data: None },
-            Some(inner) => span_slow(inner, name),
+            Some(inner) => span_named_slow(inner, name),
         }
     }
 
@@ -144,28 +179,43 @@ impl Telemetry {
     pub fn span_with(&self, name: impl FnOnce() -> String) -> Span {
         match &self.inner {
             None => Span { data: None },
-            Some(inner) => span_slow(inner, name()),
+            Some(inner) => span_named_slow(inner, &name()),
         }
     }
 
     /// [`span`](Self::span) stamped with a trace context: the span's
     /// event carries `trace`/`span`/`parent` fields so subscribers
     /// (notably the flight recorder) can attribute it causally. The
-    /// context closure only runs when telemetry is enabled — disabled
-    /// handles pay the usual single branch.
+    /// context closure only runs when the handle keeps events.
     #[inline]
-    pub fn span_in(&self, name: impl Into<String>, ctx: impl FnOnce() -> TraceCtx) -> Span {
+    pub fn span_in(&self, name: &str, ctx: impl FnOnce() -> TraceCtx) -> Span {
         match &self.inner {
             None => Span { data: None },
-            Some(inner) => span_in_slow(inner, name, ctx),
+            Some(inner) => stamped(span_named_slow(inner, name), ctx),
         }
     }
 
-    /// Emit an instant (un-timed) event; no-op when disabled.
+    /// Resolve the span `name` once: the site holds its histogram, so
+    /// [`SpanSite::span`] opens a span without a lookup. Inert on a
+    /// disabled handle.
+    pub fn span_site(&self, name: &str) -> SpanSite {
+        SpanSite {
+            bound: self.inner.as_ref().map(|inner| SiteBinding {
+                inner: inner.clone(),
+                hist: inner.registry.span_histogram(name),
+                name: name.to_string(),
+            }),
+        }
+    }
+
+    /// Emit an instant (un-timed) event. `fields` only runs when the
+    /// handle keeps events.
     #[inline]
-    pub fn event(&self, name: impl Into<String>, fields: Vec<(String, Value)>) {
+    pub fn event(&self, name: &str, fields: impl FnOnce() -> Vec<(String, Value)>) {
         if let Some(inner) = &self.inner {
-            event_slow(inner, name, fields);
+            if inner.subscriber.is_some() {
+                inner.emit(name.to_string(), None, fields());
+            }
         }
     }
 
@@ -180,7 +230,7 @@ impl Telemetry {
                 ("audit".to_string(), inner.audit.to_json()),
                 (
                     "events_dropped".to_string(),
-                    Json::UInt(inner.subscriber.dropped_events()),
+                    Json::UInt(inner.subscriber.as_ref().map_or(0, |s| s.dropped_events())),
                 ),
             ]),
         }
@@ -213,27 +263,37 @@ impl Telemetry {
 
 #[cold]
 #[inline(never)]
-fn span_slow(inner: &Arc<Inner>, name: impl Into<String>) -> Span {
-    Span {
-        data: Some(Box::new(SpanData {
-            inner: inner.clone(),
-            name: name.into(),
-            start: Instant::now(),
-            fields: Vec::new(),
-        })),
-    }
+fn span_named_slow(inner: &Arc<Inner>, name: &str) -> Span {
+    span_open(inner, name, inner.registry.span_histogram(name))
 }
 
 #[cold]
 #[inline(never)]
-fn span_in_slow(
-    inner: &Arc<Inner>,
-    name: impl Into<String>,
-    ctx: impl FnOnce() -> TraceCtx,
-) -> Span {
-    let mut span = span_slow(inner, name);
-    ctx().stamp(&mut span);
+fn span_site_slow(site: &SiteBinding) -> Span {
+    span_open(&site.inner, &site.name, site.hist.clone())
+}
+
+#[cold]
+#[inline(never)]
+fn stamped(mut span: Span, ctx: impl FnOnce() -> TraceCtx) -> Span {
+    if span.keeps_fields() {
+        ctx().stamp(&mut span);
+    }
     span
+}
+
+fn span_open(inner: &Arc<Inner>, name: &str, hist: Histogram) -> Span {
+    Span {
+        data: Some(Box::new(SpanData {
+            hist,
+            start: Instant::now(),
+            event: inner.subscriber.is_some().then(|| OpenEvent {
+                inner: inner.clone(),
+                name: name.to_string(),
+                fields: Vec::new(),
+            }),
+        })),
+    }
 }
 
 #[cold]
@@ -248,18 +308,6 @@ fn audit_build_slow(inner: &Arc<Inner>, build: impl FnOnce() -> AuditEvent) {
     inner.audit.append(build());
 }
 
-#[cold]
-#[inline(never)]
-fn event_slow(inner: &Arc<Inner>, name: impl Into<String>, fields: Vec<(String, Value)>) {
-    let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-    inner.subscriber.observe(&Event {
-        name: name.into(),
-        elapsed_ns: None,
-        fields,
-        seq,
-    });
-}
-
 // Takes the Box so the inlined drop passes one pointer instead of
 // copying the payload out on the way to the cold path.
 #[allow(clippy::boxed_local)]
@@ -267,23 +315,59 @@ fn event_slow(inner: &Arc<Inner>, name: impl Into<String>, fields: Vec<(String, 
 #[inline(never)]
 fn span_close_slow(d: Box<SpanData>) {
     let elapsed_ns = d.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    d.inner
-        .registry
-        .histogram(&format!("{}.ns", d.name))
-        .record(elapsed_ns);
-    let seq = d.inner.seq.fetch_add(1, Ordering::Relaxed);
-    d.inner.subscriber.observe(&Event {
-        name: d.name,
-        elapsed_ns: Some(elapsed_ns),
-        fields: d.fields,
-        seq,
-    });
+    d.hist.record(elapsed_ns);
+    if let Some(e) = d.event {
+        e.inner.emit(e.name, Some(elapsed_ns), e.fields);
+    }
+}
+
+/// A span name bound to one handle's `"{name}.ns"` histogram; see
+/// [`Telemetry::span_site`]. Cloning shares the histogram.
+#[derive(Clone, Default)]
+pub struct SpanSite {
+    bound: Option<SiteBinding>,
+}
+
+#[derive(Clone)]
+struct SiteBinding {
+    inner: Arc<Inner>,
+    hist: Histogram,
+    name: String,
+}
+
+impl SpanSite {
+    /// Open a timed span on this site: [`Telemetry::span`] without the
+    /// histogram lookup. Inert for a site of a disabled handle.
+    #[inline]
+    pub fn span(&self) -> Span {
+        match &self.bound {
+            None => Span { data: None },
+            Some(site) => span_site_slow(site),
+        }
+    }
+
+    /// [`span`](Self::span) stamped with a trace context, which only
+    /// runs when the handle keeps events; see [`Telemetry::span_in`].
+    #[inline]
+    pub fn span_in(&self, ctx: impl FnOnce() -> TraceCtx) -> Span {
+        match &self.bound {
+            None => Span { data: None },
+            Some(site) => stamped(span_site_slow(site), ctx),
+        }
+    }
 }
 
 struct SpanData {
+    hist: Histogram,
+    start: Instant,
+    /// The event the span emits on close; `None` when the handle keeps
+    /// no events.
+    event: Option<OpenEvent>,
+}
+
+struct OpenEvent {
     inner: Arc<Inner>,
     name: String,
-    start: Instant,
     fields: Vec<(String, Value)>,
 }
 
@@ -291,29 +375,42 @@ struct SpanData {
 ///
 /// The payload is boxed so an inert guard (disabled handle) is a
 /// single nullable pointer: opening and dropping one costs a null
-/// check instead of shuffling the ~80-byte payload through the stack,
-/// which keeps disabled-handle instrumentation inside the hot-loop
-/// overhead budget. Enabled spans pay one allocation, noise next to
-/// the name `String` and the per-drop histogram lookup they already do.
+/// check instead of shuffling the payload through the stack, which
+/// keeps disabled-handle instrumentation inside the hot-loop overhead
+/// budget. Enabled spans pay that one allocation, plus the event's
+/// name and fields when the handle keeps events.
 #[must_use = "a span measures until dropped; binding it to `_` drops it immediately"]
 pub struct Span {
     data: Option<Box<SpanData>>,
 }
 
 impl Span {
-    /// Attach a key=value field (no-op on inert guards).
+    /// Attach a key=value field; a no-op, which converts nothing, on a
+    /// span that keeps no fields.
     #[inline]
     pub fn set(&mut self, key: &str, value: impl Into<Value>) {
-        if let Some(d) = &mut self.data {
-            d.fields.push((key.to_string(), value.into()));
+        if let Some(e) = self.event_mut() {
+            e.fields.push((key.to_string(), value.into()));
         }
     }
 
-    /// Whether this guard records anything (false for spans opened on
-    /// a disabled handle). Lets callers skip field-construction work.
+    /// Whether this span keeps fields: it belongs to a handle that
+    /// keeps events. Lets callers skip field-construction work (trace
+    /// contexts, formatted values) that nothing would read.
     #[inline]
-    pub fn is_active(&self) -> bool {
-        self.data.is_some()
+    pub fn keeps_fields(&self) -> bool {
+        self.data.as_ref().is_some_and(|d| d.event.is_some())
+    }
+
+    /// Append built fields in order (no-op when the span keeps none).
+    fn extend(&mut self, fields: Vec<(String, Value)>) {
+        if let Some(e) = self.event_mut() {
+            e.fields.extend(fields);
+        }
+    }
+
+    fn event_mut(&mut self) -> Option<&mut OpenEvent> {
+        self.data.as_mut().and_then(|d| d.event.as_mut())
     }
 }
 
@@ -380,6 +477,46 @@ mod tests {
                 ("extra".to_string(), Value::Str("yes".into())),
             ]
         );
+    }
+
+    #[test]
+    fn a_handle_without_a_subscriber_records_metrics_and_builds_no_fields() {
+        let tel = Telemetry::collecting();
+        {
+            let mut s = tel.span_in("work.unit", || panic!("no context is built"));
+            assert!(!s.keeps_fields());
+            s.set("k", 1u64);
+            let mut t = tel.span_site("work.unit").span();
+            TraceCtx::for_nonce(1).stamp(&mut t);
+            assert!(!t.keeps_fields());
+        }
+        tel.event("instant", || panic!("no fields are built"));
+        let h = tel.registry().unwrap().histogram("work.unit.ns");
+        assert_eq!(h.count(), 2, "both spans recorded");
+        assert_eq!(tel.dump_json().get("events_dropped"), Some(&Json::UInt(0)));
+    }
+
+    #[test]
+    fn a_site_span_records_and_emits_what_a_named_span_does() {
+        let (tel, ring) = Telemetry::in_memory(16);
+        let site = tel.span_site("work.unit");
+        let ctx = TraceCtx::for_nonce(3).child("w", 0);
+        for mut s in [tel.span_in("work.unit", || ctx), site.span_in(|| ctx)] {
+            assert!(s.keeps_fields());
+            s.set("items", 2u64);
+        }
+        assert_eq!(tel.registry().unwrap().histogram("work.unit.ns").count(), 2);
+        let events = ring.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!((events[0].seq, events[1].seq), (0, 1));
+        for e in &events {
+            assert_eq!(e.name, "work.unit");
+            let mut want = ctx.fields();
+            want.push(("items".to_string(), Value::U64(2)));
+            assert_eq!(e.fields, want);
+        }
+        let off = Telemetry::off().span_site("work.unit");
+        assert!(!off.span().keeps_fields());
     }
 
     #[test]

@@ -335,7 +335,9 @@ enum Metric {
 }
 
 /// A name-keyed metrics registry. Cheap to clone (shared), thread-safe;
-/// `counter`/`gauge`/`histogram` get-or-create and return shared handles.
+/// `counter`/`gauge`/`histogram` get-or-create and return shared
+/// handles. Looking up a registered name allocates nothing; a hot path
+/// resolves its handles once and then touches only their atomics.
 #[derive(Clone, Default)]
 pub struct Registry {
     metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
@@ -348,19 +350,32 @@ impl Registry {
         Registry::default()
     }
 
+    /// Get or create the metric `name` (as `make` builds it) and hand
+    /// it to `pick`; only a miss allocates the name.
+    fn metric<T>(&self, name: &str, make: fn() -> Metric, pick: impl FnOnce(&Metric) -> T) -> T {
+        let mut metrics = self.metrics.lock().unwrap();
+        if let Some(m) = metrics.get(name) {
+            return pick(m);
+        }
+        let m = make();
+        let picked = pick(&m);
+        metrics.insert(name.to_string(), m);
+        picked
+    }
+
     /// Get or create the counter `name`.
     ///
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::default()))
-        {
-            Metric::Counter(c) => c.clone(),
-            _ => panic!("metric `{name}` is not a counter"),
-        }
+        self.metric(
+            name,
+            || Metric::Counter(Counter::default()),
+            |m| match m {
+                Metric::Counter(c) => c.clone(),
+                _ => panic!("metric `{name}` is not a counter"),
+            },
+        )
     }
 
     /// Get or create the gauge `name`.
@@ -368,14 +383,14 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric `{name}` is not a gauge"),
-        }
+        self.metric(
+            name,
+            || Metric::Gauge(Gauge::default()),
+            |m| match m {
+                Metric::Gauge(g) => g.clone(),
+                _ => panic!("metric `{name}` is not a gauge"),
+            },
+        )
     }
 
     /// Get or create the histogram `name`.
@@ -383,14 +398,20 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::default()))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => panic!("metric `{name}` is not a histogram"),
-        }
+        self.metric(
+            name,
+            || Metric::Histogram(Histogram::default()),
+            |m| match m {
+                Metric::Histogram(h) => h.clone(),
+                _ => panic!("metric `{name}` is not a histogram"),
+            },
+        )
+    }
+
+    /// The histogram `"{span}.ns"` that spans named `span` record
+    /// into.
+    pub(crate) fn span_histogram(&self, span: &str) -> Histogram {
+        self.histogram(&format!("{span}.ns"))
     }
 
     /// Register help text for metric `name`, rendered as the

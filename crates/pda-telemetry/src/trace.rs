@@ -189,12 +189,11 @@ impl TraceCtx {
         f
     }
 
-    /// Stamp this context onto an open span (no-op on inert spans).
+    /// Stamp this context onto an open span. Builds nothing for a span
+    /// that keeps no fields.
     pub fn stamp(&self, span: &mut Span) {
-        if span.is_active() {
-            for (k, v) in self.fields() {
-                span.set(&k, v);
-            }
+        if span.keeps_fields() {
+            span.extend(self.fields());
         }
     }
 }
