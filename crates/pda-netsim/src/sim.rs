@@ -377,7 +377,9 @@ impl Simulator {
                         EvidenceMode::InBand => attest.push(record),
                         EvidenceMode::OutOfBand { appraiser } => {
                             let bytes = record.wire_size();
-                            attest.push(record.clone());
+                            // The packet keeps only the chain value; the
+                            // record itself travels the control channel.
+                            attest.prev = record.chain;
                             // The control channel may lose the push;
                             // the fault plane resolves the retransmit
                             // timeline (timeout + exponential backoff)
@@ -412,20 +414,21 @@ impl Simulator {
                                         .expect("digest holds at least 8 bytes"),
                                 );
                                 let ctx = record.trace_ctx().child("channel", chain8);
-                                self.telemetry.event(name, || {
-                                    let mut fields = ctx.fields();
-                                    fields.push((
-                                        "switch".to_string(),
-                                        self.topo.nodes[node].name.clone().into(),
-                                    ));
-                                    fields.push(("retransmits".to_string(), retransmits.into()));
-                                    fields.push((
-                                        "delivered".to_string(),
-                                        deliver_at.is_some().into(),
-                                    ));
-                                    fields.push(("bytes".to_string(), bytes.into()));
-                                    fields
-                                });
+                                self.telemetry.event(
+                                    name,
+                                    || ctx,
+                                    || {
+                                        vec![
+                                            (
+                                                "switch".to_string(),
+                                                self.topo.nodes[node].name.clone().into(),
+                                            ),
+                                            ("retransmits".to_string(), retransmits.into()),
+                                            ("delivered".to_string(), deliver_at.is_some().into()),
+                                            ("bytes".to_string(), bytes.into()),
+                                        ]
+                                    },
+                                );
                             }
                             if let Some(t) = deliver_at {
                                 self.push(

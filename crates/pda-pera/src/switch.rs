@@ -259,17 +259,15 @@ impl PeraSwitch {
             return Ok((forward, None));
         }
         self.stats.attested_packets += 1;
-        let mut span = self.tel.span("pera.attest");
-        if span.keeps_fields() {
-            // Trace identity is stamped at measurement time: the trace
-            // is the nonce's canonical one, the span is site-scoped by
-            // (switch, attested-packet index), so per-packet and batched
-            // runs stamp identical trace trees.
-            span.set("switch", self.name.as_str());
+        // Trace identity is fixed at measurement time: the trace is the
+        // nonce's canonical one, the span is site-scoped by (switch,
+        // attested-packet index), so per-packet and batched runs emit
+        // identical trace trees.
+        let mut span = self.tel.span_in("pera.attest", || {
             pda_telemetry::TraceCtx::for_nonce(nonce.0)
                 .child(&self.name, self.stats.attested_packets)
-                .stamp(&mut span);
-        }
+        });
+        span.set("switch", self.name.as_str());
         let chained = matches!(self.config.composition, EvidenceComposition::Chained);
         let prev = if chained { prev } else { Digest::ZERO };
         let details = self.measure_details(bytes);

@@ -14,7 +14,7 @@ use pda_dataplane::parser::build_udp_packet;
 use pda_dataplane::{programs, DataplaneProgram};
 use pda_pera::config::{DetailLevel, PeraConfig, Sampling};
 use pda_pera::{assemble_chain, verify_chain, EvidenceRecord, PeraSwitch};
-use pda_telemetry::{AuditEvent, Telemetry};
+use pda_telemetry::{AuditEvent, Telemetry, TraceCtx};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseResult;
 
@@ -61,36 +61,18 @@ struct Run {
     evidence: Vec<EvidenceRecord>,
     stats: pda_pera::PeraStats,
     audit: Vec<pda_telemetry::AuditRecord>,
-    /// `(name, trace, span, parent)` of every trace-stamped span
-    /// event, in emission order — the run's trace tree.
-    trace_tree: Vec<(String, String, String, String)>,
+    /// `(name, trace context)` of every traced span event, in
+    /// emission order — the run's trace tree.
+    trace_tree: Vec<(String, TraceCtx)>,
     key: pda_crypto::sig::VerifyKey,
 }
 
 /// The trace-identity skeleton of a run's span events: timing and
 /// free-form fields stripped, causal identity kept.
-fn trace_tree(ring: &pda_telemetry::MemorySubscriber) -> Vec<(String, String, String, String)> {
-    let field = |e: &pda_telemetry::Event, k: &str| {
-        e.fields
-            .iter()
-            .find(|(n, _)| n == k)
-            .and_then(|(_, v)| match v {
-                pda_telemetry::Value::Str(s) => Some(s.clone()),
-                _ => None,
-            })
-            .unwrap_or_default()
-    };
+fn trace_tree(ring: &pda_telemetry::MemorySubscriber) -> Vec<(String, TraceCtx)> {
     ring.events()
-        .iter()
-        .filter(|e| e.fields.iter().any(|(n, _)| n == "trace"))
-        .map(|e| {
-            (
-                e.name.clone(),
-                field(e, "trace"),
-                field(e, "span"),
-                field(e, "parent"),
-            )
-        })
+        .into_iter()
+        .filter_map(|e| Some((e.name, e.trace?)))
         .collect()
 }
 

@@ -191,14 +191,14 @@ pub fn appraise(
     env: &Environment,
     expected_nonce: Option<Nonce>,
 ) -> AppraisalResult {
-    let _span = env.telemetry.span("ra.appraise");
+    let _span = env.appraise_span.span();
     let mut result = AppraisalResult {
         ok: true,
         failures: Vec::new(),
         checks: 0,
     };
     walk(ev, shape, env, expected_nonce, &mut result);
-    Verdicts::new(&env.telemetry).record(&brief(ev), expected_nonce, &result);
+    env.verdicts.record(&brief(ev), expected_nonce, &result);
     result
 }
 
@@ -240,11 +240,6 @@ impl Verdicts {
                 ok: result.ok,
                 checks: result.checks,
                 cause: result.failures.first().map(Failure::to_string),
-                // The canonical trace for a nonce is derivable by every
-                // component that knows it, so the verdict links back to
-                // the switch-side measurement without any wire-format
-                // change.
-                trace: nonce.map(|n| pda_telemetry::TraceId::for_nonce(n.0).to_hex()),
             });
     }
 }
@@ -295,14 +290,10 @@ pub fn appraise_records(
 ) -> AppraisalResult {
     use pda_pera::evidence::ChainFailure;
 
-    let mut span = telemetry.span.span();
-    if span.keeps_fields() {
-        span.set("subject", subject);
-        pda_telemetry::TraceCtx::for_nonce(expected_nonce.0)
-            .child(subject, 0)
-            .stamp(&mut span);
-    }
-    let _span = span;
+    let mut span = telemetry
+        .span
+        .span_in(|| pda_telemetry::TraceCtx::for_nonce(expected_nonce.0).child(subject, 0));
+    span.set("subject", subject);
     let place_of = |index: usize| -> Place {
         records
             .get(index)

@@ -3,10 +3,12 @@
 //! signing identities, certificate stores, and (for attack experiments)
 //! corruption state.
 
+use crate::appraise::Verdicts;
 use pda_copland::ast::Place;
 use pda_crypto::digest::Digest;
 use pda_crypto::nonce::Nonce;
 use pda_crypto::sig::{SigScheme, Signer, VerifyKey};
+use pda_telemetry::SpanSite;
 use std::collections::HashMap;
 
 /// A measurable component living at some place (a process, a dataplane
@@ -129,6 +131,7 @@ impl PlaceRuntime {
 
 /// The distributed environment: all place runtimes plus the key registry
 /// appraisers verify against.
+#[derive(Default)]
 pub struct Environment {
     /// Place runtimes by name.
     pub places: HashMap<Place, PlaceRuntime>,
@@ -139,33 +142,27 @@ pub struct Environment {
     pub golden: HashMap<(Place, String), Digest>,
     /// Expected attestation source values: (place, property) → digest.
     pub golden_sources: HashMap<(Place, String), Digest>,
-    /// Telemetry handle: appraisals run against this environment emit
-    /// audit events and counters here. Disabled by default.
-    pub telemetry: pda_telemetry::Telemetry,
-}
-
-impl Default for Environment {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// The `ra.appraise` and `ra.appraise_semantic` spans and the
+    /// verdict books appraisals record into, resolved by
+    /// [`Environment::with_telemetry`]; they record nothing by default.
+    pub(crate) appraise_span: SpanSite,
+    pub(crate) semantic_span: SpanSite,
+    pub(crate) verdicts: Verdicts,
 }
 
 impl Environment {
     /// Empty environment.
     pub fn new() -> Environment {
-        Environment {
-            places: HashMap::new(),
-            registry: pda_crypto::keyreg::KeyRegistry::new(),
-            golden: HashMap::new(),
-            golden_sources: HashMap::new(),
-            telemetry: pda_telemetry::Telemetry::off(),
-        }
+        Environment::default()
     }
 
     /// Builder: attach a telemetry handle; appraisal verdicts audit
-    /// through it (see [`crate::appraise::appraise`]).
+    /// through it (see [`crate::appraise::appraise`]). The spans and
+    /// counters appraisals record into are resolved here, once.
     pub fn with_telemetry(mut self, tel: pda_telemetry::Telemetry) -> Environment {
-        self.telemetry = tel;
+        self.appraise_span = tel.span_site("ra.appraise");
+        self.semantic_span = tel.span_site("ra.appraise_semantic");
+        self.verdicts = Verdicts::new(&tel);
         self
     }
 

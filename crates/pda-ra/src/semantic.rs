@@ -16,7 +16,7 @@
 //! (a) the attested digest matches the recomputed one and (b) the
 //! recomputed report is clean under the policy.
 
-use crate::appraise::{AppraisalResult, Failure, Verdicts};
+use crate::appraise::{AppraisalResult, Failure};
 use crate::runtime::Environment;
 use pda_analyze::{AnalysisReport, Diagnostic, Severity};
 use pda_copland::ast::Place;
@@ -79,7 +79,7 @@ impl RequireLintClean {
         program: &DataplaneProgram,
         attested_verdict: Option<&Digest>,
     ) -> SemanticAppraisal {
-        let _span = env.telemetry.span("ra.appraise_semantic");
+        let _span = env.semantic_span.span();
         let report = pda_analyze::analyze_default(program);
         let mut result = AppraisalResult {
             ok: true,
@@ -109,11 +109,8 @@ impl RequireLintClean {
                 detail: format!("{} {}: {}", d.location, d.subject, d.message),
             });
         }
-        Verdicts::new(&env.telemetry).record(
-            &format!("lint({attester},{})", program.name),
-            None,
-            &result,
-        );
+        env.verdicts
+            .record(&format!("lint({attester},{})", program.name), None, &result);
         SemanticAppraisal { result, report }
     }
 }

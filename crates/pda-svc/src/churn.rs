@@ -100,15 +100,16 @@ pub struct ChurnReport {
 
 /// Reload `sw1` with the Athens-affair wiretap variant: same identity
 /// and signing keys, different (malicious) program — exactly what
-/// golden-value appraisal exists to catch. Public so `pda client
-/// submit --rogue` can stage the same attack by hand.
+/// golden-value appraisal exists to catch. The reload goes through
+/// [`pda_pera::PeraSwitch::load_program`], so the switch re-measures
+/// the program instead of attesting a cached digest of the one it
+/// replaced. Public so `pda client submit --rogue` can stage the same
+/// attack by hand.
 pub fn rogue_reload(fleet: &mut LinearPath) {
     for node in &mut fleet.sim.topo.nodes {
         if node.name == "sw1" {
             if let DeviceKind::Pera(sw) = &mut node.kind {
-                let prog = programs::rogue_wiretap(&[(0, 0, 1)], &[0x0a00_0001], 9);
-                sw.regs = prog.make_registers();
-                sw.program = prog;
+                sw.load_program(programs::rogue_wiretap(&[(0, 0, 1)], &[0x0a00_0001], 9));
             }
         }
     }

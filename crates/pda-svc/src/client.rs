@@ -12,7 +12,7 @@
 //! concurrent callers simply check out distinct connections.
 
 use crate::http::{parse_response_bytes, ParsedResponse, ResponseParse};
-use crate::rpc::{parse_response, response_traceparent, to_hex, RpcRequest};
+use crate::rpc::{parse_response, to_hex, RpcRequest};
 use pda_pera::EvidenceRecord;
 use pda_telemetry::json::Json;
 use pda_telemetry::TraceCtx;
@@ -86,7 +86,7 @@ impl SvcClient {
         let reply = self.exchange(wire.as_bytes())?;
         let body =
             std::str::from_utf8(&reply.body).map_err(|_| "reply body is not UTF-8".to_string())?;
-        Ok((parse_response(body)?, response_traceparent(body)))
+        parse_response(body)
     }
 
     /// Submit evidence records (hex-encoded wire form).

@@ -227,7 +227,7 @@ impl Federation {
         let mut votes = Vec::with_capacity(total);
         let mut causes = Vec::new();
         let mut checks = 0u64;
-        // All members share the nonce-derived trace the switch stamped
+        // All members share the nonce-derived trace the switch opened
         // at measurement time; each gets its own child span.
         let ctx = TraceCtx::for_nonce(nonce.0);
         for (i, a) in self.appraisers.iter().enumerate() {
@@ -250,14 +250,18 @@ impl Federation {
             }
             dissenters.push(a.name().to_string());
         }
-        telemetry.event("svc.quorum", || {
-            let mut fields = ctx.child("quorum", 0).fields();
-            fields.push(("ok".to_string(), ok.into()));
-            fields.push(("yes".to_string(), (yes as u64).into()));
-            fields.push(("required".to_string(), (required as u64).into()));
-            fields.push(("dissent".to_string(), (dissenters.len() as u64).into()));
-            fields
-        });
+        telemetry.event(
+            "svc.quorum",
+            || ctx.child("quorum", 0),
+            || {
+                vec![
+                    ("ok".to_string(), ok.into()),
+                    ("yes".to_string(), (yes as u64).into()),
+                    ("required".to_string(), (required as u64).into()),
+                    ("dissent".to_string(), (dissenters.len() as u64).into()),
+                ]
+            },
+        );
         telemetry.audit_with(|| pda_telemetry::AuditEvent::Appraisal {
             subject: "svc/quorum".to_string(),
             nonce: Some(nonce.0),
@@ -270,7 +274,6 @@ impl Federation {
                     "quorum not met: {yes}/{total} yes, {required} required"
                 ))
             },
-            trace: Some(ctx.trace.to_hex()),
         });
         QuorumVerdict {
             ok,
@@ -416,5 +419,48 @@ mod tests {
         let verdict = federation.appraise(&chain, nonce, true, &tel);
         assert!(!verdict.ok);
         assert_eq!(verdict.yes, 0, "every member rejects: {:?}", verdict.causes);
+    }
+
+    #[test]
+    fn a_rogue_reload_after_a_clean_attestation_is_rejected() {
+        use crate::churn::rogue_reload;
+        use crate::fleet::{enroll_fleet_golden, fleet_registry, standard_fleet};
+        use pda_netsim::EvidenceMode;
+        use pda_pera::evidence::assemble_chain;
+
+        // The switch measures (and caches) its clean program for the
+        // first nonce; the reloaded rogue must not attest that digest.
+        let mut fleet = standard_fleet(3);
+        let (golden, registry) = (enroll_fleet_golden(&fleet), fleet_registry(&fleet));
+        let federation = Federation {
+            appraisers: ["a1", "a2", "a3"]
+                .map(|n| Appraiser::new(n, golden.clone(), registry.clone()))
+                .into(),
+            quorum: Quorum::Majority,
+        };
+        let appraiser = fleet.appraiser;
+        let tel = Telemetry::off();
+        let attest = |fleet: &mut pda_netsim::LinearPath, nonce| {
+            fleet.send_attested(nonce, EvidenceMode::OutOfBand { appraiser }, b"pkt");
+            let records = fleet.sim.evidence_at(appraiser);
+            let (chain, _) = assemble_chain(
+                records
+                    .iter()
+                    .filter(|r| r.nonce == nonce)
+                    .cloned()
+                    .collect(),
+            );
+            assert_eq!(chain.len(), 3);
+            federation.appraise(&chain, nonce, true, &tel)
+        };
+        assert!(attest(&mut fleet, Nonce(1)).ok, "the clean program passes");
+        rogue_reload(&mut fleet);
+        let verdict = attest(&mut fleet, Nonce(2));
+        assert!(!verdict.ok);
+        assert_eq!(verdict.yes, 0);
+        assert_eq!(verdict.causes.len(), 3);
+        for cause in &verdict.causes {
+            assert!(cause.contains("measurement of program"), "{cause}");
+        }
     }
 }

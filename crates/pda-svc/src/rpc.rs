@@ -57,13 +57,13 @@ impl RpcRequest {
         self
     }
 
-    /// Parse a request from a JSON text body. Never panics on
-    /// arbitrary input.
+    /// Parse a request from a JSON text body, moving `method`,
+    /// `traceparent` and `params` out of the parsed tree. Never panics
+    /// on arbitrary input.
     pub fn parse(text: &str) -> Result<RpcRequest, RpcError> {
-        let v = parse_json(text).map_err(|e| RpcError::BadJson(e.to_string()))?;
-        let obj_err = RpcError::BadRequest("request must be an object");
+        let mut v = parse_json(text).map_err(|e| RpcError::BadJson(e.to_string()))?;
         let Json::Obj(_) = v else {
-            return Err(obj_err);
+            return Err(RpcError::BadRequest("request must be an object"));
         };
         match v.get("jsonrpc").and_then(Json::as_str) {
             Some("2.0") => {}
@@ -73,16 +73,14 @@ impl RpcRequest {
             .get("id")
             .and_then(Json::as_u64)
             .ok_or(RpcError::BadRequest("id must be an unsigned integer"))?;
-        let method = v
-            .get("method")
-            .and_then(Json::as_str)
-            .ok_or(RpcError::BadRequest("method must be a string"))?
-            .to_string();
-        let traceparent = v
-            .get("traceparent")
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        let params = v.get("params").cloned().unwrap_or(Json::Null);
+        let Some(Json::Str(method)) = v.take("method") else {
+            return Err(RpcError::BadRequest("method must be a string"));
+        };
+        let traceparent = match v.take("traceparent") {
+            Some(Json::Str(tp)) => Some(tp),
+            _ => None,
+        };
+        let params = v.take("params").unwrap_or(Json::Null);
         Ok(RpcRequest {
             id,
             method,
@@ -128,15 +126,6 @@ pub fn ok_response_traced(id: u64, result: Json, traceparent: Option<&str>) -> S
     Json::Obj(fields).encode()
 }
 
-/// The `traceparent` echoed in a response body, if any.
-pub fn response_traceparent(text: &str) -> Option<String> {
-    parse_json(text)
-        .ok()?
-        .get("traceparent")
-        .and_then(Json::as_str)
-        .map(str::to_string)
-}
-
 /// Encode an error response.
 pub fn err_response(id: u64, code: i64, message: &str) -> String {
     Json::Obj(vec![
@@ -153,9 +142,10 @@ pub fn err_response(id: u64, code: i64, message: &str) -> String {
     .encode()
 }
 
-/// Decode a response body: `Ok(result)` or `Err(message)`.
-pub fn parse_response(text: &str) -> Result<Json, String> {
-    let v = parse_json(text).map_err(|e| format!("invalid JSON response: {e}"))?;
+/// Decode a response body: `Ok((result, echoed traceparent))` or
+/// `Err(message)`. Both are moved out of the parsed tree.
+pub fn parse_response(text: &str) -> Result<(Json, Option<String>), String> {
+    let mut v = parse_json(text).map_err(|e| format!("invalid JSON response: {e}"))?;
     if let Some(err) = v.get("error") {
         return Err(err
             .get("message")
@@ -163,9 +153,14 @@ pub fn parse_response(text: &str) -> Result<Json, String> {
             .unwrap_or("unknown error")
             .to_string());
     }
-    v.get("result")
-        .cloned()
-        .ok_or_else(|| "response has neither result nor error".to_string())
+    let traceparent = match v.take("traceparent") {
+        Some(Json::Str(tp)) => Some(tp),
+        _ => None,
+    };
+    let result = v
+        .take("result")
+        .ok_or_else(|| "response has neither result nor error".to_string())?;
+    Ok((result, traceparent))
 }
 
 /// Lower-case hex encoding of arbitrary bytes (evidence submission
@@ -232,7 +227,7 @@ mod tests {
     #[test]
     fn responses_encode_and_decode() {
         let ok = ok_response(3, Json::Bool(true));
-        assert_eq!(parse_response(&ok), Ok(Json::Bool(true)));
+        assert_eq!(parse_response(&ok), Ok((Json::Bool(true), None)));
         let err = err_response(3, -32600, "nope");
         assert_eq!(parse_response(&err), Err("nope".to_string()));
     }
@@ -252,11 +247,10 @@ mod tests {
         assert_eq!(back.encode(), text, "traced round trip is byte-identical");
 
         let reply = ok_response_traced(5, Json::Bool(true), back.traceparent.as_deref());
-        assert_eq!(parse_response(&reply), Ok(Json::Bool(true)));
-        assert_eq!(response_traceparent(&reply), Some(tp));
+        assert_eq!(parse_response(&reply), Ok((Json::Bool(true), Some(tp))));
         assert_eq!(
-            response_traceparent(&ok_response(5, Json::Bool(true))),
-            None,
+            parse_response(&ok_response(5, Json::Bool(true))),
+            Ok((Json::Bool(true), None)),
             "untraced responses carry no echo"
         );
     }

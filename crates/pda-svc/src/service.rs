@@ -25,8 +25,8 @@ use pda_pera::evidence::assemble_chain;
 use pda_pera::EvidenceRecord;
 use pda_telemetry::json::Json;
 use pda_telemetry::{
-    AuditRecord, Counter, FlightRecorder, Histogram, SloPolicy, SpanSite, Telemetry, TraceCtx,
-    TraceId,
+    AuditRecord, Counter, FlightRecorder, Histogram, Registry, SloPolicy, SpanSite, Telemetry,
+    TraceCtx, TraceId,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -109,7 +109,9 @@ pub struct AppraisalService {
     /// Flight recorder fed by the same telemetry handle; anomalous
     /// verdicts trigger a per-trace dump.
     flight: Option<Arc<FlightRecorder>>,
-    /// Verdict-latency SLO, re-evaluated and published per appraisal.
+    /// Verdict-latency SLO: evaluated per appraisal for the flight
+    /// recorder's p99 trigger, published as gauges where metrics are
+    /// rendered.
     slo: Option<SloPolicy>,
 }
 
@@ -156,8 +158,10 @@ impl AppraisalService {
         self
     }
 
-    /// Track a verdict-latency SLO over `svc.verdict.ns`, publishing
-    /// compliance and burn-rate gauges after every appraisal.
+    /// Track a verdict-latency SLO over `svc.verdict.ns`: its
+    /// compliance, burn-rate and p99-breach gauges are published
+    /// whenever metrics are rendered (`GET /metrics`, the `metrics`
+    /// RPC), and a p99 breach trips the flight recorder.
     pub fn with_slo(mut self, policy: SloPolicy) -> AppraisalService {
         self.slo = Some(policy);
         self
@@ -234,24 +238,8 @@ impl AppraisalService {
             .federation
             .appraise(&chain, Nonce(nonce), self.chained, &self.telemetry);
         let elapsed_ns = start.elapsed().as_nanos() as u64;
-        let mut p99_breached = false;
-        let mut slow_traces: Vec<TraceId> = Vec::new();
-        if let (Some(m), Some(reg)) = (&self.metrics, self.telemetry.registry()) {
+        if let Some(m) = &self.metrics {
             m.verdict_ns.record_traced(elapsed_ns, trace);
-            if let Some(slo) = &self.slo {
-                p99_breached = slo.publish(reg, &m.verdict_ns).p99_breached;
-                if p99_breached {
-                    // A p99 breach is an aggregate symptom: the slow
-                    // requests are the histogram's exemplars, not
-                    // necessarily the request that tipped the quantile.
-                    slow_traces = m
-                        .verdict_ns
-                        .exemplars()
-                        .into_iter()
-                        .map(|e| e.trace)
-                        .collect();
-                }
-            }
             m.appraisals.inc();
             if !verdict.ok {
                 m.appraisal_failures.inc();
@@ -263,14 +251,24 @@ impl AppraisalService {
             } else if !verdict.dissenters.is_empty() {
                 flight.trigger("dissent", trace);
             }
-            if p99_breached {
-                // Dump the exemplar (actually-slow) traces plus the
-                // current one, deduplicated.
-                if !slow_traces.contains(&trace) {
-                    slow_traces.push(trace);
-                }
-                for t in &slow_traces {
-                    flight.trigger("slo_p99_breach", *t);
+            if let (Some(slo), Some(m)) = (&self.slo, &self.metrics) {
+                if slo.evaluate(&m.verdict_ns).p99_breached {
+                    // A p99 breach is an aggregate symptom: the slow
+                    // requests are the histogram's exemplars, not
+                    // necessarily the request that tipped the quantile.
+                    // Dump them plus the current one, deduplicated.
+                    let mut slow_traces: Vec<TraceId> = m
+                        .verdict_ns
+                        .exemplars()
+                        .into_iter()
+                        .map(|e| e.trace)
+                        .collect();
+                    if !slow_traces.contains(&trace) {
+                        slow_traces.push(trace);
+                    }
+                    for t in &slow_traces {
+                        flight.trigger("slo_p99_breach", *t);
+                    }
                 }
             }
         }
@@ -304,10 +302,20 @@ impl AppraisalService {
     }
 
     fn rpc_metrics(&self) -> Result<Json, String> {
-        self.telemetry
-            .registry()
-            .map(|r| r.encode_json())
+        self.rendered_registry()
+            .map(Registry::encode_json)
             .ok_or("telemetry is disabled; no metrics".to_string())
+    }
+
+    /// The registry about to be rendered, with the SLO gauges
+    /// published from the histogram it holds, so a rendering is
+    /// consistent; `None` when telemetry is disabled.
+    fn rendered_registry(&self) -> Option<&Registry> {
+        let (m, reg) = (self.metrics.as_ref()?, self.telemetry.registry()?);
+        if let Some(slo) = &self.slo {
+            slo.publish(reg, &m.verdict_ns);
+        }
+        Some(reg)
     }
 
     fn health_json(&self) -> Json {
@@ -330,7 +338,7 @@ impl AppraisalService {
     pub fn dispatch(&self, req: &RpcRequest) -> String {
         // Join the caller's trace: an explicit traceparent wins, else
         // derive from the nonce parameter (the canonical trace key).
-        // Only a span that keeps fields or a flight dump reads it.
+        // Only a span that keeps events or a flight dump reads it.
         let ctx = || {
             req.traceparent
                 .as_deref()
@@ -342,14 +350,10 @@ impl AppraisalService {
                         .map(TraceCtx::for_nonce)
                 })
         };
-        let mut span = self.rpc_span.span();
-        if span.keeps_fields() {
-            span.set("method", req.method.as_str());
-            if let Some(c) = ctx() {
-                c.child("svc.rpc", req.id).stamp(&mut span);
-            }
-        }
-        let _span = span;
+        let mut span = self
+            .rpc_span
+            .span_in(|| ctx().map(|c| c.child("svc.rpc", req.id)));
+        span.set("method", req.method.as_str());
         let result = match req.method.as_str() {
             "submit-evidence" => self.rpc_submit(&req.params),
             "appraise" => self.rpc_appraise(&req.params),
@@ -426,16 +430,9 @@ impl Handler for AppraisalService {
                     Err(e) => HttpResponse::json(400, err_response(0, -32600, &e.to_string())),
                 }
             }
-            ("GET", "/metrics") => match (&self.metrics, self.telemetry.registry()) {
-                (Some(m), Some(reg)) => {
-                    // Refresh the SLO gauges so scrapes always see
-                    // values consistent with the histogram they read.
-                    if let Some(slo) = &self.slo {
-                        slo.publish(reg, &m.verdict_ns);
-                    }
-                    HttpResponse::text(200, reg.encode_prometheus())
-                }
-                _ => HttpResponse::text(404, "telemetry disabled\n".to_string()),
+            ("GET", "/metrics") => match self.rendered_registry() {
+                Some(reg) => HttpResponse::text(200, reg.encode_prometheus()),
+                None => HttpResponse::text(404, "telemetry disabled\n".to_string()),
             },
             ("GET", "/health") => HttpResponse::json(200, self.health_json().encode()),
             ("POST", _) | ("GET", _) => {
@@ -472,14 +469,16 @@ mod tests {
             "submit-evidence",
             Json::Obj(vec![("records".to_string(), Json::Str(hex.to_string()))]),
         );
-        let reply = crate::rpc::parse_response(&svc.dispatch(&sub)).expect("submit accepted");
+        let (reply, _) = crate::rpc::parse_response(&svc.dispatch(&sub)).expect("submit accepted");
         assert_eq!(reply.get("accepted").and_then(Json::as_u64), Some(3));
         let app = RpcRequest::new(
             2,
             "appraise",
             Json::Obj(vec![("nonce".to_string(), Json::UInt(nonce))]),
         );
-        crate::rpc::parse_response(&svc.dispatch(&app)).expect("appraisal ran")
+        crate::rpc::parse_response(&svc.dispatch(&app))
+            .expect("appraisal ran")
+            .0
     }
 
     #[test]
@@ -516,7 +515,7 @@ mod tests {
                 Json::Str("svc/a3".to_string()),
             )]),
         );
-        let log = crate::rpc::parse_response(&svc.dispatch(&q)).unwrap();
+        let (log, _) = crate::rpc::parse_response(&svc.dispatch(&q)).unwrap();
         let recs = log.get("records").and_then(Json::as_arr).unwrap();
         assert!(!recs.is_empty(), "dissenter's verdict is in the log");
         assert_eq!(
@@ -572,7 +571,6 @@ mod tests {
             ok: true,
             checks: 1,
             cause: None,
-            trace: None,
         };
         // Every kind, subject-bearing ones interleaved with kinds that
         // carry none: an attester, signer or unit that contains the
@@ -656,7 +654,7 @@ mod tests {
                 reference(subject, limit),
                 "{subject:?}, limit {limit}"
             );
-            let log = crate::rpc::parse_response(&reply).unwrap();
+            let (log, _) = crate::rpc::parse_response(&reply).unwrap();
             let got: Vec<u64> = log
                 .get("records")
                 .and_then(Json::as_arr)
@@ -669,11 +667,64 @@ mod tests {
     }
 
     #[test]
+    fn slo_gauges_show_in_both_metric_renderings() {
+        let slo = SloPolicy::new("svc.verdict.ns", 60_000_000_000, 0.99);
+        let svc = AppraisalService::new(SvcConfig::default(), Telemetry::collecting())
+            .with_slo(slo.clone());
+        for nonce in 1..=3 {
+            submit_and_appraise(&svc, nonce, &wire_chain(3, nonce));
+        }
+        let verdicts = svc
+            .telemetry()
+            .registry()
+            .unwrap()
+            .histogram("svc.verdict.ns");
+        let status = slo.evaluate(&verdicts);
+        assert_eq!(status.count, 3);
+        let want = [
+            ("compliance_ppm", (status.compliance * 1e6) as i64),
+            ("burn_rate_ppm", (status.burn_rate * 1e6) as i64),
+            ("p99_breached", i64::from(status.p99_breached)),
+        ];
+        // The `metrics` RPC first, so it cannot lean on a scrape.
+        let reply = svc.dispatch(&RpcRequest::new(1, "metrics", Json::Null));
+        let reply = pda_telemetry::json::parse(&reply).unwrap();
+        let metrics = reply.get("result").unwrap();
+        for (suffix, value) in want {
+            let gauge = metrics
+                .get(&format!("svc.verdict.ns.slo.{suffix}"))
+                .unwrap();
+            assert_eq!(gauge.get("type").and_then(Json::as_str), Some("gauge"));
+            assert_eq!(
+                gauge.get("value").and_then(Json::as_f64),
+                Some(value as f64)
+            );
+        }
+        let scrape = svc.handle(&HttpRequest {
+            method: "GET".to_string(),
+            path: "/metrics".to_string(),
+            version: "HTTP/1.1".to_string(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        });
+        assert_eq!(scrape.status, 200);
+        let text = String::from_utf8(scrape.body).unwrap();
+        for (suffix, value) in want {
+            let name = format!("svc_verdict_ns_slo_{suffix}");
+            assert!(text.contains(&format!("# HELP {name} ")), "{name}:\n{text}");
+            assert!(
+                text.contains(&format!("\n{name} {value}\n")),
+                "{name}:\n{text}"
+            );
+        }
+    }
+
+    #[test]
     fn shutdown_rpc_sets_the_flag() {
         let svc = AppraisalService::new(SvcConfig::default(), Telemetry::collecting());
         assert!(!svc.shutdown_requested());
         let req = RpcRequest::new(1, "shutdown", Json::Null);
-        let reply = crate::rpc::parse_response(&svc.dispatch(&req)).unwrap();
+        let (reply, _) = crate::rpc::parse_response(&svc.dispatch(&req)).unwrap();
         assert_eq!(reply.get("stopping").and_then(Json::as_bool), Some(true));
         assert!(svc.shutdown_requested());
     }

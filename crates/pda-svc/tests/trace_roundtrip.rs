@@ -102,7 +102,7 @@ fn churn_traces_span_switch_to_quorum_for_accepted_and_rejected() {
     );
 
     // Recover one accepted and one rejected trace id from the
-    // appraiser-side audit log.
+    // appraiser-side audit log: a verdict's trace is its nonce's.
     let log = svc.telemetry().audit_log().unwrap();
     let mut accepted = None;
     let mut rejected = None;
@@ -110,12 +110,12 @@ fn churn_traces_span_switch_to_quorum_for_accepted_and_rejected() {
         if let AuditEvent::Appraisal {
             subject,
             ok,
-            trace: Some(t),
+            nonce: Some(n),
             ..
         } = &r.event
         {
             if subject == "svc/quorum" {
-                let id = TraceId::from_hex(t).expect("audit trace ids are 16-char hex");
+                let id = TraceId::for_nonce(*n);
                 if *ok {
                     accepted.get_or_insert(id);
                 } else {

@@ -5,8 +5,14 @@
 //! [`AuditEvent`] with a monotonically increasing sequence number.
 //! Records serialize to JSONL and parse back losslessly, so an
 //! appraiser's decisions can be replayed and audited offline.
+//!
+//! An appraisal verdict's causal trace is not stored: it is the
+//! nonce's canonical [`TraceId::for_nonce`], which [`AuditRecord::to_json`]
+//! writes as the record's `trace` key, so a verdict joins the
+//! flight recorder's trace of the same nonce.
 
 use crate::json::{parse, Json};
+use crate::trace::TraceId;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -48,7 +54,9 @@ pub enum AuditEvent {
     Appraisal {
         /// What was appraised (attester name or chain summary).
         subject: String,
-        /// Expected nonce, when the policy checked freshness.
+        /// Expected nonce, when the policy checked freshness. It also
+        /// names the verdict's causal trace ([`TraceId::for_nonce`]),
+        /// linking it back to the switch-side measurement.
         nonce: Option<u64>,
         /// Verdict.
         ok: bool,
@@ -56,10 +64,6 @@ pub enum AuditEvent {
         checks: u64,
         /// First failure cause, when the verdict is negative.
         cause: Option<String>,
-        /// Causal trace ID (16-char hex) linking this verdict back to
-        /// the switch-side measurement; absent on untraced appraisals
-        /// and in pre-trace logs (the field is optional on parse).
-        trace: Option<String>,
     },
     /// A static-analysis (lint) verdict over a loaded program — emitted
     /// when a PERA switch measures the `LintVerdict` evidence level or
@@ -127,7 +131,8 @@ pub struct AuditRecord {
 }
 
 impl AuditRecord {
-    /// Render as a JSON object.
+    /// Render as a JSON object. An appraisal with a nonce gains a
+    /// `trace` key: the nonce's trace ID as 16-char hex.
     pub fn to_json(&self) -> Json {
         let mut f = vec![
             ("seq".to_string(), Json::UInt(self.seq)),
@@ -174,7 +179,6 @@ impl AuditRecord {
                 ok,
                 checks,
                 cause,
-                trace,
             } => {
                 f.push(("subject".into(), Json::Str(subject.clone())));
                 match nonce {
@@ -187,9 +191,8 @@ impl AuditRecord {
                     Some(c) => f.push(("cause".into(), Json::Str(c.clone()))),
                     None => f.push(("cause".into(), Json::Null)),
                 }
-                // Omitted when absent, keeping pre-trace logs parseable.
-                if let Some(t) = trace {
-                    f.push(("trace".into(), Json::Str(t.clone())));
+                if let Some(n) = nonce {
+                    f.push(("trace".into(), Json::Str(TraceId::for_nonce(*n).to_hex())));
                 }
             }
             AuditEvent::Lint {
@@ -231,7 +234,8 @@ impl AuditRecord {
         Json::Obj(f)
     }
 
-    /// Parse one record back from its JSON form.
+    /// Parse one record back from its JSON form. An appraisal's `trace`
+    /// key is ignored: the nonce determines it.
     pub fn from_json(v: &Json) -> Result<AuditRecord, AuditParseErr> {
         let field = |name: &str| v.get(name).ok_or(AuditParseErr::Missing(name.to_string()));
         let str_field = |name: &str| -> Result<String, AuditParseErr> {
@@ -294,15 +298,6 @@ impl AuditRecord {
                             .as_str()
                             .map(str::to_string)
                             .ok_or(AuditParseErr::Type("cause".into()))?,
-                    ),
-                },
-                trace: match v.get("trace") {
-                    None | Some(Json::Null) => None,
-                    Some(other) => Some(
-                        other
-                            .as_str()
-                            .map(str::to_string)
-                            .ok_or(AuditParseErr::Type("trace".into()))?,
                     ),
                 },
             },
@@ -489,7 +484,6 @@ mod tests {
                 ok: false,
                 checks: 5,
                 cause: Some("golden value mismatch at Program".into()),
-                trace: Some(crate::trace::TraceId::for_nonce(42).to_hex()),
             },
             AuditEvent::Appraisal {
                 subject: "sw1".into(),
@@ -497,7 +491,6 @@ mod tests {
                 ok: true,
                 checks: 3,
                 cause: None,
-                trace: None,
             },
             AuditEvent::Lint {
                 subject: "sw0".into(),
@@ -572,13 +565,14 @@ mod tests {
 
     #[test]
     fn pre_trace_appraisal_lines_still_parse() {
-        // Logs written before the trace field existed omit it.
+        // Logs written before the trace key existed omit it; a written
+        // trace is the nonce's, so both lines parse to one record.
         let line = r#"{"seq": 0, "kind": "appraisal", "subject": "sw0", "nonce": 1, "ok": true, "checks": 2, "cause": null}"#;
         let recs = parse_jsonl(line).unwrap();
-        assert!(matches!(
-            &recs[0].event,
-            AuditEvent::Appraisal { trace: None, .. }
-        ));
+        let traced = recs[0].to_json().encode();
+        let hex = TraceId::for_nonce(1).to_hex();
+        assert!(traced.ends_with(&format!(r#""cause":null,"trace":"{hex}"}}"#)));
+        assert_eq!(parse_jsonl(&traced).unwrap(), recs);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Structured events and the pluggable subscriber sinks.
 //!
-//! An [`Event`] is a named record with optional elapsed time and
-//! key=value fields; a [`Subscriber`] receives finished events. Two
+//! An [`Event`] is a named record with optional elapsed time, the
+//! trace context it belongs to, and key=value fields; a
+//! [`Subscriber`] receives finished events. Two
 //! sinks ship here: [`MemorySubscriber`] (bounded ring buffer for tests
 //! and in-process inspection) and [`JsonlSubscriber`] (one JSON object
 //! per line to any `Write`); the flight recorder
@@ -10,6 +11,7 @@
 //! so it builds no events to drop.
 
 use crate::json::Json;
+use crate::trace::TraceCtx;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,6 +88,10 @@ pub struct Event {
     pub name: String,
     /// Wall-clock duration for spans; `None` for instant events.
     pub elapsed_ns: Option<u64>,
+    /// The trace context the event was opened in
+    /// ([`crate::Telemetry::span_in`], [`crate::Telemetry::event`]);
+    /// `None` for an untraced event.
+    pub trace: Option<TraceCtx>,
     /// Attached key=value fields.
     pub fields: Vec<(String, Value)>,
     /// Process-wide ordering sequence number.
@@ -93,7 +99,8 @@ pub struct Event {
 }
 
 impl Event {
-    /// Render as a JSON object.
+    /// Render as a JSON object. A traced event carries its context as
+    /// `trace`, `span` and (below the root) `parent`, each 16-char hex.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("seq".to_string(), Json::UInt(self.seq)),
@@ -101,6 +108,13 @@ impl Event {
         ];
         if let Some(ns) = self.elapsed_ns {
             fields.push(("elapsed_ns".to_string(), Json::UInt(ns)));
+        }
+        if let Some(ctx) = &self.trace {
+            fields.push(("trace".to_string(), Json::Str(ctx.trace.to_hex())));
+            fields.push(("span".to_string(), Json::Str(ctx.span.to_hex())));
+            if let Some(parent) = ctx.parent {
+                fields.push(("parent".to_string(), Json::Str(parent.to_hex())));
+            }
         }
         for (k, v) in &self.fields {
             fields.push((k.clone(), v.to_json()));
@@ -213,6 +227,7 @@ mod tests {
         Event {
             name: name.to_string(),
             elapsed_ns: Some(seq * 10),
+            trace: None,
             fields: vec![("k".to_string(), Value::U64(seq))],
             seq,
         }
@@ -241,6 +256,7 @@ mod tests {
         sub.observe(&Event {
             name: "note".to_string(),
             elapsed_ns: None,
+            trace: None,
             fields: vec![("msg".to_string(), Value::Str("hi \"there\"".into()))],
             seq: 2,
         });
@@ -260,5 +276,31 @@ mod tests {
             Some("hi \"there\"")
         );
         assert_eq!(second.get("elapsed_ns"), None);
+    }
+
+    #[test]
+    fn trace_renders_parent_only_when_present() {
+        let root = TraceCtx::for_nonce(1);
+        let child = root.child("x", 0);
+        let hex = |v: u64| format!("{v:016x}");
+        let (t, r, c) = (hex(root.trace.0), hex(root.span.0), hex(child.span.0));
+        let line = |trace| {
+            Event {
+                trace,
+                ..ev("e", 0)
+            }
+            .to_json()
+            .encode()
+        };
+        let head = r#"{"seq":0,"name":"e","elapsed_ns":0"#;
+        assert_eq!(line(None), format!(r#"{head},"k":0}}"#));
+        assert_eq!(
+            line(Some(root)),
+            format!(r#"{head},"trace":"{t}","span":"{r}","k":0}}"#)
+        );
+        assert_eq!(
+            line(Some(child)),
+            format!(r#"{head},"trace":"{t}","span":"{c}","parent":"{r}","k":0}}"#)
+        );
     }
 }

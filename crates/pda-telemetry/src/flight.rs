@@ -1,9 +1,10 @@
 //! Flight recorder: a bounded per-trace ring of recent spans/events,
 //! dumped as JSONL when an anomaly trigger fires.
 //!
-//! The recorder is an ordinary [`Subscriber`]: it watches the event
-//! stream for the `trace` field stamped by [`crate::trace::TraceCtx`]
-//! and retains the last N events of each of the most recent M traces.
+//! The recorder is an ordinary [`Subscriber`]: it files each event
+//! under the trace of its context ([`Event::trace`]), drops untraced
+//! ones, and retains the last N events of each of the most recent M
+//! traces.
 //! It records nothing on its own initiative — a caller that detects
 //! an anomaly (verdict rejection, quorum dissent, timeout,
 //! indeterminate result, SLO burn) calls [`FlightRecorder::trigger`],
@@ -14,19 +15,19 @@
 //! Dumps are rendered back into per-trace trees by
 //! [`render_trace_trees`] (the engine behind `pda trace`).
 
-use crate::event::{Event, Subscriber, Value};
+use crate::event::{Event, Subscriber};
 use crate::json::{parse as parse_json, Json};
-use crate::trace::TraceId;
+use crate::trace::{TraceCtx, TraceId};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 struct RecorderState {
-    /// Retained events, keyed by trace ID, oldest first.
-    traces: BTreeMap<u64, VecDeque<Event>>,
+    /// Retained events, keyed by trace, oldest first.
+    traces: BTreeMap<TraceId, VecDeque<Event>>,
     /// Trace arrival order, for eviction when `trace_capacity` is hit.
-    order: VecDeque<u64>,
+    order: VecDeque<TraceId>,
 }
 
 /// Bounded ring subscriber retaining recent events per trace; see the
@@ -81,7 +82,7 @@ impl FlightRecorder {
             .lock()
             .unwrap()
             .traces
-            .get(&trace.0)
+            .get(&trace)
             .map(|q| q.iter().cloned().collect())
             .unwrap_or_default()
     }
@@ -116,20 +117,11 @@ impl FlightRecorder {
 
 impl Subscriber for FlightRecorder {
     fn observe(&self, event: &Event) {
-        // Only traced events are retained; the `trace` field is the
-        // 16-hex stamp from `TraceCtx::fields`.
-        let Some(trace) = event
-            .fields
-            .iter()
-            .find_map(|(k, v)| match (k.as_str(), v) {
-                ("trace", Value::Str(s)) => TraceId::from_hex(s),
-                _ => None,
-            })
-        else {
+        let Some(TraceCtx { trace, .. }) = event.trace else {
             return;
         };
         let mut st = self.state.lock().unwrap();
-        if !st.traces.contains_key(&trace.0) {
+        if !st.traces.contains_key(&trace) {
             if st.order.len() == self.trace_capacity {
                 if let Some(old) = st.order.pop_front() {
                     if let Some(q) = st.traces.remove(&old) {
@@ -137,10 +129,10 @@ impl Subscriber for FlightRecorder {
                     }
                 }
             }
-            st.order.push_back(trace.0);
-            st.traces.insert(trace.0, VecDeque::new());
+            st.order.push_back(trace);
+            st.traces.insert(trace, VecDeque::new());
         }
-        let q = st.traces.get_mut(&trace.0).expect("just inserted");
+        let q = st.traces.get_mut(&trace).expect("just inserted");
         if q.len() == self.events_per_trace {
             q.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -309,11 +301,10 @@ pub fn render_trace_trees(jsonl: &str, filter: Option<TraceId>) -> Result<String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceCtx;
     use crate::Telemetry;
 
     fn traced_event(tel: &Telemetry, name: &str, ctx: &TraceCtx) {
-        tel.event(name, || ctx.fields());
+        tel.event(name, || *ctx, Vec::new);
     }
 
     #[test]
@@ -326,7 +317,7 @@ mod tests {
             traced_event(&tel, &format!("a{i}"), &a);
         }
         traced_event(&tel, "b0", &b);
-        tel.event("untraced", Vec::new);
+        tel.event("untraced", || None::<TraceCtx>, Vec::new);
         assert_eq!(rec.trace_events(a.trace).len(), 3, "ring bounded");
         assert_eq!(rec.trace_events(b.trace).len(), 1);
         assert_eq!(rec.dropped(), 2, "two oldest a-events evicted");
@@ -368,18 +359,9 @@ mod tests {
         let rpc = root.child("svc.rpc", 0);
         let member = rpc.child("svc.appraiser.a1", 0);
         let (tel, ring) = Telemetry::in_memory(16);
-        {
-            let mut s = tel.span("pera.attest");
-            root.child("pera.attest:sw1", 1).stamp(&mut s);
-        }
-        {
-            let mut s = tel.span("svc.rpc");
-            rpc.stamp(&mut s);
-        }
-        {
-            let mut s = tel.span("svc.appraiser.a1");
-            member.stamp(&mut s);
-        }
+        drop(tel.span_in("pera.attest", || root.child("pera.attest:sw1", 1)));
+        drop(tel.span_in("svc.rpc", || rpc));
+        drop(tel.span_in("svc.appraiser.a1", || member));
         let jsonl: String = ring
             .events()
             .iter()

@@ -36,6 +36,18 @@ impl Json {
         }
     }
 
+    /// Move the value of an object's first `key` field out, leaving
+    /// `null` in its place; `None` when absent or not an object.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(fields) => fields
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
+            _ => None,
+        }
+    }
+
     /// String payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -20,9 +20,11 @@
 //! uninstrumented code; `tests/overhead.rs` enforces the ≤ 5% bound.
 //! An enabled handle pays only for what it keeps: without a subscriber
 //! ([`Telemetry::collecting`]) spans record their histograms and
-//! build no event fields, and a component that resolves its handles
-//! once ([`SpanSite`], [`Registry::counter`]) touches only their
-//! atomics per call.
+//! build no event fields or trace contexts, and a component that
+//! resolves its handles once ([`SpanSite`], [`Registry::counter`])
+//! touches only their atomics per call. Trace identity travels as a
+//! [`TraceCtx`] value on each [`Event`]; hex is written only when an
+//! event is rendered to JSON.
 //!
 //! Like `pda-crypto`, this crate is written from scratch because the
 //! build environment has no route to a crates.io registry.
@@ -58,12 +60,19 @@ struct Inner {
 
 impl Inner {
     /// Deliver one finished event to the subscriber, if there is one.
-    fn emit(&self, name: String, elapsed_ns: Option<u64>, fields: Vec<(String, Value)>) {
+    fn emit(
+        &self,
+        name: String,
+        elapsed_ns: Option<u64>,
+        trace: Option<TraceCtx>,
+        fields: Vec<(String, Value)>,
+    ) {
         if let Some(subscriber) = &self.subscriber {
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             subscriber.observe(&Event {
                 name,
                 elapsed_ns,
+                trace,
                 fields,
                 seq,
             });
@@ -183,15 +192,16 @@ impl Telemetry {
         }
     }
 
-    /// [`span`](Self::span) stamped with a trace context: the span's
-    /// event carries `trace`/`span`/`parent` fields so subscribers
-    /// (notably the flight recorder) can attribute it causally. The
-    /// context closure only runs when the handle keeps events.
+    /// [`span`](Self::span) opened in a trace context: the span's
+    /// event carries it ([`Event::trace`]) so subscribers (notably the
+    /// flight recorder) can attribute it causally. `ctx` returns a
+    /// [`TraceCtx`] or an `Option` of one (`None`: untraced), and only
+    /// runs when the handle keeps events.
     #[inline]
-    pub fn span_in(&self, name: &str, ctx: impl FnOnce() -> TraceCtx) -> Span {
+    pub fn span_in<C: Into<Option<TraceCtx>>>(&self, name: &str, ctx: impl FnOnce() -> C) -> Span {
         match &self.inner {
             None => Span { data: None },
-            Some(inner) => stamped(span_named_slow(inner, name), ctx),
+            Some(inner) => in_trace(span_named_slow(inner, name), ctx),
         }
     }
 
@@ -208,13 +218,19 @@ impl Telemetry {
         }
     }
 
-    /// Emit an instant (un-timed) event. `fields` only runs when the
-    /// handle keeps events.
+    /// Emit an instant (un-timed) event in the trace context `ctx`
+    /// returns (as for [`span_in`](Self::span_in)). `ctx` and `fields`
+    /// only run when the handle keeps events.
     #[inline]
-    pub fn event(&self, name: &str, fields: impl FnOnce() -> Vec<(String, Value)>) {
+    pub fn event<C: Into<Option<TraceCtx>>>(
+        &self,
+        name: &str,
+        ctx: impl FnOnce() -> C,
+        fields: impl FnOnce() -> Vec<(String, Value)>,
+    ) {
         if let Some(inner) = &self.inner {
             if inner.subscriber.is_some() {
-                inner.emit(name.to_string(), None, fields());
+                inner.emit(name.to_string(), None, ctx().into(), fields());
             }
         }
     }
@@ -275,9 +291,9 @@ fn span_site_slow(site: &SiteBinding) -> Span {
 
 #[cold]
 #[inline(never)]
-fn stamped(mut span: Span, ctx: impl FnOnce() -> TraceCtx) -> Span {
-    if span.keeps_fields() {
-        ctx().stamp(&mut span);
+fn in_trace<C: Into<Option<TraceCtx>>>(mut span: Span, ctx: impl FnOnce() -> C) -> Span {
+    if let Some(e) = span.event_mut() {
+        e.trace = ctx().into();
     }
     span
 }
@@ -290,6 +306,7 @@ fn span_open(inner: &Arc<Inner>, name: &str, hist: Histogram) -> Span {
             event: inner.subscriber.is_some().then(|| OpenEvent {
                 inner: inner.clone(),
                 name: name.to_string(),
+                trace: None,
                 fields: Vec::new(),
             }),
         })),
@@ -317,7 +334,7 @@ fn span_close_slow(d: Box<SpanData>) {
     let elapsed_ns = d.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     d.hist.record(elapsed_ns);
     if let Some(e) = d.event {
-        e.inner.emit(e.name, Some(elapsed_ns), e.fields);
+        e.inner.emit(e.name, Some(elapsed_ns), e.trace, e.fields);
     }
 }
 
@@ -346,13 +363,13 @@ impl SpanSite {
         }
     }
 
-    /// [`span`](Self::span) stamped with a trace context, which only
+    /// [`span`](Self::span) opened in a trace context, which only
     /// runs when the handle keeps events; see [`Telemetry::span_in`].
     #[inline]
-    pub fn span_in(&self, ctx: impl FnOnce() -> TraceCtx) -> Span {
+    pub fn span_in<C: Into<Option<TraceCtx>>>(&self, ctx: impl FnOnce() -> C) -> Span {
         match &self.bound {
             None => Span { data: None },
-            Some(site) => stamped(span_site_slow(site), ctx),
+            Some(site) => in_trace(span_site_slow(site), ctx),
         }
     }
 }
@@ -368,6 +385,7 @@ struct SpanData {
 struct OpenEvent {
     inner: Arc<Inner>,
     name: String,
+    trace: Option<TraceCtx>,
     fields: Vec<(String, Value)>,
 }
 
@@ -395,18 +413,11 @@ impl Span {
     }
 
     /// Whether this span keeps fields: it belongs to a handle that
-    /// keeps events. Lets callers skip field-construction work (trace
-    /// contexts, formatted values) that nothing would read.
+    /// keeps events. Lets callers skip formatting values that nothing
+    /// would read.
     #[inline]
     pub fn keeps_fields(&self) -> bool {
         self.data.as_ref().is_some_and(|d| d.event.is_some())
-    }
-
-    /// Append built fields in order (no-op when the span keeps none).
-    fn extend(&mut self, fields: Vec<(String, Value)>) {
-        if let Some(e) = self.event_mut() {
-            e.fields.extend(fields);
-        }
     }
 
     fn event_mut(&mut self) -> Option<&mut OpenEvent> {
@@ -483,14 +494,21 @@ mod tests {
     fn a_handle_without_a_subscriber_records_metrics_and_builds_no_fields() {
         let tel = Telemetry::collecting();
         {
-            let mut s = tel.span_in("work.unit", || panic!("no context is built"));
+            let mut s = tel.span_in("work.unit", || -> TraceCtx {
+                panic!("no context is built")
+            });
             assert!(!s.keeps_fields());
             s.set("k", 1u64);
-            let mut t = tel.span_site("work.unit").span();
-            TraceCtx::for_nonce(1).stamp(&mut t);
+            let t = tel
+                .span_site("work.unit")
+                .span_in(|| -> TraceCtx { panic!("no context is built") });
             assert!(!t.keeps_fields());
         }
-        tel.event("instant", || panic!("no fields are built"));
+        tel.event(
+            "instant",
+            || -> TraceCtx { panic!("no context is built") },
+            || panic!("no fields are built"),
+        );
         let h = tel.registry().unwrap().histogram("work.unit.ns");
         assert_eq!(h.count(), 2, "both spans recorded");
         assert_eq!(tel.dump_json().get("events_dropped"), Some(&Json::UInt(0)));
@@ -511,9 +529,8 @@ mod tests {
         assert_eq!((events[0].seq, events[1].seq), (0, 1));
         for e in &events {
             assert_eq!(e.name, "work.unit");
-            let mut want = ctx.fields();
-            want.push(("items".to_string(), Value::U64(2)));
-            assert_eq!(e.fields, want);
+            assert_eq!(e.trace, Some(ctx));
+            assert_eq!(e.fields, vec![("items".to_string(), Value::U64(2))]);
         }
         let off = Telemetry::off().span_site("work.unit");
         assert!(!off.span().keeps_fields());
@@ -558,7 +575,6 @@ mod tests {
             ok: true,
             checks: 2,
             cause: None,
-            trace: None,
         });
         let dump = tel.dump_json().encode();
         let v = json::parse(&dump).unwrap();

@@ -16,11 +16,12 @@
 //! absent a header, the receiver re-derives the same context from the
 //! nonce.
 //!
-//! On the wire inside telemetry, trace context rides as ordinary
-//! event fields — `trace`, `span`, and `parent` (16-char hex) — so
-//! the [`crate::Event`] shape and its JSONL form are unchanged.
+//! Inside the process a context is a value: an [`crate::Event`]
+//! carries its [`TraceCtx`], the flight recorder keys on it, and an
+//! appraisal audit record's trace is derived from its nonce. Hex is
+//! written only where JSON is: an event's `trace`, `span` and `parent`
+//! keys (16-char hex) and an appraisal record's `trace` key.
 
-use crate::Span;
 use std::fmt;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -174,28 +175,6 @@ impl TraceCtx {
             parent: None,
         })
     }
-
-    /// The three event fields carrying this context (`trace`, `span`,
-    /// and `parent` when present) — the in-band representation used by
-    /// spans, instant events, and the flight recorder.
-    pub fn fields(&self) -> Vec<(String, crate::Value)> {
-        let mut f = vec![
-            ("trace".to_string(), crate::Value::Str(self.trace.to_hex())),
-            ("span".to_string(), crate::Value::Str(self.span.to_hex())),
-        ];
-        if let Some(p) = self.parent {
-            f.push(("parent".to_string(), crate::Value::Str(p.to_hex())));
-        }
-        f
-    }
-
-    /// Stamp this context onto an open span. Builds nothing for a span
-    /// that keeps no fields.
-    pub fn stamp(&self, span: &mut Span) {
-        if span.keeps_fields() {
-            span.extend(self.fields());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -254,12 +233,5 @@ mod tests {
         let t = TraceId::for_nonce(5);
         assert_eq!(TraceId::from_hex(&t.to_hex()), Some(t));
         assert_eq!(TraceId::from_hex("short"), None);
-    }
-
-    #[test]
-    fn fields_carry_parent_only_when_present() {
-        let root = TraceCtx::for_nonce(1);
-        assert_eq!(root.fields().len(), 2);
-        assert_eq!(root.child("x", 0).fields().len(), 3);
     }
 }

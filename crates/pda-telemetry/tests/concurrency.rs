@@ -68,7 +68,6 @@ fn audit_log_is_loss_free_and_well_formed_under_parallel_appenders() {
                         ok: i % 2 == 0,
                         checks: 4,
                         cause: None,
-                        trace: None,
                     });
                 }
             })
@@ -124,7 +123,6 @@ fn mixed_metric_and_audit_traffic_stays_consistent() {
                             ok: false,
                             checks: 1,
                             cause: Some("drill".to_string()),
-                            trace: None,
                         });
                     }
                 }

@@ -123,8 +123,6 @@ fn audit_event() -> BoxedStrategy<AuditEvent> {
                     ok,
                     checks,
                     cause: (!ok).then_some(cause),
-                    trace: has_nonce
-                        .then(|| pda_telemetry::trace::TraceId::for_nonce(nonce).to_hex()),
                 }
             }),
         (
