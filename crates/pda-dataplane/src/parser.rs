@@ -134,10 +134,8 @@ impl ParserDef {
 pub fn deparse(parsed: &Parsed, original: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(original.len());
     for hdr in &parsed.header_order {
-        // An invalidated (popped) header is not re-emitted.
-        if parsed.phv.is_valid(hdr.name) {
-            parsed.phv.emit(hdr, &mut out);
-        }
+        // An invalidated (popped) header emits nothing.
+        parsed.phv.emit(hdr, &mut out);
     }
     out.extend_from_slice(&original[parsed.payload_offset..]);
     out

@@ -13,12 +13,15 @@
 //! compile time. One bitmask records which containers were written,
 //! another which library headers are valid. Every other name — user
 //! metadata such as `meta.c2_hit`, or a header outside the library —
-//! lives in an overflow map keyed by name. Reading or writing a library
+//! lives in an overflow map keyed by name. A name resolves to its
+//! container with one probe of a table built from the layout at compile
+//! time, confirmed by one name comparison; reading or writing a library
 //! field never allocates, and the parser and deparser move a library
 //! header by container position. This module is the only one that knows
 //! the layout.
 
 use crate::headers::{self, HeaderDef};
+use crate::tables::MIX;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -121,6 +124,81 @@ static NAMES: [&str; CONTAINERS] = {
     names
 };
 
+/// Slots of [`NAME_TABLE`], a power of two: with under one in seven
+/// taken, a name outside the layout usually finds its slot empty.
+const SLOT_BITS: u32 = 8;
+const SLOTS: usize = 1 << SLOT_BITS;
+
+/// A free slot of [`NAME_TABLE`]; past every container.
+const EMPTY: u8 = u8::MAX;
+
+const _: () = assert!(CONTAINERS < EMPTY as usize, "a container index fits a slot");
+
+/// The slot of a field name under `seed`: the name's length and its
+/// first and last eight bytes (a shorter name is read once,
+/// zero-padded), mixed by two multiplications, whose top bits index the
+/// table.
+const fn slot(name: &[u8], seed: u64) -> usize {
+    let (first, last) = match (name.first_chunk::<8>(), name.last_chunk::<8>()) {
+        (Some(first), Some(last)) => (u64::from_le_bytes(*first), u64::from_le_bytes(*last)),
+        _ => {
+            let mut word = [0; 8];
+            word.split_at_mut(name.len()).0.copy_from_slice(name);
+            (u64::from_le_bytes(word), 0)
+        }
+    };
+    let h = ((first ^ seed).wrapping_mul(MIX) ^ last ^ name.len() as u64).wrapping_mul(MIX);
+    (h >> (u64::BITS - SLOT_BITS)) as usize
+}
+
+/// Whether every name in the layout has a slot of its own under `seed`.
+const fn separates(seed: u64) -> bool {
+    let mut taken = [false; SLOTS];
+    let mut c = 0;
+    while c < CONTAINERS {
+        let s = slot(NAMES[c].as_bytes(), seed);
+        if taken[s] {
+            return false;
+        }
+        taken[s] = true;
+        c += 1;
+    }
+    true
+}
+
+/// The first seed under which the layout's names take distinct slots,
+/// found at compile time, so that a name resolves with one probe.
+const SEED: u64 = {
+    let mut seed = 0;
+    while !separates(seed) {
+        seed += 1;
+        assert!(
+            seed < 1 << 12,
+            "no seed separates the names: raise SLOT_BITS"
+        );
+    }
+    seed
+};
+
+/// The container of each name in the layout, at the name's slot.
+static NAME_TABLE: [u8; SLOTS] = {
+    let mut table = [EMPTY; SLOTS];
+    let mut c = 0;
+    while c < CONTAINERS {
+        table[slot(NAMES[c].as_bytes(), SEED)] = c as u8;
+        c += 1;
+    }
+    table
+};
+
+/// The container holding field `name`, or `None` for a name outside the
+/// layout: one probe of [`NAME_TABLE`], confirmed by comparing the
+/// container's name.
+fn container(name: &str) -> Option<usize> {
+    let c = usize::from(NAME_TABLE[slot(name.as_bytes(), SEED)]);
+    (*NAMES.get(c)? == name).then_some(c)
+}
+
 /// Position of the library header called `name`.
 fn library_header(name: &str) -> Option<usize> {
     LIBRARY.iter().position(|h| h.name == name)
@@ -128,29 +206,15 @@ fn library_header(name: &str) -> Option<usize> {
 
 /// Position of `hdr` in the library when it is the library's own
 /// definition of its name, recognized by the address of its field
-/// table (each constructor in [`crate::headers`] returns one `static`).
-/// Any other header, even one equal in value, goes field by field
-/// through [`Phv::set`] and [`Phv::get`], which store the same values.
+/// table (each constructor in [`crate::headers`] returns one `static`)
+/// and then by name. Any other header, even one equal in value, goes
+/// field by field through [`Phv::set`] and [`Phv::get`], which store the
+/// same values.
 fn library_index(hdr: &HeaderDef) -> Option<usize> {
-    let h = library_header(hdr.name)?;
-    std::ptr::eq(LIBRARY[h].fields, hdr.fields).then_some(h)
-}
-
-/// The container holding field `name`, resolved by header and then by
-/// field; `None` for a name outside the layout.
-fn container(name: &str) -> Option<usize> {
-    let (header, field) = name.split_once('.')?;
-    match library_header(header) {
-        Some(h) => LIBRARY[h]
-            .fields
-            .iter()
-            .position(|f| f.name == field)
-            .map(|f| BASES[h] + f),
-        None => INTRINSICS
-            .iter()
-            .position(|m| *m == name)
-            .map(|i| LIBRARY_FIELDS + i),
-    }
+    let h = LIBRARY
+        .iter()
+        .position(|l| std::ptr::eq(l.fields, hdr.fields))?;
+    (LIBRARY[h].name == hdr.name).then_some(h)
 }
 
 /// The packet header vector.
@@ -291,18 +355,24 @@ impl Phv {
     }
 
     /// The deparser's emission: append `hdr`'s fields to `out`,
-    /// big-endian at their declared widths. A library header is read by
-    /// container position.
+    /// big-endian at their declared widths, when `hdr` is valid; an
+    /// invalid (popped) header emits nothing. A library header is read
+    /// by container position.
     pub(crate) fn emit(&self, hdr: &HeaderDef, out: &mut Vec<u8>) {
-        let base = library_index(hdr).map(|h| BASES[h]);
-        for (i, fd) in hdr.fields.iter().enumerate() {
-            let v = match base {
-                Some(base) => self.containers[base + i],
-                None => self.get(&hdr.slot(fd.name)),
-            };
-            for i in (0..fd.bytes).rev() {
-                out.push(((v >> (8 * i)) & 0xff) as u8);
+        match library_index(hdr) {
+            Some(h) if self.valid & (1 << h) != 0 => {
+                for (fd, v) in hdr.fields.iter().zip(&self.containers[BASES[h]..]) {
+                    out.extend_from_slice(&v.to_be_bytes()[8 - fd.bytes..]);
+                }
             }
+            Some(_) => {}
+            None if self.is_valid(hdr.name) => {
+                for fd in hdr.fields {
+                    let v = self.get(&hdr.slot(fd.name));
+                    out.extend_from_slice(&v.to_be_bytes()[8 - fd.bytes..]);
+                }
+            }
+            None => {}
         }
     }
 }
@@ -323,6 +393,7 @@ impl fmt::Display for Phv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn unset_fields_read_zero() {
@@ -359,8 +430,26 @@ mod tests {
         assert!(s.contains("eth.src=1") && s.contains("eth.dst=2"), "{s}");
     }
 
+    /// The resolver the name table replaced, kept as its oracle: the
+    /// header by name, then the field by name, else an intrinsic.
+    fn linear_container(name: &str) -> Option<usize> {
+        let (header, field) = name.split_once('.')?;
+        match library_header(header) {
+            Some(h) => LIBRARY[h]
+                .fields
+                .iter()
+                .position(|f| f.name == field)
+                .map(|f| BASES[h] + f),
+            None => INTRINSICS
+                .iter()
+                .position(|m| *m == name)
+                .map(|i| LIBRARY_FIELDS + i),
+        }
+    }
+
     /// Every library field and intrinsic resolves to its own container,
-    /// whose name is the field's qualified slot name.
+    /// whose name is the field's qualified slot name, and the name table
+    /// holds each container once, at its name's slot.
     #[test]
     fn layout_gives_each_field_its_own_named_container() {
         let mut seen = BTreeSet::new();
@@ -378,8 +467,53 @@ mod tests {
             assert!(seen.insert(c));
         }
         assert_eq!(seen.len(), CONTAINERS);
+        assert_eq!(
+            NAME_TABLE.iter().filter(|&&c| c != EMPTY).count(),
+            CONTAINERS
+        );
+        for (c, name) in NAMES.iter().enumerate() {
+            assert_eq!(usize::from(NAME_TABLE[slot(name.as_bytes(), SEED)]), c);
+        }
         for near_miss in ["ipv4", "ipv4.", ".dst", "ipv4.dst.x", "", "meta.c2_hit"] {
             assert_eq!(container(near_miss), None, "{near_miss:?}");
+            assert_eq!(linear_container(near_miss), None, "{near_miss:?}");
+        }
+    }
+
+    /// A name drawn near the layout's: a layout name, a prefix or suffix
+    /// of one, a header joined to another header's field, one with a
+    /// stray dot or a multi-byte character spliced in, the empty string,
+    /// or a long string over name characters.
+    fn near_names() -> impl Strategy<Value = String> {
+        let name = || (0..CONTAINERS).prop_map(|c| NAMES[c]);
+        prop_oneof![
+            name().prop_map(str::to_string),
+            (name(), 0..NAME_MAX).prop_map(|(n, k)| n[..k.min(n.len())].to_string()),
+            (name(), 0..NAME_MAX).prop_map(|(n, k)| n[k.min(n.len())..].to_string()),
+            (0..LIBRARY.len(), name()).prop_map(|(h, n)| {
+                let field = n.split_once('.').map_or(n, |(_, f)| f);
+                format!("{}.{field}", LIBRARY[h].name)
+            }),
+            (
+                name(),
+                0..NAME_MAX,
+                prop_oneof![Just("."), Just("é"), Just("漢")]
+            )
+                .prop_map(|(n, k, splice)| {
+                    let k = k.min(n.len());
+                    format!("{}{splice}{}", &n[..k], &n[k..])
+                }),
+            Just(String::new()),
+            "[a-z_.é]{0,80}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// The name table resolves every name as the linear resolver does.
+        #[test]
+        fn name_table_agrees_with_the_linear_resolver(name in near_names()) {
+            prop_assert_eq!(container(&name), linear_container(&name), "{:?}", name);
         }
     }
 

@@ -156,8 +156,13 @@ struct Tuple {
     slots: Vec<(u32, u32)>,
 }
 
-/// The odd multiplier of [`key_hash`] (rustc's FxHasher constant).
-const MIX: u64 = 0x517c_c1b7_2722_0a95;
+/// The odd multiplier of [`key_hash`] and of the PHV's name table
+/// (rustc's FxHasher constant).
+pub(crate) const MIX: u64 = 0x517c_c1b7_2722_0a95;
+
+/// Key columns whose values a lookup keeps on the stack; a wider key
+/// collects them into a `Vec`.
+const STACK_KEY: usize = 4;
 
 /// Hash of one key's masked column values: the high half of a
 /// multiply-rotate mix, as in rustc's FxHasher. Equal keys hash equal;
@@ -277,7 +282,17 @@ impl Table {
     /// default action on miss. The action is borrowed from the table,
     /// not the PHV, so the caller may execute it on that same PHV.
     pub fn lookup(&self, phv: &Phv) -> &Action {
-        let values: Vec<u64> = self.key.iter().map(|c| phv.get(&c.field)).collect();
+        let mut stack = [0; STACK_KEY];
+        let heap: Vec<u64>;
+        let values: &[u64] = if self.key.len() <= STACK_KEY {
+            for (v, c) in stack.iter_mut().zip(&self.key) {
+                *v = phv.get(&c.field);
+            }
+            &stack[..self.key.len()]
+        } else {
+            heap = self.key.iter().map(|c| phv.get(&c.field)).collect();
+            &heap
+        };
         // The earliest matching entry so far, and its tuple's level.
         let mut best: Option<(u32, (i32, u32))> = None;
         for t in &self.tuples {
@@ -291,7 +306,7 @@ impl Table {
                     break;
                 }
                 let e = &self.entries[i as usize];
-                if e.key.iter().zip(&values).all(|(cell, v)| cell.matches(*v)) {
+                if e.key.iter().zip(values).all(|(cell, v)| cell.matches(*v)) {
                     best = Some((i, t.level));
                     break;
                 }

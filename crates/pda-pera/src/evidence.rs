@@ -12,7 +12,7 @@ use crate::config::DetailLevel;
 use pda_crypto::digest::Digest;
 use pda_crypto::keyreg::KeyRegistry;
 use pda_crypto::nonce::Nonce;
-use pda_crypto::sha256::Sha256;
+use pda_crypto::sha256::{Midstate, Sha256};
 use pda_crypto::sig::{SignError, Signature, Signer};
 use std::fmt;
 
@@ -84,20 +84,90 @@ fn feed_body(
     sink(&nonce.to_bytes());
 }
 
-/// `H(prev ‖ body)` computed by streaming the body fields straight into
-/// the hasher. Byte-identical to `prev.chain(&body_bytes)` — the chain
-/// definition concatenates with no framing between prev and body — but
-/// allocation-free, which matters at per-packet rates.
+/// The first 64-byte block of the last chain digest computed through
+/// it, with the SHA-256 midstate after that block. A chain digest whose
+/// input starts with the same bytes resumes from the midstate and skips
+/// one compression: a switch's records share their first block whenever
+/// `prev` is zero (a first hop, or pointwise composition), since the
+/// block then holds only the switch's name and the start of its first
+/// detail. Keyed by the block's exact bytes, so anything that changes
+/// those bytes (a new `prev`, a renamed switch, another first detail)
+/// can only miss.
+#[derive(Default)]
+pub(crate) struct FirstBlock(Option<([u8; 64], Midstate)>);
+
+impl FirstBlock {
+    /// A hasher that has absorbed `block`: resumed from the midstate
+    /// when `block` is the cached one, else compressed and cached.
+    fn absorb(&mut self, block: &[u8; 64]) -> Sha256 {
+        if let Some((cached, midstate)) = &self.0 {
+            if cached == block {
+                return Sha256::from_midstate(*midstate);
+            }
+        }
+        let mut h = Sha256::new();
+        h.update(block);
+        let midstate = h.midstate().expect("a whole block leaves nothing buffered");
+        self.0 = Some((*block, midstate));
+        h
+    }
+}
+
+/// Bytes of `prev ‖ body` staged on the stack before hashing: a record
+/// of two details and a switch name of up to 14 bytes fits.
+const STAGE: usize = 128;
+
+/// `H(prev ‖ body)`, byte-identical to `prev.chain(&body_bytes)` (the
+/// chain definition concatenates prev and body with no framing) whatever
+/// `first` holds. The input is staged on the stack, not in a `Vec`; a
+/// longer one (a long switch name, many details) streams its tail into
+/// the hasher. The first 64 bytes are absorbed through `first`.
 fn chain_digest(
     switch: &str,
     details: &[(DetailLevel, Digest)],
     nonce: Nonce,
     prev: Digest,
+    first: &mut FirstBlock,
 ) -> Digest {
-    let mut h = Sha256::new();
-    h.update(prev.as_bytes());
-    feed_body(|part| h.update(part), switch, details, nonce);
+    let mut stage = [0; STAGE];
+    let mut staged = 0;
+    let mut hasher: Option<Sha256> = None;
+    let mut sink = |part: &[u8]| match &mut hasher {
+        Some(h) => h.update(part),
+        None if part.len() <= STAGE - staged => {
+            stage[staged..staged + part.len()].copy_from_slice(part);
+            staged += part.len();
+        }
+        None => {
+            let (now, later) = part.split_at(STAGE - staged);
+            stage[staged..].copy_from_slice(now);
+            hasher.insert(absorb_staged(&stage, first)).update(later);
+        }
+    };
+    sink(prev.as_bytes());
+    feed_body(&mut sink, switch, details, nonce);
+    let h = match hasher {
+        Some(h) => h,
+        None => absorb_staged(&stage[..staged], first),
+    };
     Digest(h.finalize())
+}
+
+/// A hasher that has absorbed `staged`, its first block through `first`.
+fn absorb_staged(staged: &[u8], first: &mut FirstBlock) -> Sha256 {
+    match staged.split_first_chunk::<64>() {
+        Some((block, rest)) => {
+            let mut h = first.absorb(block);
+            h.update(rest);
+            h
+        }
+        // An input shorter than a block has nothing to share.
+        None => {
+            let mut h = Sha256::new();
+            h.update(staged);
+            h
+        }
+    }
 }
 
 impl EvidenceRecord {
@@ -133,7 +203,13 @@ impl EvidenceRecord {
 
     /// Recompute the chain value from the record's own fields.
     pub fn recompute_chain(&self) -> Digest {
-        chain_digest(&self.switch, &self.details, self.nonce, self.prev)
+        chain_digest(
+            &self.switch,
+            &self.details,
+            self.nonce,
+            self.prev,
+            &mut FirstBlock::default(),
+        )
     }
 
     /// Serialize the full record — body, chain linkage, signature — by
@@ -268,7 +344,19 @@ impl PendingRecord {
         nonce: Nonce,
         prev: Digest,
     ) -> PendingRecord {
-        let chain = chain_digest(switch, &details, nonce, prev);
+        PendingRecord::with_first_block(switch, details, nonce, prev, &mut FirstBlock::default())
+    }
+
+    /// [`PendingRecord::new`] with the chain digest's first block
+    /// absorbed through `first`, the block its caller hashed last.
+    pub(crate) fn with_first_block(
+        switch: &str,
+        details: Vec<(DetailLevel, Digest)>,
+        nonce: Nonce,
+        prev: Digest,
+        first: &mut FirstBlock,
+    ) -> PendingRecord {
+        let chain = chain_digest(switch, &details, nonce, prev, first);
         PendingRecord {
             switch: switch.to_string(),
             details,
@@ -469,6 +557,7 @@ mod tests {
     use super::*;
     use pda_crypto::keyreg::PrincipalId;
     use pda_crypto::sig::SigScheme;
+    use proptest::prelude::*;
 
     fn signer(name: &str) -> Signer {
         Signer::new(SigScheme::Hmac, Digest::of(name.as_bytes()).0, 0)
@@ -709,6 +798,119 @@ mod tests {
         assert_eq!(r.chain, expected);
         assert_eq!(r.recompute_chain(), expected);
         assert_eq!(r.body_len(), body.len());
+    }
+
+    /// The chain digest without a cached block: `Sha256` streamed over
+    /// `prev ‖ body`, the body laid out by [`feed_body`].
+    fn streamed(
+        switch: &str,
+        details: &[(DetailLevel, Digest)],
+        nonce: Nonce,
+        prev: Digest,
+    ) -> Digest {
+        let mut h = Sha256::new();
+        h.update(prev.as_bytes());
+        feed_body(|part| h.update(part), switch, details, nonce);
+        Digest(h.finalize())
+    }
+
+    /// The first block of a record's chain input, if it has one.
+    fn first_block_of(
+        switch: &str,
+        details: &[(DetailLevel, Digest)],
+        nonce: Nonce,
+        prev: Digest,
+    ) -> Option<[u8; 64]> {
+        let mut input = prev.as_bytes().to_vec();
+        feed_body(|part| input.extend_from_slice(part), switch, details, nonce);
+        input.first_chunk::<64>().copied()
+    }
+
+    /// A matching first block resumes from the cached midstate, and a
+    /// block that differs in one byte does not.
+    #[test]
+    fn a_matching_first_block_resumes_from_the_cached_midstate() {
+        let details = [(DetailLevel::Hardware, Digest::of(b"hw"))];
+        let digest = |first: &mut FirstBlock, prev: Digest| {
+            chain_digest("sw1", &details, Nonce(9), prev, first)
+        };
+        let mut first = FirstBlock::default();
+        let honest = digest(&mut first, Digest::ZERO);
+        assert_eq!(honest, streamed("sw1", &details, Nonce(9), Digest::ZERO));
+        // Swap the cached midstate for another block's: a digest that
+        // resumes from the cache now comes out wrong.
+        let (block, _) = first.0.expect("a 77-byte input has a first block");
+        let mut other = Sha256::new();
+        other.update(&[0xa5; 64]);
+        first.0 = Some((block, other.midstate().expect("one whole block")));
+        assert_ne!(digest(&mut first, Digest::ZERO), honest);
+        let mut prev = Digest::ZERO;
+        prev.0[31] = 1;
+        assert_eq!(
+            digest(&mut first, prev),
+            streamed("sw1", &details, Nonce(9), prev)
+        );
+        assert_eq!(
+            first.0.map(|(b, _)| b),
+            first_block_of("sw1", &details, Nonce(9), prev)
+        );
+    }
+
+    /// A record's hashed fields: switch, details, nonce and prev.
+    type Fields = (String, Vec<(DetailLevel, Digest)>, Nonce, Digest);
+
+    /// Switch names of 0-200 bytes, so a first block can end inside the
+    /// name or inside a detail; 0-8 details; a zero or random prev.
+    fn fields() -> impl Strategy<Value = Fields> {
+        (
+            "[a-z0-9]{0,200}",
+            proptest::collection::vec((0u8..6, any::<[u8; 32]>()), 0..=8),
+            any::<u64>(),
+            prop_oneof![Just(None), any::<[u8; 32]>().prop_map(Some)],
+        )
+            .prop_map(|(switch, details, nonce, prev)| {
+                let details = details
+                    .into_iter()
+                    .map(|(tag, d)| (level_from_tag(tag).expect("tags 0-5"), Digest(d)))
+                    .collect();
+                (
+                    switch,
+                    details,
+                    Nonce(nonce),
+                    prev.map_or(Digest::ZERO, Digest),
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Over a sequence of records drawn from up to three (repeats and
+        /// alternations), some after a program reload that replaced a
+        /// Program (else the first) detail, the digest through one shared
+        /// first block equals the streamed hash, and the cache holds the
+        /// last input's first block.
+        #[test]
+        fn cached_chain_digest_matches_the_streamed_hash(
+            mut records in proptest::collection::vec(fields(), 1..=3),
+            steps in proptest::collection::vec((0usize..3, any::<bool>(), any::<[u8; 32]>()), 1..=16),
+        ) {
+            let mut first = FirstBlock::default();
+            for (pick, reload, program) in steps {
+                let n = records.len();
+                let (switch, details, nonce, prev) = &mut records[pick % n];
+                if reload {
+                    let at = details.iter().position(|(l, _)| *l == DetailLevel::Program);
+                    if let Some((_, d)) = details.get_mut(at.unwrap_or(0)) {
+                        *d = Digest(program);
+                    }
+                }
+                let cached = chain_digest(switch, details, *nonce, *prev, &mut first);
+                prop_assert_eq!(cached, streamed(switch, details, *nonce, *prev));
+                if let Some(block) = first_block_of(switch, details, *nonce, *prev) {
+                    prop_assert!(first.0.is_some_and(|(b, _)| b == block));
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::cache::{CacheStats, EvidenceCache};
 use crate::config::{DetailLevel, EvidenceComposition, PeraConfig, Sampling};
-use crate::evidence::{EvidenceRecord, PendingRecord};
+use crate::evidence::{EvidenceRecord, FirstBlock, PendingRecord};
 use crate::golden::reference_digest;
 use pda_crypto::digest::Digest;
 use pda_crypto::nonce::Nonce;
@@ -110,6 +110,8 @@ pub struct PeraSwitch {
     pub cache: EvidenceCache,
     /// Flows already attested (PerFlow sampling).
     seen_flows: HashSet<FlowKey>,
+    /// The first block of the last chain digest this switch computed.
+    first_block: FirstBlock,
     /// Counters.
     pub stats: PeraStats,
     /// Telemetry handle (disabled by default; see [`Self::set_telemetry`]).
@@ -140,6 +142,7 @@ impl PeraSwitch {
             signer: Signer::new(SigScheme::Hmac, seed, 0),
             cache: EvidenceCache::new(),
             seen_flows: HashSet::new(),
+            first_block: FirstBlock::default(),
             stats: PeraStats::default(),
             tel: Telemetry::off(),
             counters: Vec::new(),
@@ -271,7 +274,13 @@ impl PeraSwitch {
         let chained = matches!(self.config.composition, EvidenceComposition::Chained);
         let prev = if chained { prev } else { Digest::ZERO };
         let details = self.measure_details(bytes);
-        let record = PendingRecord::new(&self.name, details, nonce, prev);
+        let record = PendingRecord::with_first_block(
+            &self.name,
+            details,
+            nonce,
+            prev,
+            &mut self.first_block,
+        );
         drop(span);
         Ok((forward, Some(record)))
     }

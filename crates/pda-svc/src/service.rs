@@ -91,6 +91,9 @@ impl SvcMetrics {
     }
 }
 
+/// Flight-recorder triggers a request tripped: (reason, trace).
+type Trips = Vec<(&'static str, TraceId)>;
+
 /// The long-running appraisal service.
 pub struct AppraisalService {
     config: SvcConfig,
@@ -216,8 +219,10 @@ impl AppraisalService {
     }
 
     /// `appraise`: run the federation over everything submitted for a
-    /// nonce.
-    fn rpc_appraise(&self, params: &Json) -> Result<Json, String> {
+    /// nonce. The flight-recorder triggers the verdict trips are pushed
+    /// to `trips`, for [`Self::dispatch`] to fire once the request's
+    /// `svc.rpc` span has closed.
+    fn rpc_appraise(&self, params: &Json, trips: &mut Trips) -> Result<Json, String> {
         let nonce = params
             .get("nonce")
             .and_then(Json::as_u64)
@@ -245,11 +250,11 @@ impl AppraisalService {
                 m.appraisal_failures.inc();
             }
         }
-        if let Some(flight) = &self.flight {
+        if self.flight.is_some() {
             if !verdict.ok {
-                flight.trigger("rejected", trace);
+                trips.push(("rejected", trace));
             } else if !verdict.dissenters.is_empty() {
-                flight.trigger("dissent", trace);
+                trips.push(("dissent", trace));
             }
             if let (Some(slo), Some(m)) = (&self.slo, &self.metrics) {
                 if slo.evaluate(&m.verdict_ns).p99_breached {
@@ -266,9 +271,7 @@ impl AppraisalService {
                     if !slow_traces.contains(&trace) {
                         slow_traces.push(trace);
                     }
-                    for t in &slow_traces {
-                        flight.trigger("slo_p99_breach", *t);
-                    }
+                    trips.extend(slow_traces.into_iter().map(|t| ("slo_p99_breach", t)));
                 }
             }
         }
@@ -354,9 +357,10 @@ impl AppraisalService {
             .rpc_span
             .span_in(|| ctx().map(|c| c.child("svc.rpc", req.id)));
         span.set("method", req.method.as_str());
+        let mut trips = Trips::new();
         let result = match req.method.as_str() {
             "submit-evidence" => self.rpc_submit(&req.params),
-            "appraise" => self.rpc_appraise(&req.params),
+            "appraise" => self.rpc_appraise(&req.params, &mut trips),
             "query-audit-log" => self.rpc_audit_log(&req.params),
             "metrics" => self.rpc_metrics(),
             "health" => Ok(self.health_json()),
@@ -368,11 +372,16 @@ impl AppraisalService {
         };
         // An appraisal that could not run at all (e.g. no evidence
         // under the nonce) is an indeterminate verdict: worth a dump.
+        if self.flight.is_some() && req.method == "appraise" && result.is_err() {
+            if let Some(c) = ctx() {
+                trips.push(("indeterminate", c.trace));
+            }
+        }
+        // The span closes first, so each dump holds this request.
+        drop(span);
         if let Some(flight) = &self.flight {
-            if req.method == "appraise" && result.is_err() {
-                if let Some(c) = ctx() {
-                    flight.trigger("indeterminate", c.trace);
-                }
+            for (reason, trace) in trips {
+                flight.trigger(reason, trace);
             }
         }
         match result {
@@ -451,7 +460,12 @@ mod tests {
 
     /// Drive a fleet to produce a wire-encoded evidence chain.
     fn wire_chain(hops: usize, nonce: u64) -> String {
-        let mut fleet = standard_fleet(hops);
+        wire_from(&mut standard_fleet(hops), hops, nonce)
+    }
+
+    /// The wire-encoded chain a fleet of `hops` switches reports for one
+    /// attested packet.
+    fn wire_from(fleet: &mut pda_netsim::LinearPath, hops: usize, nonce: u64) -> String {
         let appraiser = fleet.appraiser;
         fleet.send_attested(Nonce(nonce), EvidenceMode::OutOfBand { appraiser }, b"pkt");
         let records = fleet.sim.evidence_at(appraiser);
@@ -522,6 +536,56 @@ mod tests {
             recs.last().unwrap().get("ok").and_then(Json::as_bool),
             Some(false),
             "dissenting verdict recorded as a failure"
+        );
+    }
+
+    /// A flight-dump sink the test reads back.
+    #[derive(Clone, Default)]
+    struct SharedSink(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The triggers fire once the request's `svc.rpc` span has closed,
+    /// so the dump a rogue chain's rejection writes holds the `appraise`
+    /// RPC that tripped it.
+    #[test]
+    fn a_rejected_dump_holds_the_appraise_rpc() {
+        let recorder = Arc::new(FlightRecorder::new(256, 16));
+        let sink = SharedSink::default();
+        recorder.set_sink(Box::new(sink.clone()));
+        let svc = AppraisalService::new(SvcConfig::default(), Telemetry::new(recorder.clone()))
+            .with_flight_recorder(recorder);
+        let mut fleet = standard_fleet(3);
+        crate::churn::rogue_reload(&mut fleet);
+        let verdict = submit_and_appraise(&svc, 11, &wire_from(&mut fleet, 3, 11));
+        assert_eq!(verdict.get("ok").and_then(Json::as_bool), Some(false));
+        let dump = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let lines: Vec<Json> = dump
+            .lines()
+            .map(|l| pda_telemetry::json::parse(l).expect("dump lines are JSON"))
+            .collect();
+        let header = lines
+            .iter()
+            .position(|l| l.get("flight_trigger").and_then(Json::as_str) == Some("rejected"))
+            .expect("the rejection tripped a dump");
+        let events = lines[header].get("events").and_then(Json::as_u64).unwrap() as usize;
+        let rpcs: Vec<&str> = lines[header + 1..=header + events]
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("svc.rpc"))
+            .filter_map(|e| e.get("method").and_then(Json::as_str))
+            .collect();
+        assert!(
+            rpcs.contains(&"appraise"),
+            "svc.rpc methods dumped: {rpcs:?}"
         );
     }
 
